@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import generative, inference, io, metrics, tasks
-from .core import ModelConfig, WsibpError
+from .core import ConfigError, DimensionMismatchError, ModelConfig, WsibpError
 
 
 class UsageError(Exception):
@@ -37,13 +37,15 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
                    help="spatial MRF coupling (beta)")
     p.add_argument("--rho", type=float, default=0.1,
                    help="factorial MRF weight (rho)")
-    p.add_argument("--k-extra", type=int, default=20,
-                   help="unannotated/background factor slots (K_bg)")
+    p.add_argument("--k-extra", type=int,
+                   help="unannotated/background factor slots (K_bg); "
+                        "fit defaults to the dataset's value")
     p.add_argument("--max-iters", type=int, default=1500)
     p.add_argument("--tol", type=float, default=1e-4,
                    help="convergence threshold on mean |delta nu|")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="kept for compatibility; changes neither output nor speed")
 
 
 def _config(args, k_objects: int, k_attributes: int) -> ModelConfig:
@@ -72,6 +74,7 @@ def build_parser() -> _Parser:
     p.add_argument("--text", action="store_true",
                    help="write features as decimal text instead of binary")
     _add_hyper_flags(p)
+    p.set_defaults(k_extra=20)
 
     p = sub.add_parser("fit", help="train on a dataset directory")
     p.add_argument("--data", required=True)
@@ -86,7 +89,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="posteriors file")
-    _add_hyper_flags(p)
 
     p = sub.add_parser("annotate", help="rank objects and attributes per bag")
     p.add_argument("--posteriors", required=True)
@@ -135,6 +137,17 @@ def _factor_index(token: str, vocab: list[str]) -> int:
         raise WsibpError(f"unknown factor {token!r}") from None
 
 
+def _load_posteriors(path: str, k_max: int) -> list:
+    """Posteriors from ``path``, checked to have the model's k_max factors."""
+    posts = io.load_posteriors(path)
+    for bag_id, post in posts:
+        if post.tau.shape[0] != k_max or post.nu.shape[1] != k_max:
+            raise DimensionMismatchError(
+                f"posteriors of bag {bag_id!r} have {post.nu.shape[1]} factors, "
+                f"the model has k_max {k_max}")
+    return posts
+
+
 def _cmd_synth(args) -> int:
     config = _config(args, args.k_objects, args.k_attributes)
     ds = generative.sample_dataset(
@@ -153,13 +166,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     loaded = io.load_dataset(args.data)
-    args.k_extra = loaded.k_extra if args.k_extra == 20 else args.k_extra
+    if args.k_extra not in (None, loaded.k_extra):
+        raise ConfigError(f"--k-extra {args.k_extra} does not match the "
+                          f"dataset's k_extra {loaded.k_extra}")
+    args.k_extra = loaded.k_extra
     config = _config(args, loaded.k_objects, loaded.k_attributes)
-    vocab = loaded.vocab
-    if len(vocab) != config.k_max:
-        vocab = (vocab[: loaded.k_objects + loaded.k_attributes]
-                 + [f"bg{i}" for i in range(config.k_extra)])
-    result = inference.fit(loaded.bags, config, vocab=vocab,
+    result = inference.fit(loaded.bags, config, vocab=loaded.vocab,
                            use_mrf=not args.no_mrf, threads=args.threads)
     io.save_model(args.model_out, result.model, result.correlation)
     if args.posteriors_out:
@@ -190,7 +202,7 @@ def _cmd_infer(args) -> int:
 def _cmd_annotate(args) -> int:
     model, _ = io.load_model(args.model)
     config = model.config
-    posts = io.load_posteriors(args.posteriors)
+    posts = _load_posteriors(args.posteriors, config.k_max)
     out = {"bags": []}
     for bag_id, post in posts:
         anns = tasks.free_annotation(post, config, args.top_objects, args.top_attrs)
@@ -218,7 +230,7 @@ def _cmd_annotate(args) -> int:
 def _cmd_query(args) -> int:
     model, _ = io.load_model(args.model)
     config = model.config
-    posts = io.load_posteriors(args.posteriors)
+    posts = _load_posteriors(args.posteriors, config.k_max)
     obj = _factor_index(args.object, model.vocab)
     attrs = [_factor_index(t, model.vocab) for t in args.attrs.split(",") if t.strip()]
     ranked = tasks.rank_query(posts, config, obj, attrs)
@@ -248,7 +260,7 @@ def _cmd_segment(args) -> int:
     else:
         if not args.posteriors:
             raise UsageError("segment needs --posteriors (or --transductive)")
-        posts = io.load_posteriors(args.posteriors)
+        posts = _load_posteriors(args.posteriors, config.k_max)
     os.makedirs(args.out_dir, exist_ok=True)
     raster = None
     if args.raster:

@@ -220,6 +220,8 @@ def validate_dataset(bags: list[Bag], config: ModelConfig) -> DatasetHandle:
             raise DimensionMismatchError(
                 f"bag {bag.id!r} has feature dim {bag.feature_dim}, expected {dim}"
             )
+        if bag.n_instances == 0:
+            raise DatasetError(f"bag {bag.id!r} has no instances")
         if not np.all(np.isfinite(bag.features)):
             raise DatasetError(f"bag {bag.id!r} has non-finite feature values")
         bag.labels.validate(config)

@@ -9,7 +9,6 @@ and a recomputation of the inter-factor correlation matrix.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +106,8 @@ def update_appearance(bags: list[Bag], posteriors: list[BagPosterior],
                       model: AppearanceModel, config: ModelConfig) -> None:
     """Gauss-Seidel sweep over factors, each using the freshest other means.
 
-    Bags are combined in ascending index order so the reduction is
-    deterministic regardless of any outer parallelism.
+    Bags are combined in ascending index order, so the reduction is
+    deterministic.
     """
     inv_s2 = 1.0 / config.sigma ** 2
     inv_sa2 = 1.0 / config.sigma_a ** 2
@@ -155,42 +154,43 @@ def update_stick(post: BagPosterior, cache: StickBoundCache,
     post.tau = tau
 
 
-def compute_logits(bag: Bag, post: BagPosterior, model: AppearanceModel,
-                   cache: StickBoundCache, config: ModelConfig) -> np.ndarray:
-    """Pre-MRF logits eta for every (instance, factor) at the current state."""
+def factor_logit(k: int, resid: np.ndarray, nu: np.ndarray,
+                 model: AppearanceModel, cache: StickBoundCache,
+                 config: ModelConfig) -> np.ndarray:
+    """Pre-MRF logit of factor k for every instance; resid = x - nu @ means."""
     inv_2s2 = 0.5 / config.sigma ** 2
-    x = bag.features.astype(np.float64)
-    resid = x - post.nu @ model.means
-    d = model.feature_dim
-    eta = np.empty((bag.n_instances, config.k_max))
-    for k in range(config.k_max):
-        phi = model.means[k]
-        resid_k = resid + np.outer(post.nu[:, k], phi)
-        quad = d * model.variances[k] + phi @ phi
-        eta[:, k] = (cache.prior_cumsum[k] - cache.neg_log_terms[k]
-                     - inv_2s2 * (quad - 2.0 * (resid_k @ phi)))
-    return eta
+    phi = model.means[k]
+    resid_k = resid + np.outer(nu[:, k], phi)
+    quad = model.feature_dim * model.variances[k] + phi @ phi
+    return (cache.prior_cumsum[k] - cache.neg_log_terms[k]
+            - inv_2s2 * (quad - 2.0 * (resid_k @ phi)))
 
 
-def apply_mrf(eta: np.ndarray, post: BagPosterior,
-              correlation: CorrelationMatrix, edges: np.ndarray,
-              config: ModelConfig) -> np.ndarray:
-    """Add spatial-neighbour and cross-factor messages to the logits."""
-    out = eta.copy()
-    if edges.size:
-        neigh = np.zeros_like(out)
-        np.add.at(neigh, edges[:, 0], post.nu[edges[:, 1]])
-        np.add.at(neigh, edges[:, 1], post.nu[edges[:, 0]])
-        out += config.beta * neigh
-    out += config.rho * (post.nu @ correlation.m)  # zero diagonal skips n = k
-    return out
+def add_mrf_messages(eta: np.ndarray, k: int, nu: np.ndarray,
+                     src: np.ndarray, dst: np.ndarray,
+                     correlation: CorrelationMatrix,
+                     config: ModelConfig) -> np.ndarray:
+    """eta + beta * (sum of neighbours' nu[:, k]) + rho * (nu @ M)[:, k].
+
+    Instance src[i] receives nu[dst[i], k]; each undirected edge is listed
+    in both directions. M has a zero diagonal, so k sends itself nothing.
+    """
+    if src.size:
+        neigh = np.zeros(nu.shape[0])
+        np.add.at(neigh, src, nu[dst, k])
+        eta = eta + config.beta * neigh
+    return eta + config.rho * (nu @ correlation.m[:, k])
 
 
-def update_nu(eta_prime: np.ndarray, labels: WeakLabels,
-              post: BagPosterior) -> None:
-    clipped = np.clip(eta_prime, -LOGIT_CLIP, LOGIT_CLIP)
-    post.nu = labels.bits * sigmoid(clipped)
-    post.logits = eta_prime
+def set_factor(post: BagPosterior, k: int, eta: np.ndarray,
+               bit: float) -> np.ndarray:
+    """Write logits[:, k] = eta and nu[:, k] = bit * sigmoid(clip(eta));
+    return the change old - new of nu[:, k]."""
+    post.logits[:, k] = eta
+    new_col = bit * sigmoid(np.clip(eta, -LOGIT_CLIP, LOGIT_CLIP))
+    change = post.nu[:, k] - new_col
+    post.nu[:, k] = new_col
+    return change
 
 
 def _sweep_bag(bag: Bag, post: BagPosterior, model: AppearanceModel,
@@ -207,35 +207,19 @@ def _sweep_bag(bag: Bag, post: BagPosterior, model: AppearanceModel,
         update_stick(post, cache, config, n)
     cache = StickBoundCache.from_tau(post.tau)
 
-    inv_2s2 = 0.5 / config.sigma ** 2
-    x = bag.features.astype(np.float64)
-    nu = post.nu
-    resid = x - nu @ model.means
-    d = model.feature_dim
+    resid = bag.features.astype(np.float64) - post.nu @ model.means
     bits = bag.labels.bits
+    edges = bag.edges.reshape(-1, 2)  # an empty edge list may be 1-D
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
     total_delta = 0.0
-    if use_mrf and bag.edges.size:
-        src = np.concatenate([bag.edges[:, 0], bag.edges[:, 1]])
-        dst = np.concatenate([bag.edges[:, 1], bag.edges[:, 0]])
-    else:
-        src = dst = None
     for k in range(config.k_max):
-        phi = model.means[k]
-        resid_k = resid + np.outer(nu[:, k], phi)
-        quad = d * model.variances[k] + phi @ phi
-        eta = (cache.prior_cumsum[k] - cache.neg_log_terms[k]
-               - inv_2s2 * (quad - 2.0 * (resid_k @ phi)))
+        eta = factor_logit(k, resid, post.nu, model, cache, config)
         if use_mrf:
-            if src is not None:
-                neigh = np.zeros(n)
-                np.add.at(neigh, src, nu[dst, k])
-                eta = eta + config.beta * neigh
-            eta = eta + config.rho * (nu @ correlation.m[:, k])
-        post.logits[:, k] = eta
-        new_col = bits[k] * sigmoid(np.clip(eta, -LOGIT_CLIP, LOGIT_CLIP))
-        total_delta += np.abs(new_col - nu[:, k]).sum()
-        resid += np.outer(nu[:, k] - new_col, phi)
-        nu[:, k] = new_col
+            eta = add_mrf_messages(eta, k, post.nu, src, dst, correlation, config)
+        change = set_factor(post, k, eta, bits[k])
+        total_delta += np.abs(change).sum()
+        resid += np.outer(change, model.means[k])
     return total_delta / (n * config.k_max)
 
 
@@ -256,16 +240,13 @@ def update_correlation(posteriors: list[BagPosterior],
     return CorrelationMatrix(m)
 
 
-def _map_bags(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
         use_mrf: bool = True, threads: int = 1) -> FitResult:
-    """Run the full variational learning loop until |delta nu| < tol."""
+    """Run the full variational learning loop until |delta nu| < tol.
+
+    Bags are swept one after another. ``threads`` is accepted for
+    compatibility and changes neither the output nor the speed.
+    """
     handle = validate_dataset(bags, config)
     if vocab is None:
         vocab = config.default_vocab()
@@ -279,12 +260,8 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
     for _ in range(config.max_iters):
         start = time.perf_counter()
         update_appearance(bags, posteriors, model, config)
-
-        def sweep(pair):
-            bag, post = pair
-            return _sweep_bag(bag, post, model, correlation, config, use_mrf)
-
-        deltas = _map_bags(sweep, list(zip(bags, posteriors)), threads)
+        deltas = [_sweep_bag(bag, post, model, correlation, config, use_mrf)
+                  for bag, post in zip(bags, posteriors)]
         total_n = sum(b.n_instances for b in bags)
         delta = float(np.dot(deltas, [b.n_instances for b in bags]) / total_n)
         correlation = update_correlation(posteriors, all_labels, first_iteration=False)
@@ -299,13 +276,13 @@ def infer_test(bag: Bag, model: AppearanceModel,
                correlation: CorrelationMatrix, config: ModelConfig,
                use_mrf: bool = True) -> BagPosterior:
     """Test-time inference: appearance and correlation frozen, labels all-ones."""
-    if bag.feature_dim != model.feature_dim:
+    labels = WeakLabels(np.ones(config.k_max))
+    open_bag = Bag(features=bag.features, edges=bag.edges, labels=labels, id=bag.id)
+    if validate_dataset([open_bag], config).feature_dim != model.feature_dim:
         raise DimensionMismatchError(
             f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
             f"model expects {model.feature_dim}"
         )
-    labels = WeakLabels(np.ones(config.k_max))
-    open_bag = Bag(features=bag.features, edges=bag.edges, labels=labels, id=bag.id)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     post = init_posterior(bag.n_instances, labels, config, rng)
     for _ in range(config.max_iters):

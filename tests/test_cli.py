@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from wsibp import BagPosterior
 from wsibp.cli import main
-from wsibp.io import load_dataset, load_truth
+from wsibp.io import load_dataset, load_truth, save_dataset, save_posteriors
 
 
 SYNTH = ["synth", "--num-bags", "8", "--instances", "12", "--feature-dim", "6",
@@ -160,3 +162,50 @@ def test_beta_rho_zero_matches_no_mrf(workspace):
     assert main(["fit", "--data", ds, "--model-out", m2, "--no-mrf",
                  "--beta", "0", "--rho", "0"] + HYPER) == 0
     assert open(m1, "rb").read() == open(m2, "rb").read()
+
+
+@pytest.mark.parametrize("corrupt", ["edge", "nan"])
+def test_infer_invalid_bag_exit_2(workspace, corrupt):
+    tmp, ds = workspace
+    model = str(tmp / "m.model")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    loaded = load_dataset(ds)
+    bag = loaded.bags[0]
+    if corrupt == "edge":
+        bag = dataclasses.replace(bag, edges=np.array([[0, bag.n_instances]]))
+    else:
+        bag.features[0, 0] = np.nan
+    bad = str(tmp / "bad")
+    save_dataset(bad, [bag], loaded.vocab, loaded.k_objects,
+                 loaded.k_attributes, loaded.k_extra)
+    assert main(["infer", "--data", bad, "--model", model,
+                 "--out", str(tmp / "t.post")]) == 2
+
+
+def test_infer_takes_no_hyper_flags(workspace):
+    tmp, ds = workspace
+    assert main(["infer", "--data", ds, "--model", str(tmp / "m.model"),
+                 "--out", str(tmp / "t.post"), "--max-iters", "1"]) == 1
+
+
+def test_fit_k_extra_mismatch_exit_2(workspace, capsys):
+    tmp, ds = workspace  # the dataset has k_extra = 0
+    assert main(["fit", "--data", ds, "--model-out", str(tmp / "m.model"),
+                 "--k-extra", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "--k-extra 20" in err and "k_extra 0" in err
+
+
+@pytest.mark.parametrize("argv", [["annotate", "--out"],
+                                  ["query", "--object", "obj0", "--out"],
+                                  ["segment", "--out-dir"]])
+def test_posteriors_must_match_model(workspace, argv):
+    tmp, ds = workspace
+    model = str(tmp / "m.model")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    wide = BagPosterior(tau=np.ones((8, 2)), nu=np.full((12, 8), 0.5),
+                        logits=np.zeros((12, 8)))
+    post = str(tmp / "wide.post")
+    save_posteriors(post, [("b0", wide)], 8)
+    assert main(argv + [str(tmp / "out"), "--posteriors", post,
+                        "--model", model]) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from wsibp import (
     AppearanceModel,
     Bag,
     CorrelationMatrix,
+    DatasetError,
+    EdgeIndexError,
     ModelConfig,
     WeakLabels,
     expected_pi,
@@ -15,16 +19,17 @@ from wsibp import (
     sample_dataset,
     stick_bound,
 )
+from wsibp import inference
 from wsibp.core import digamma, sigmoid
 from wsibp.inference import (
     StickBoundCache,
     _sweep_bag,
-    apply_mrf,
-    compute_logits,
+    add_mrf_messages,
+    factor_logit,
     init_posterior,
+    set_factor,
     update_appearance,
     update_correlation,
-    update_nu,
     update_stick,
 )
 
@@ -218,6 +223,13 @@ class TestUpdateStick:
 
 # --- logits -----------------------------------------------------------------
 
+def logits_at(bag, post, model, cache, config):
+    """factor_logit for every factor at one fixed state, as columns."""
+    resid = bag.features.astype(np.float64) - post.nu @ model.means
+    return np.column_stack([factor_logit(k, resid, post.nu, model, cache, config)
+                            for k in range(config.k_max)])
+
+
 class TestComputeLogits:
     def test_zero_appearance_uniform_sticks(self, rng):
         # phi = 0, Phi -> 0, tau = (1, 1): logit reduces to minus the
@@ -229,8 +241,8 @@ class TestComputeLogits:
         model = AppearanceModel(means=np.zeros((1, 2)),
                                 variances=np.full(1, 1e-12),
                                 vocab=["a"], config=config)
-        eta = compute_logits(bag, post, model,
-                             StickBoundCache.from_tau(post.tau), config)
+        eta = logits_at(bag, post, model,
+                        StickBoundCache.from_tau(post.tau), config)
         np.testing.assert_allclose(eta, 1.0, atol=1e-6)
 
     def test_monotone_in_alignment(self, rng):
@@ -245,9 +257,9 @@ class TestComputeLogits:
             bag = Bag(features=np.array([x], dtype=np.float32),
                       edges=np.zeros((0, 2), dtype=np.int64),
                       labels=WeakLabels(np.ones(1)), id="m")
-            return compute_logits(bag, post, model,
-                                  StickBoundCache.from_tau(post.tau),
-                                  config)[0, 0]
+            return logits_at(bag, post, model,
+                             StickBoundCache.from_tau(post.tau),
+                             config)[0, 0]
 
         low = eta_for([0.1, 0.2])
         high = eta_for([1.0, 2.0])
@@ -263,7 +275,7 @@ class TestComputeLogits:
                                 variances=rng.uniform(0.1, 1.0, size=3),
                                 vocab=list("abc"), config=config)
         cache = StickBoundCache.from_tau(post.tau)
-        eta = compute_logits(bag, post, model, cache, config)
+        eta = logits_at(bag, post, model, cache, config)
 
         x = bag.features.astype(np.float64)
         d = 5
@@ -283,13 +295,22 @@ class TestComputeLogits:
 
 # --- MRF message application ------------------------------------------------
 
+def mrf_at(eta, post, correlation, edges, config):
+    """add_mrf_messages applied to every column of eta at one fixed nu."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    return np.column_stack([add_mrf_messages(eta[:, k], k, post.nu, src, dst,
+                                             correlation, config)
+                            for k in range(config.k_max)])
+
+
 class TestApplyMrf:
     def test_zero_couplings_identity(self, rng):
         config = cfg_k(2, beta=0.0, rho=0.0)
         post = init_posterior(3, WeakLabels(np.ones(2)), config, rng)
         eta = rng.normal(size=(3, 2))
         edges = np.array([[0, 1], [1, 2]])
-        out = apply_mrf(eta, post, CorrelationMatrix.zeros(2), edges, config)
+        out = mrf_at(eta, post, CorrelationMatrix.zeros(2), edges, config)
         assert np.array_equal(out, eta)
 
     def test_two_neighbours(self, rng):
@@ -298,7 +319,7 @@ class TestApplyMrf:
         post.nu[:] = 1.0
         eta = np.zeros((3, 1))
         edges = np.array([[0, 1], [1, 2]])
-        out = apply_mrf(eta, post, CorrelationMatrix.zeros(1), edges, config)
+        out = mrf_at(eta, post, CorrelationMatrix.zeros(1), edges, config)
         assert out[1, 0] == pytest.approx(2.0)
         assert out[0, 0] == pytest.approx(1.0)
 
@@ -308,26 +329,32 @@ class TestApplyMrf:
         post.nu[0] = [0.0, 0.8]
         m = np.array([[0.0, 0.5], [0.5, 0.0]])
         eta = np.zeros((1, 2))
-        out = apply_mrf(eta, post, CorrelationMatrix(m),
-                        np.zeros((0, 2), dtype=np.int64), config)
+        out = mrf_at(eta, post, CorrelationMatrix(m),
+                     np.zeros((0, 2), dtype=np.int64), config)
         assert out[0, 0] == pytest.approx(0.4)
 
 
 # --- nu update --------------------------------------------------------------
+
+def set_all_factors(eta, labels, post):
+    """set_factor for every column of eta, in ascending factor order."""
+    for k in range(eta.shape[1]):
+        set_factor(post, k, eta[:, k], labels.bits[k])
+
 
 class TestUpdateNu:
     def test_masked_factor_exact_zero(self, rng):
         config = cfg_k(2)
         labels = WeakLabels(np.array([1.0, 0.0]))
         post = init_posterior(3, labels, config, rng)
-        update_nu(rng.normal(scale=10, size=(3, 2)), labels, post)
+        set_all_factors(rng.normal(scale=10, size=(3, 2)), labels, post)
         assert np.all(post.nu[:, 1] == 0.0)
 
     def test_sigmoid_values(self, rng):
         config = cfg_k(1)
         labels = WeakLabels(np.ones(1))
         post = init_posterior(2, labels, config, rng)
-        update_nu(np.array([[0.0], [2.0]]), labels, post)
+        set_all_factors(np.array([[0.0], [2.0]]), labels, post)
         assert post.nu[0, 0] == pytest.approx(0.5)
         assert post.nu[1, 0] == pytest.approx(1 / (1 + np.exp(-2)))
 
@@ -338,7 +365,7 @@ class TestUpdateNu:
         labels = WeakLabels(np.ones(1))
         post = init_posterior(1, labels, config,
                               np.random.default_rng(0))
-        update_nu(np.array([[v]]), labels, post)
+        set_all_factors(np.array([[v]]), labels, post)
         assert 0.0 <= post.nu[0, 0] <= 1.0
 
 
@@ -425,6 +452,13 @@ class TestFit:
         for a, b in zip(single.posteriors, multi.posteriors):
             assert a.nu.tobytes() == b.nu.tobytes()
 
+    def test_zero_instance_bag_rejected(self, small_dataset, small_config):
+        empty = dataclasses.replace(small_dataset.bags[0], id="empty",
+                                    features=np.zeros((0, 8), dtype=np.float32),
+                                    edges=np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(DatasetError, match="empty"):
+            fit(small_dataset.bags + [empty], small_config)
+
     def test_trace_records_delta_and_time(self, small_dataset, small_config):
         result = fit(small_dataset.bags, small_config)
         assert len(result.trace) >= 1
@@ -484,6 +518,18 @@ class TestInferTest:
         with pytest.raises(Exception, match="dim"):
             infer_test(bag, model, CorrelationMatrix.zeros(2), config)
 
+    @pytest.mark.parametrize("corrupt, error", [("edge", EdgeIndexError),
+                                                ("nan", DatasetError)])
+    def test_invalid_bag_rejected(self, rng, corrupt, error):
+        config = cfg_k(2, sigma=0.2)
+        model = AppearanceModel(means=np.zeros((2, 4)), variances=np.ones(2),
+                                vocab=["a", "b"], config=config)
+        bag = ones_bag(3, 4, config, rng, edges=[(0, 3)] if corrupt == "edge" else None)
+        if corrupt == "nan":
+            bag.features[1, 2] = np.nan
+        with pytest.raises(error):
+            infer_test(bag, model, CorrelationMatrix.zeros(2), config)
+
 
 class TestFitTransductive:
     def test_empty_test_set_reduces_to_fit(self, small_dataset, small_config):
@@ -526,6 +572,33 @@ class TestFitTransductive:
                                              test_labels=ones)
         for a, b in zip(posts_default, posts_named):
             assert np.array_equal(a.nu, b.nu)
+
+
+# --- kernel wiring ----------------------------------------------------------
+
+KERNEL = ("factor_logit", "add_mrf_messages", "set_factor")
+
+
+def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
+                                             small_config):
+    # the oracle tests above call these functions; fit and infer_test must
+    # run them once per bag, factor and sweep
+    calls = {}
+    for name in KERNEL:
+        def counted(*args, _fn=getattr(inference, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(inference, name, counted)
+    config = dataclasses.replace(small_config, max_iters=1)
+    fit(small_dataset.bags, config)
+    per_sweep = len(small_dataset.bags) * config.k_max
+    assert calls == dict.fromkeys(KERNEL, per_sweep)
+    calls.clear()
+    result = fit(small_dataset.bags, config, use_mrf=False)
+    assert calls == {"factor_logit": per_sweep, "set_factor": per_sweep}
+    calls.clear()
+    infer_test(small_dataset.bags[0], result.model, result.correlation, config)
+    assert calls == dict.fromkeys(KERNEL, config.k_max)
 
 
 # --- spatial smoothing property ---------------------------------------------
