@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Save one benchmark round's outputs, or compare them with a saved file.
+
+    python3 scripts/compare_outputs.py --workload fit-many-small --seed 1 --save a.npz
+    python3 scripts/compare_outputs.py --workload fit-many-small --seed 1 --against a.npz
+
+Runs one round of a ``perfbench`` workload with the library in this
+checkout's ``src/`` (the ``pipeline`` workload through the CLI) and takes
+the model means and variances, the correlation matrix M, and every train and
+test tau and nu. ``--save`` writes them to an ``.npz``; ``--against`` prints
+the relative difference max|a - b| / max|b| of each array against the file
+and exits 1 if any exceeds 1e-9. Run it in two checkouts to compare them.
+"""
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads as wl  # noqa: E402
+from spans import Tracer  # noqa: E402
+
+LIMIT = 1e-9
+
+
+def outputs(workload: str, seed: int) -> dict[str, np.ndarray]:
+    w = wl.WORKLOADS[workload]
+    with tempfile.TemporaryDirectory() as workdir:
+        data = wl.make_data(w, seed, workdir if w.cli else None)
+        ops = wl.Ops()
+        r = wl.pipeline_round(data, Tracer(), ops) if w.cli else wl.library_round(data)
+    if ops.failures:
+        sys.exit(f"round failed: {ops.failures}")
+    out = {"means": r.model.means, "variances": r.model.variances,
+           "correlation": r.correlation}
+    for name, posts in (("train", r.train_posts), ("test", r.test_posts)):
+        out[f"{name}_tau"] = np.stack([p.tau for p in posts])
+        out[f"{name}_nu"] = np.concatenate([p.nu for p in posts])
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", required=True, choices=sorted(wl.WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--save", metavar="OUT.npz")
+    group.add_argument("--against", metavar="OTHER.npz")
+    args = ap.parse_args()
+
+    ours = outputs(args.workload, args.seed)
+    if args.save:
+        np.savez(args.save, **ours)
+        return 0
+    theirs = np.load(args.against)
+    worst = 0.0
+    for name, a in ours.items():
+        b = theirs[name]
+        if a.shape != b.shape:
+            print(f"{name:<12} shape {a.shape} != {b.shape}")
+            return 1
+        scale = np.abs(b).max()
+        rel = np.abs(a - b).max() / scale if scale else float(np.abs(a).max())
+        worst = max(worst, rel)
+        print(f"{name:<12} {rel:.3e}")
+    print(f"worst        {worst:.3e} (limit {LIMIT:g})")
+    return 0 if worst <= LIMIT else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

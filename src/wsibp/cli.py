@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,6 +20,10 @@ from .core import ConfigError, DimensionMismatchError, ModelConfig, WsibpError
 
 class UsageError(Exception):
     pass
+
+
+_HYPER = ("alpha", "sigma_a", "sigma", "beta", "rho", "k_extra", "max_iters", "tol",
+          "seed", "threads")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +120,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", help="test dataset (transductive mode)")
     p.add_argument("--raster", help="CSV raster of pixel -> instance ids")
     p.add_argument("--raster-bag", help="bag id the raster applies to")
-    _add_hyper_flags(p)
+    _add_hyper_flags(p)  # each given flag overrides the model's for the refit
+    p.set_defaults(**dict.fromkeys(_HYPER))
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--task", required=True,
@@ -248,14 +254,22 @@ def _cmd_query(args) -> int:
 def _cmd_segment(args) -> int:
     model, corr = io.load_model(args.model)
     config = model.config
+    given = {k: v for k, v in vars(args).items() if k in _HYPER and v is not None}
+    if given and not args.transductive:
+        raise ConfigError(f"--{', --'.join(given).replace('_', '-')}: hyperparameter "
+                          "flags only apply to segment --transductive")
     if args.transductive:
         if not (args.train_data and args.data):
             raise UsageError("segment --transductive needs --train-data and --data")
+        if given.get("k_extra", config.k_extra) != config.k_extra:
+            raise ConfigError(f"--k-extra {args.k_extra} does not match the "
+                              f"model's k_extra {config.k_extra}")
+        threads = given.pop("threads", 1)
+        config = dataclasses.replace(config, **given)
         train = io.load_dataset(args.train_data)
         test = io.load_dataset(args.data)
         _, test_posts, _ = inference.fit_transductive(
-            train.bags, test.bags, config, vocab=model.vocab,
-            threads=args.threads)
+            train.bags, test.bags, config, vocab=model.vocab, threads=threads)
         posts = [(b.id, p) for b, p in zip(test.bags, test_posts)]
     else:
         if not args.posteriors:

@@ -243,19 +243,17 @@ _DIGAMMA_SHIFT = 8.0
 
 
 def digamma(x):
-    """Digamma via upward recurrence to x >= 6 plus asymptotic series."""
+    """Digamma via upward recurrence to x >= 8 plus asymptotic series."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("digamma defined here for x > 0 only")
     scalar = x.ndim == 0
     x = np.atleast_1d(x).copy()
     acc = np.zeros_like(x)
-    while True:
+    for _ in range(int(_DIGAMMA_SHIFT)):  # any x > 0 passes the shift in 8 steps
         small = x < _DIGAMMA_SHIFT
-        if not small.any():
-            break
-        acc[small] -= 1.0 / x[small]
-        x[small] += 1.0
+        acc -= np.where(small, 1.0 / x, 0.0)
+        x += small
     inv2 = 1.0 / (x * x)
     # psi(x) ~ ln x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) + 1/(240x^8)
     series = (

@@ -1,9 +1,10 @@
 """Mean-field variational learning and test-time inference.
 
 The engine alternates three stages per outer iteration: a Gauss-Seidel
-appearance sweep over factors, per-bag stick and factor-probability
-updates (with spatial and factorial MRF messages folded into the logits),
-and a recomputation of the inter-factor correlation matrix.
+appearance sweep over factors, stick and factor-probability updates (with
+spatial and factorial MRF messages folded into the logits), and a
+recomputation of the inter-factor correlation matrix. Bags are swept in
+packed groups (``BagGroup``), so each stage runs once per factor per group.
 """
 
 from __future__ import annotations
@@ -22,49 +23,49 @@ from .core import (
     ModelConfig,
     WeakLabels,
     digamma,
-    log_sum_exp,
     sigmoid,
     validate_dataset,
 )
 
 LOGIT_CLIP = 30.0
 VAR_FLOOR = 1e-12
+GROUP_ROWS = 1024  # instances per packed group; packing every bag at once raised peak RSS
+BLOCK_ROWS = 256  # rows per residual update, so its temporary stays small and in cache
 
 
 @dataclass
 class StickBoundCache:
-    """Per-bag cached stick quantities for one sweep.
-
-    ``q`` holds the multinomial bound weights row-wise (row k is a
-    probability vector over s = 1..k); ``neg_log_terms[k]`` caches the
-    lower bound on E[log(1 - prod_{t<=k} v_t)]; ``prior_cumsum[k]`` is
+    """Cached stick quantities of one bag, or of several along leading axes:
+    ``w[..., s]`` are the log weights of the multinomial bound;
+    ``neg_log_terms[..., k]`` = logsumexp(w[..., :k+1]) is the lower bound on
+    E[log(1 - prod_{t<=k} v_t)]; ``prior_cumsum[..., k]`` is
     sum_{t<=k} (psi(tau_t1) - psi(tau_t2)).
     """
 
-    q: np.ndarray  # (k_max, k_max) lower-triangular
-    neg_log_terms: np.ndarray  # (k_max,)
-    prior_cumsum: np.ndarray  # (k_max,)
+    w: np.ndarray  # (..., k_max)
+    neg_log_terms: np.ndarray  # (..., k_max)
+    prior_cumsum: np.ndarray  # (..., k_max)
 
     @staticmethod
     def from_tau(tau: np.ndarray) -> "StickBoundCache":
         tau = np.asarray(tau, dtype=np.float64)
         if np.any(tau <= 0):
             raise ValueError("stick parameters must be > 0")
-        k_max = tau.shape[0]
-        d1 = digamma(tau[:, 0])
-        d2 = digamma(tau[:, 1])
-        d12 = digamma(tau[:, 0] + tau[:, 1])
+        d1, d2, d12 = np.moveaxis(
+            digamma(np.concatenate([tau, tau.sum(axis=-1, keepdims=True)], axis=-1)), -1, 0)
         # w_s = psi(tau_s2) + sum_{t<s} psi(tau_t1) - sum_{t<=s} psi(tau_t1+tau_t2)
-        w = d2 + np.concatenate([[0.0], np.cumsum(d1)[:-1]]) - np.cumsum(d12)
-        q = np.zeros((k_max, k_max))
-        neg_log = np.empty(k_max)
-        for k in range(k_max):
-            row = w[: k + 1]
-            lse = log_sum_exp(row)
-            q[k, : k + 1] = np.exp(row - lse)
-            neg_log[k] = lse  # sum_s q_s w_s + H(q) collapses to logsumexp(w)
-        return StickBoundCache(q=q, neg_log_terms=neg_log,
-                               prior_cumsum=np.cumsum(d1 - d2))
+        before = np.concatenate([np.zeros_like(d1[..., :1]),
+                                 np.cumsum(d1, axis=-1)[..., :-1]], axis=-1)
+        w = d2 + before - np.cumsum(d12, axis=-1)
+        # sum_s q_s w_s + H(q) collapses to logsumexp(w[..., :k+1])
+        return StickBoundCache(w=w, neg_log_terms=np.logaddexp.accumulate(w, axis=-1),
+                               prior_cumsum=np.cumsum(d1 - d2, axis=-1))
+
+    @property
+    def q(self) -> np.ndarray:
+        """Bound weights; row k is the probability vector exp(w_s - G_k), s <= k."""
+        diff = self.w[..., None, :] - self.neg_log_terms[..., :, None]
+        return np.tril(np.exp(np.minimum(diff, 0.0)))
 
 
 def stick_bound(tau: np.ndarray, k: int) -> tuple[np.ndarray, float]:
@@ -102,68 +103,107 @@ def init_model(config: ModelConfig, feature_dim: int, vocab: list[str],
                            vocab=list(vocab), config=config)
 
 
-def update_appearance(bags: list[Bag], posteriors: list[BagPosterior],
-                      model: AppearanceModel, config: ModelConfig) -> None:
+@dataclass
+class BagGroup:
+    """Consecutive bags swept together: ``nu``/``logits`` hold their rows back
+    to back (each bag's ``BagPosterior`` is a view of its rows), ``tau`` their
+    stick parameters as (M, k_max, 2), ``src``/``dst`` the directed edges in
+    group rows (int32 halves their memory), ``cache`` the stick cache of tau."""
+
+    features: list[np.ndarray]  # per bag, as given
+    rows: list[slice]  # per bag, its rows of the group
+    counts: np.ndarray  # (M,) instances per bag
+    bits: np.ndarray  # (M, k_max) label bits
+    src: np.ndarray
+    dst: np.ndarray
+    tau: np.ndarray
+    nu: np.ndarray
+    logits: np.ndarray
+    cache: StickBoundCache
+
+
+def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
+    """Copy consecutive bags' posteriors into one group; each becomes a view of its rows."""
+    counts = np.array([b.n_instances for b in bags])
+    rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts), counts)]
+    tau = np.stack([p.tau for p in posteriors])
+    nu = np.concatenate([p.nu for p in posteriors])
+    logits = np.concatenate([p.logits for p in posteriors])
+    for p, r, t in zip(posteriors, rows, tau):
+        p.tau, p.nu, p.logits = t, nu[r], logits[r]
+    edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
+                            for b, r in zip(bags, rows)]).astype(np.int32)
+    return BagGroup(features=[b.features for b in bags], rows=rows, counts=counts,
+                    bits=np.array([b.labels.bits for b in bags]),
+                    src=np.concatenate([edges[:, 0], edges[:, 1]]),
+                    dst=np.concatenate([edges[:, 1], edges[:, 0]]),
+                    tau=tau, nu=nu, logits=logits,
+                    cache=StickBoundCache.from_tau(tau))
+
+
+def _group_bags(bags: list[Bag]):
+    """Runs of consecutive bags of at most GROUP_ROWS instances; a larger bag runs alone."""
+    run = []
+    for bag in bags:
+        if run and sum(b.n_instances for b in run) + bag.n_instances > GROUP_ROWS:
+            yield run
+            run = []
+        run.append(bag)
+    yield run
+
+
+def update_appearance(groups: list[BagGroup], model: AppearanceModel,
+                      config: ModelConfig) -> None:
     """Gauss-Seidel sweep over factors, each using the freshest other means.
 
-    Bags are combined in ascending index order, so the reduction is
-    deterministic.
+    With S = sum nu^T nu and R = sum nu^T x over the groups in order (so the
+    reduction is deterministic), nu[:, k] @ (x - nu @ means) = R[k] - S[k] @ means.
     """
     inv_s2 = 1.0 / config.sigma ** 2
     inv_sa2 = 1.0 / config.sigma_a ** 2
-    residuals = [
-        bag.features.astype(np.float64) - post.nu @ model.means
-        for bag, post in zip(bags, posteriors)
-    ]
+    gram = sum(g.nu.T @ g.nu for g in groups)
+    proj = sum(g.nu[rows].T @ f for g in groups for f, rows in zip(g.features, g.rows))
+    mass = sum(g.nu.sum(axis=0) for g in groups)
     for k in range(config.k_max):
-        mass = 0.0
-        sq_mass = 0.0
-        num = np.zeros(model.feature_dim)
-        for post, resid in zip(posteriors, residuals):
-            col = post.nu[:, k]
-            mass += col.sum()
-            sq_mass += (col * col).sum()
-            num += col @ resid
-        num += sq_mass * model.means[k]
-        var = 1.0 / (inv_sa2 + inv_s2 * mass)
-        var = max(var, VAR_FLOOR)
-        new_mean = inv_s2 * num * var
-        delta = new_mean - model.means[k]
-        if np.any(delta):
-            for post, resid in zip(posteriors, residuals):
-                resid -= np.outer(post.nu[:, k], delta)
-        model.means[k] = new_mean
+        num = proj[k] - gram[k] @ model.means + gram[k, k] * model.means[k]
+        var = max(1.0 / (inv_sa2 + inv_s2 * mass[k]), VAR_FLOOR)
+        model.means[k] = inv_s2 * num * var
         model.variances[k] = var
 
 
-def update_stick(post: BagPosterior, cache: StickBoundCache,
-                 config: ModelConfig, n_i: int) -> None:
-    """Stick-breaking Beta parameter update from the current q weights."""
-    k_max = config.k_max
-    q = cache.q
-    s = post.nu.sum(axis=0)  # sum_j nu_{jm}
-    deficit = n_i - s
-    tail = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
-    tau = np.empty((k_max, 2))
-    for k in range(k_max):
-        cross = 0.0
-        for m in range(k + 1, k_max):
-            cross += deficit[m] * q[m, k + 1: m + 1].sum()
-        tau[k, 0] = config.alpha + tail[k] + cross
-        tau[k, 1] = 1.0 + (deficit[k:] * q[k:, k]).sum()
-    post.tau = tau
+def update_stick(post: BagPosterior | BagGroup, cache: StickBoundCache,
+                 config: ModelConfig, n_i) -> None:
+    """Closed-form stick Beta update of a bag, or a group of bags with n_i
+    instances each; cache is of post.tau. With d_m = n - sum_j nu_jm and
+    G = neg_log_terms, q_mk = exp(w_k - G_m), so the sums over m of d_m q_mk
+    are suffix log-sum-exps of log d_m - G_m (Doshi-Velez et al., 2009)."""
+    counts = np.atleast_1d(n_i)
+    s = np.add.reduceat(post.nu, np.cumsum(counts) - counts, axis=0)
+    w, g = cache.w.reshape(s.shape), cache.neg_log_terms.reshape(s.shape)
+    deficit = counts[:, None] - s
+    with np.errstate(divide="ignore"):
+        log_d = np.log(deficit) - g
+
+    def suffix(op, x, strict=False):  # op over m >= k, or over m > k
+        out = op.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+        return np.concatenate([out[:, 1:], np.full((len(x), 1), op.identity)],
+                              axis=1) if strict else out
+
+    cross = suffix(np.add, deficit, True) - np.exp(g + suffix(np.logaddexp, log_d, True))
+    tau = np.stack([config.alpha + suffix(np.add, s) + cross,
+                    1.0 + np.exp(w + suffix(np.logaddexp, log_d))], axis=-1)
+    post.tau[...] = tau.reshape(post.tau.shape)
 
 
 def factor_logit(k: int, resid: np.ndarray, nu: np.ndarray,
-                 model: AppearanceModel, cache: StickBoundCache,
-                 config: ModelConfig) -> np.ndarray:
-    """Pre-MRF logit of factor k for every instance; resid = x - nu @ means."""
+                 model: AppearanceModel, prior, config: ModelConfig) -> np.ndarray:
+    """Pre-MRF logit of factor k for every instance; resid = x - nu @ means
+    and prior = prior_cumsum[k] - neg_log_terms[k] of each row's bag."""
     inv_2s2 = 0.5 / config.sigma ** 2
     phi = model.means[k]
-    resid_k = resid + np.outer(nu[:, k], phi)
-    quad = model.feature_dim * model.variances[k] + phi @ phi
-    return (cache.prior_cumsum[k] - cache.neg_log_terms[k]
-            - inv_2s2 * (quad - 2.0 * (resid_k @ phi)))
+    phi2 = phi @ phi
+    quad = model.feature_dim * model.variances[k] + phi2
+    return prior - inv_2s2 * (quad - 2.0 * (resid @ phi + nu[:, k] * phi2))
 
 
 def add_mrf_messages(eta: np.ndarray, k: int, nu: np.ndarray,
@@ -182,10 +222,9 @@ def add_mrf_messages(eta: np.ndarray, k: int, nu: np.ndarray,
     return eta + config.rho * (nu @ correlation.m[:, k])
 
 
-def set_factor(post: BagPosterior, k: int, eta: np.ndarray,
-               bit: float) -> np.ndarray:
-    """Write logits[:, k] = eta and nu[:, k] = bit * sigmoid(clip(eta));
-    return the change old - new of nu[:, k]."""
+def set_factor(post: BagPosterior | BagGroup, k: int, eta: np.ndarray, bit) -> np.ndarray:
+    """Write logits[:, k] = eta and nu[:, k] = bit * sigmoid(clip(eta)), bit a
+    scalar or one per row; return the change old - new of nu[:, k]."""
     post.logits[:, k] = eta
     new_col = bit * sigmoid(np.clip(eta, -LOGIT_CLIP, LOGIT_CLIP))
     change = post.nu[:, k] - new_col
@@ -193,37 +232,35 @@ def set_factor(post: BagPosterior, k: int, eta: np.ndarray,
     return change
 
 
-def _sweep_bag(bag: Bag, post: BagPosterior, model: AppearanceModel,
+def _sweep_bag(group: BagGroup, model: AppearanceModel,
                correlation: CorrelationMatrix, config: ModelConfig,
                use_mrf: bool, update_sticks: bool = True) -> float:
-    """One full per-bag update; returns the mean |delta nu| of the sweep.
-
-    Factors are updated in ascending order, each seeing the freshest values
-    of the others; instances are updated jointly per factor.
-    """
-    n = bag.n_instances
+    """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
+    mean |delta nu|. The stick stage runs once for all its bags and keeps the new
+    tau's cache; factors then update in ascending order, each seeing the freshest
+    others, all rows of the group jointly per factor."""
     if update_sticks:
-        cache = StickBoundCache.from_tau(post.tau)
-        update_stick(post, cache, config, n)
-    cache = StickBoundCache.from_tau(post.tau)
-
-    resid = bag.features.astype(np.float64) - post.nu @ model.means
-    bits = bag.labels.bits
-    edges = bag.edges.reshape(-1, 2)  # an empty edge list may be 1-D
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        update_stick(group, group.cache, config, group.counts)
+        group.cache = StickBoundCache.from_tau(group.tau)
+    stick = group.cache.prior_cumsum - group.cache.neg_log_terms  # (M, k_max)
+    nu = group.nu
+    resid = nu @ model.means
+    for f, rows in zip(group.features, group.rows):  # x - nu @ means
+        np.subtract(f, resid[rows], out=resid[rows])
     total_delta = 0.0
     for k in range(config.k_max):
-        eta = factor_logit(k, resid, post.nu, model, cache, config)
+        prior = np.repeat(stick[:, k], group.counts)
+        eta = factor_logit(k, resid, nu, model, prior, config)
         if use_mrf:
-            eta = add_mrf_messages(eta, k, post.nu, src, dst, correlation, config)
-        change = set_factor(post, k, eta, bits[k])
+            eta = add_mrf_messages(eta, k, nu, group.src, group.dst, correlation, config)
+        change = set_factor(group, k, eta, np.repeat(group.bits[:, k], group.counts))
         total_delta += np.abs(change).sum()
-        resid += np.outer(change, model.means[k])
-    return total_delta / (n * config.k_max)
+        for a in range(0, len(change), BLOCK_ROWS):
+            resid[a:a + BLOCK_ROWS] += np.outer(change[a:a + BLOCK_ROWS], model.means[k])
+    return total_delta / (nu.shape[0] * config.k_max)
 
 
-def update_correlation(posteriors: list[BagPosterior],
+def update_correlation(posteriors: list[BagPosterior] | list[BagGroup],
                        labels: list[WeakLabels],
                        first_iteration: bool) -> CorrelationMatrix:
     """Recompute M from scratch: label outer products first, nu afterwards."""
@@ -244,27 +281,33 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
         use_mrf: bool = True, threads: int = 1) -> FitResult:
     """Run the full variational learning loop until |delta nu| < tol.
 
-    Bags are swept one after another. ``threads`` is accepted for
-    compatibility and changes neither the output nor the speed.
+    Consecutive bags are packed into groups of at most ``GROUP_ROWS``
+    instances (a larger bag is a group of its own), and each stage runs
+    once per factor per group; the returned posteriors are views of the
+    groups' arrays. ``threads`` is accepted for compatibility and changes
+    neither the output nor the speed.
     """
     handle = validate_dataset(bags, config)
     if vocab is None:
         vocab = config.default_vocab()
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_model(config, handle.feature_dim, vocab, rng)
-    posteriors = [init_posterior(b.n_instances, b.labels, config, rng) for b in bags]
+    groups, posteriors = [], []
+    for run in _group_bags(bags):
+        posts = [init_posterior(b.n_instances, b.labels, config, rng) for b in run]
+        groups.append(pack_group(run, posts))
+        posteriors += posts
     all_labels = [b.labels for b in bags]
-    correlation = update_correlation(posteriors, all_labels, first_iteration=True)
+    correlation = update_correlation(groups, all_labels, first_iteration=True)
+    sizes = [g.nu.shape[0] for g in groups]
 
     trace: list[tuple[float, float]] = []
     for _ in range(config.max_iters):
         start = time.perf_counter()
-        update_appearance(bags, posteriors, model, config)
-        deltas = [_sweep_bag(bag, post, model, correlation, config, use_mrf)
-                  for bag, post in zip(bags, posteriors)]
-        total_n = sum(b.n_instances for b in bags)
-        delta = float(np.dot(deltas, [b.n_instances for b in bags]) / total_n)
-        correlation = update_correlation(posteriors, all_labels, first_iteration=False)
+        update_appearance(groups, model, config)
+        deltas = [_sweep_bag(g, model, correlation, config, use_mrf) for g in groups]
+        delta = float(np.dot(deltas, sizes) / sum(sizes))
+        correlation = update_correlation(groups, all_labels, first_iteration=False)
         trace.append((delta, time.perf_counter() - start))
         if delta < config.tol:
             break
@@ -275,7 +318,10 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
 def infer_test(bag: Bag, model: AppearanceModel,
                correlation: CorrelationMatrix, config: ModelConfig,
                use_mrf: bool = True) -> BagPosterior:
-    """Test-time inference: appearance and correlation frozen, labels all-ones."""
+    """Test-time inference: appearance and correlation frozen, labels all-ones.
+
+    The bag is swept as a group of one.
+    """
     labels = WeakLabels(np.ones(config.k_max))
     open_bag = Bag(features=bag.features, edges=bag.edges, labels=labels, id=bag.id)
     if validate_dataset([open_bag], config).feature_dim != model.feature_dim:
@@ -285,8 +331,9 @@ def infer_test(bag: Bag, model: AppearanceModel,
         )
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     post = init_posterior(bag.n_instances, labels, config, rng)
+    group = pack_group([open_bag], [post])
     for _ in range(config.max_iters):
-        delta = _sweep_bag(open_bag, post, model, correlation, config, use_mrf)
+        delta = _sweep_bag(group, model, correlation, config, use_mrf)
         if delta < config.tol:
             break
     return post

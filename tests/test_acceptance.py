@@ -21,7 +21,7 @@ from wsibp import (
     stick_bound,
 )
 from wsibp.generative import plant_correlation, smooth_spatially
-from wsibp.inference import _sweep_bag, init_posterior
+from wsibp.inference import _sweep_bag, init_posterior, pack_group
 from wsibp.io import save_model, save_posteriors
 from wsibp.metrics import (
     BagTruth,
@@ -78,8 +78,9 @@ def test_criterion_02_exact_oracle_marginals():
     post = init_posterior(2, bag.labels, config, rng)
     scale = 1e7
     post.tau = np.column_stack([scale * v, scale * (1.0 - v)])
+    group = pack_group([bag], [post])
     for _ in range(500):
-        delta = _sweep_bag(bag, post, model, CorrelationMatrix.zeros(2),
+        delta = _sweep_bag(group, model, CorrelationMatrix.zeros(2),
                            config, use_mrf=False, update_sticks=False)
         if delta < 1e-13:
             break

@@ -209,3 +209,37 @@ def test_posteriors_must_match_model(workspace, argv):
     save_posteriors(post, [("b0", wide)], 8)
     assert main(argv + [str(tmp / "out"), "--posteriors", post,
                         "--model", model]) == 2
+
+
+def test_transductive_segment_honours_max_iters(workspace):
+    tmp, ds = workspace
+    model = str(tmp / "m.model")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    outputs = []
+    for iters in ("1", "60"):
+        segs = tmp / f"segs{iters}"
+        assert main(["segment", "--transductive", "--train-data", ds, "--data", ds,
+                     "--model", model, "--out-dir", str(segs), "--tol", "0",
+                     "--max-iters", iters]) == 0
+        outputs.append([(segs / f).read_bytes() for f in sorted(os.listdir(segs))])
+    assert outputs[0] != outputs[1]
+
+
+def test_segment_hyper_flag_needs_transductive(workspace, capsys):
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "train.post")
+    assert main(["fit", "--data", ds, "--model-out", model,
+                 "--posteriors-out", post] + HYPER) == 0
+    assert main(["segment", "--posteriors", post, "--model", model,
+                 "--out-dir", str(tmp / "segs"), "--sigma", "0.3"]) == 2
+    assert "--transductive" in capsys.readouterr().err
+
+
+def test_segment_k_extra_mismatch_exit_2(workspace, capsys):
+    tmp, ds = workspace  # the model has k_extra = 0
+    model = str(tmp / "m.model")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    assert main(["segment", "--transductive", "--train-data", ds, "--data", ds,
+                 "--model", model, "--out-dir", str(tmp / "segs"),
+                 "--k-extra", "3"]) == 2
+    assert "--k-extra 3" in capsys.readouterr().err

@@ -27,6 +27,7 @@ from wsibp.inference import (
     add_mrf_messages,
     factor_logit,
     init_posterior,
+    pack_group,
     set_factor,
     update_appearance,
     update_correlation,
@@ -104,7 +105,7 @@ class TestUpdateAppearance:
         model = AppearanceModel(means=rng.normal(size=(2, 3)),
                                 variances=np.ones(2),
                                 vocab=["a", "b"], config=config)
-        update_appearance([bag], [post], model, config)
+        update_appearance([pack_group([bag], [post])], model, config)
         np.testing.assert_allclose(model.means[1], 0.0)
         assert abs(model.variances[1] - 1.0) < 1e-12
 
@@ -119,7 +120,7 @@ class TestUpdateAppearance:
         post.nu[:] = 1.0
         model = AppearanceModel(means=np.zeros((1, 1)), variances=np.ones(1),
                                 vocab=["a"], config=config)
-        update_appearance([bag], [post], model, config)
+        update_appearance([pack_group([bag], [post])], model, config)
         np.testing.assert_allclose(model.means, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(model.variances, [0.5], atol=1e-12)
 
@@ -134,8 +135,9 @@ class TestUpdateAppearance:
             post = init_posterior(bag.n_instances, bag.labels, config, rng)
             post.nu = z.astype(np.float64)
             posteriors.append(post)
+        groups = [pack_group(ds.bags, posteriors)]
         for _ in range(5):
-            update_appearance(ds.bags, posteriors, model, config)
+            update_appearance(groups, model, config)
         for k in range(6):
             if ds.true_a[k].std() == 0:
                 continue
@@ -153,7 +155,7 @@ class TestUpdateAppearance:
         means0 = rng.normal(size=(3, 4))
         model = AppearanceModel(means=means0.copy(), variances=np.ones(3),
                                 vocab=list("abc"), config=config)
-        update_appearance(bags, posts, model, config)
+        update_appearance([pack_group(bags, posts)], model, config)
 
         phi = means0.copy()
         var = np.ones(3)
@@ -221,12 +223,52 @@ class TestUpdateStick:
         assert np.all(post.tau > 0)
 
 
+def stick_triple_loop(tau, nu, alpha):
+    """The tau update written out term by term from its definition."""
+    k_max, n_i = tau.shape[0], nu.shape[0]
+    psi = lambda x: float(digamma(x))  # noqa: E731
+    w = [psi(tau[s, 1]) + sum(psi(tau[t, 0]) for t in range(s))
+         - sum(psi(tau[t, 0] + tau[t, 1]) for t in range(s + 1)) for s in range(k_max)]
+    q = np.zeros((k_max, k_max))
+    for m in range(k_max):
+        top = max(w[: m + 1])
+        total = sum(np.exp(w[r] - top) for r in range(m + 1))
+        for s in range(m + 1):
+            q[m, s] = np.exp(w[s] - top) / total
+    used = [sum(nu[j, m] for j in range(n_i)) for m in range(k_max)]
+    out = np.zeros((k_max, 2))
+    for k in range(k_max):
+        t1 = alpha + sum(used[m] for m in range(k, k_max))
+        for m in range(k + 1, k_max):
+            t1 += (n_i - used[m]) * sum(q[m, s] for s in range(k + 1, m + 1))
+        t2 = 1.0 + sum((n_i - used[m]) * q[m, k] for m in range(k, k_max))
+        out[k] = (t1, t2)
+    return out
+
+
+@given(st.integers(1, 12), st.integers(1, 9), st.floats(0.2, 5.0), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_stick_update_matches_triple_loop(k_max, n_i, alpha, data):
+    tau = np.array(data.draw(st.lists(st.tuples(st.floats(0.1, 5000), st.floats(0.1, 5000)),
+                                      min_size=k_max, max_size=k_max)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nu = rng.uniform(0, 1, size=(n_i, k_max))
+    nu[:, rng.random(k_max) < 0.3] = 0.0  # masked factors
+    nu[:, rng.random(k_max) < 0.2] = 1.0  # saturated: zero deficit
+    post = init_posterior(n_i, WeakLabels(np.ones(k_max)), cfg_k(k_max), rng)
+    post.nu, post.tau = nu, tau.copy()
+    update_stick(post, StickBoundCache.from_tau(tau), cfg_k(k_max, alpha=alpha), n_i)
+    np.testing.assert_allclose(post.tau, stick_triple_loop(tau, nu, alpha), rtol=1e-9)
+
+
 # --- logits -----------------------------------------------------------------
 
 def logits_at(bag, post, model, cache, config):
     """factor_logit for every factor at one fixed state, as columns."""
     resid = bag.features.astype(np.float64) - post.nu @ model.means
-    return np.column_stack([factor_logit(k, resid, post.nu, model, cache, config)
+    return np.column_stack([factor_logit(k, resid, post.nu, model,
+                                         cache.prior_cumsum[k] - cache.neg_log_terms[k],
+                                         config)
                             for k in range(config.k_max)])
 
 
@@ -582,7 +624,8 @@ KERNEL = ("factor_logit", "add_mrf_messages", "set_factor")
 def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
                                              small_config):
     # the oracle tests above call these functions; fit and infer_test must
-    # run them once per bag, factor and sweep
+    # run them once per group, factor and sweep, and the ten small bags
+    # make one group
     calls = {}
     for name in KERNEL:
         def counted(*args, _fn=getattr(inference, name), _name=name):
@@ -590,8 +633,12 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
             return _fn(*args)
         monkeypatch.setattr(inference, name, counted)
     config = dataclasses.replace(small_config, max_iters=1)
+    assert sum(b.n_instances for b in small_dataset.bags) <= inference.GROUP_ROWS
+    fit(small_dataset.bags[:2], config)
+    assert calls == dict.fromkeys(KERNEL, config.k_max)
+    calls.clear()
     fit(small_dataset.bags, config)
-    per_sweep = len(small_dataset.bags) * config.k_max
+    per_sweep = config.k_max
     assert calls == dict.fromkeys(KERNEL, per_sweep)
     calls.clear()
     result = fit(small_dataset.bags, config, use_mrf=False)
@@ -599,6 +646,54 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
     calls.clear()
     infer_test(small_dataset.bags[0], result.model, result.correlation, config)
     assert calls == dict.fromkeys(KERNEL, config.k_max)
+
+
+# --- packed groups ----------------------------------------------------------
+
+def test_group_sweep_matches_sweeping_each_bag(rng):
+    config = cfg_k(3, 2, k_extra=2, sigma=0.4, beta=1.0, rho=0.3)
+    bags = (sample_dataset(config, 3, 9, 5, seed=1, labels=0.6).bags
+            + sample_dataset(config, 2, 16, 5, seed=2, labels=0.6).bags)
+    model = AppearanceModel(means=rng.normal(size=(7, 5)),
+                            variances=rng.uniform(0.1, 1.0, size=7),
+                            vocab=config.default_vocab(), config=config)
+    m = rng.uniform(0, 1, size=(7, 7))
+    corr = CorrelationMatrix(np.triu(m, 1) + np.triu(m, 1).T)
+
+    def posteriors():
+        return [init_posterior(b.n_instances, b.labels, config, np.random.default_rng(i))
+                for i, b in enumerate(bags)]
+
+    together, alone = posteriors(), posteriors()
+    group = pack_group(bags, together)
+    singles = [pack_group([b], [p]) for b, p in zip(bags, alone)]
+    for _ in range(3):
+        delta = _sweep_bag(group, model, corr, config, use_mrf=True)
+        deltas = [_sweep_bag(g, model, corr, config, use_mrf=True) for g in singles]
+        rows = [b.n_instances for b in bags]
+        assert abs(delta - np.dot(deltas, rows) / sum(rows)) < 1e-12
+    for a, b in zip(together, alone):
+        for name in ("nu", "logits", "tau"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("group_rows", [1, 10 ** 6])
+def test_fit_does_not_depend_on_grouping(monkeypatch, group_rows):
+    # 12 bags of 100 instances make two groups at the default budget
+    config = ModelConfig(k_objects=2, k_attributes=2, k_extra=1, sigma=0.2,
+                         beta=1.0, rho=0.1, max_iters=8, tol=0.0, seed=5)
+    ds = sample_dataset(config, 12, 100, 5, seed=5)
+    base = fit(ds.bags, config)
+    monkeypatch.setattr(inference, "GROUP_ROWS", group_rows)
+    other = fit(ds.bags, config)
+    for a, b in [(base.model.means, other.model.means),
+                 (base.model.variances, other.model.variances),
+                 (base.correlation.m, other.correlation.m)]:
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    for p, q in zip(base.posteriors, other.posteriors):
+        np.testing.assert_allclose(p.nu, q.nu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.tau, q.tau, rtol=1e-12)
 
 
 # --- spatial smoothing property ---------------------------------------------
