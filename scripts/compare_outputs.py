@@ -6,10 +6,12 @@
 
 Runs one round of a ``perfbench`` workload with the library in this
 checkout's ``src/`` (the ``pipeline`` workload through the CLI) and takes
-the model means and variances, the correlation matrix M, and every train and
-test tau and nu. ``--save`` writes them to an ``.npz``; ``--against`` prints
-the relative difference max|a - b| / max|b| of each array against the file
-and exits 1 if any exceeds 1e-9. Run it in two checkouts to compare them.
+the model means and variances, the correlation matrix M, and every train
+and test tau, nu and logit. ``--save`` writes them to an ``.npz``;
+``--against`` prints the relative difference max|a - b| / max|b| of each
+array against the file and exits 1 if any exceeds 1e-9. Run it in two checkouts to compare them:
+it needs only ``src/`` and ``perfbench/``, so a copy of this script saves the
+outputs of an older checkout too.
 """
 
 import argparse
@@ -41,6 +43,7 @@ def outputs(workload: str, seed: int) -> dict[str, np.ndarray]:
     for name, posts in (("train", r.train_posts), ("test", r.test_posts)):
         out[f"{name}_tau"] = np.stack([p.tau for p in posts])
         out[f"{name}_nu"] = np.concatenate([p.nu for p in posts])
+        out[f"{name}_logits"] = np.concatenate([p.logits for p in posts])
     return out
 
 

@@ -275,12 +275,8 @@ def log_sum_exp(a, axis=None):
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # in [0, 1], so nothing overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def expected_pi(tau: np.ndarray) -> np.ndarray:

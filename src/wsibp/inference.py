@@ -30,7 +30,6 @@ from .core import (
 LOGIT_CLIP = 30.0
 VAR_FLOOR = 1e-12
 GROUP_ROWS = 1024  # instances per packed group; packing every bag at once raised peak RSS
-BLOCK_ROWS = 256  # rows per residual update, so its temporary stays small and in cache
 
 
 @dataclass
@@ -195,31 +194,39 @@ def update_stick(post: BagPosterior | BagGroup, cache: StickBoundCache,
     post.tau[...] = tau.reshape(post.tau.shape)
 
 
-def factor_logit(k: int, resid: np.ndarray, nu: np.ndarray,
-                 model: AppearanceModel, prior, config: ModelConfig) -> np.ndarray:
-    """Pre-MRF logit of factor k for every instance; resid = x - nu @ means
-    and prior = prior_cumsum[k] - neg_log_terms[k] of each row's bag."""
-    inv_2s2 = 0.5 / config.sigma ** 2
-    phi = model.means[k]
-    phi2 = phi @ phi
-    quad = model.feature_dim * model.variances[k] + phi2
-    return prior - inv_2s2 * (quad - 2.0 * (resid @ phi + nu[:, k] * phi2))
+def sweep_terms(group: BagGroup, model: AppearanceModel, correlation: CorrelationMatrix,
+                config: ModelConfig, use_mrf: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The logit terms fixed for one sweep, with G = means @ means.T: ``base`` (rows,
+    k_max) = x @ means.T / sigma^2 + the row's stick prior - (D var_k + G_kk) / (2 sigma^2),
+    ``coupling`` = -(G - diag G) / sigma^2, plus rho * M.T under ``use_mrf``."""
+    inv_s2 = 1.0 / config.sigma ** 2
+    gram = model.means @ model.means.T
+    quad = model.feature_dim * model.variances + np.diag(gram)
+    const = group.cache.prior_cumsum - group.cache.neg_log_terms - 0.5 * inv_s2 * quad
+    base = np.empty_like(group.nu)
+    for f, rows, c in zip(group.features, group.rows, const):
+        np.matmul(f, model.means.T, out=base[rows])
+        base[rows] *= inv_s2
+        base[rows] += c
+    coupling = -inv_s2 * gram
+    np.fill_diagonal(coupling, 0.0)
+    if use_mrf:
+        coupling += config.rho * correlation.m.T
+    return base, coupling
 
 
-def add_mrf_messages(eta: np.ndarray, k: int, nu: np.ndarray,
-                     src: np.ndarray, dst: np.ndarray,
-                     correlation: CorrelationMatrix,
-                     config: ModelConfig) -> np.ndarray:
-    """eta + beta * (sum of neighbours' nu[:, k]) + rho * (nu @ M)[:, k].
+def factor_logit(k: int, base: np.ndarray, coupling: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Logit of factor k before spatial messages, base[:, k] + nu @ coupling[k]: with
+    resid = x - nu @ means, the residual form's resid @ phi_k + nu_k G_kk equals
+    x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (nu @ M)[:, k] rides in coupling."""
+    return base[:, k] + nu @ coupling[k]
 
-    Instance src[i] receives nu[dst[i], k]; each undirected edge is listed
-    in both directions. M has a zero diagonal, so k sends itself nothing.
-    """
-    if src.size:
-        neigh = np.zeros(nu.shape[0])
-        np.add.at(neigh, src, nu[dst, k])
-        eta = eta + config.beta * neigh
-    return eta + config.rho * (nu @ correlation.m[:, k])
+
+def add_mrf_messages(eta: np.ndarray, k: int, nu: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """eta + beta * (sum of neighbours' nu[:, k]); instance src[i] receives
+    nu[dst[i], k], and each undirected edge is listed in both directions."""
+    return eta + config.beta * np.bincount(src, nu[:, k].take(dst), minlength=nu.shape[0])
 
 
 def set_factor(post: BagPosterior | BagGroup, k: int, eta: np.ndarray, bit) -> np.ndarray:
@@ -238,25 +245,22 @@ def _sweep_bag(group: BagGroup, model: AppearanceModel,
     """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
     mean |delta nu|. The stick stage runs once for all its bags and keeps the new
     tau's cache; factors then update in ascending order, each seeing the freshest
-    others, all rows of the group jointly per factor."""
+    others, all rows of the group jointly per factor. Means, variances and M are
+    fixed within a sweep and, with resid = x - nu @ means, resid @ phi_k + nu_k G_kk =
+    x @ phi_k - sum_{j != k} nu_j G_jk (G = means @ means.T), so a factor costs one
+    mat-vec (``factor_logit``) against the per-sweep ``sweep_terms``."""
     if update_sticks:
         update_stick(group, group.cache, config, group.counts)
         group.cache = StickBoundCache.from_tau(group.tau)
-    stick = group.cache.prior_cumsum - group.cache.neg_log_terms  # (M, k_max)
+    base, coupling = sweep_terms(group, model, correlation, config, use_mrf)
     nu = group.nu
-    resid = nu @ model.means
-    for f, rows in zip(group.features, group.rows):  # x - nu @ means
-        np.subtract(f, resid[rows], out=resid[rows])
     total_delta = 0.0
     for k in range(config.k_max):
-        prior = np.repeat(stick[:, k], group.counts)
-        eta = factor_logit(k, resid, nu, model, prior, config)
+        eta = factor_logit(k, base, coupling, nu)
         if use_mrf:
-            eta = add_mrf_messages(eta, k, nu, group.src, group.dst, correlation, config)
+            eta = add_mrf_messages(eta, k, nu, group.src, group.dst, config)
         change = set_factor(group, k, eta, np.repeat(group.bits[:, k], group.counts))
         total_delta += np.abs(change).sum()
-        for a in range(0, len(change), BLOCK_ROWS):
-            resid[a:a + BLOCK_ROWS] += np.outer(change[a:a + BLOCK_ROWS], model.means[k])
     return total_delta / (nu.shape[0] * config.k_max)
 
 

@@ -154,3 +154,13 @@ class TestMathUtils:
         np.testing.assert_allclose(sigmoid(np.array([0.0])), [0.5])
         np.testing.assert_allclose(sigmoid(np.array([2.0])),
                                    [1 / (1 + np.exp(-2))])
+
+    @given(st.lists(st.floats(-800, 800), min_size=1, max_size=40))
+    def test_sigmoid_matches_two_branch_form(self, values):
+        x = np.array(values)
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert sigmoid(x).tobytes() == expected.tobytes()

@@ -29,6 +29,7 @@ from wsibp.inference import (
     init_posterior,
     pack_group,
     set_factor,
+    sweep_terms,
     update_appearance,
     update_correlation,
     update_stick,
@@ -265,10 +266,11 @@ def test_closed_form_stick_update_matches_triple_loop(k_max, n_i, alpha, data):
 
 def logits_at(bag, post, model, cache, config):
     """factor_logit for every factor at one fixed state, as columns."""
-    resid = bag.features.astype(np.float64) - post.nu @ model.means
-    return np.column_stack([factor_logit(k, resid, post.nu, model,
-                                         cache.prior_cumsum[k] - cache.neg_log_terms[k],
-                                         config)
+    group = pack_group([bag], [post])
+    group.cache = StickBoundCache(*(a.reshape(1, -1) for a in dataclasses.astuple(cache)))
+    base, coupling = sweep_terms(group, model, CorrelationMatrix.zeros(config.k_max),
+                                 config, use_mrf=False)
+    return np.column_stack([factor_logit(k, base, coupling, group.nu)
                             for k in range(config.k_max)])
 
 
@@ -335,15 +337,66 @@ class TestComputeLogits:
                 assert abs(eta[j, k] - expected) < 1e-9
 
 
+@given(k_max=st.integers(1, 12), d=st.integers(1, 5),
+       sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+       beta=st.floats(0, 3), rho=st.floats(0, 1), use_mrf=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, use_mrf, seed):
+    # each factor's logit as the residual form gives it, from the nu it saw:
+    # factors before k already updated in this sweep, k and after not yet
+    rng = np.random.default_rng(seed)
+    config = cfg_k(k_max, sigma=rng.uniform(0.3, 2.0), beta=beta, rho=rho)
+    bags = [Bag(features=rng.normal(size=(n, d)),
+                edges=rng.integers(0, n, size=(rng.integers(0, 2 * n + 1), 2)),
+                labels=WeakLabels((rng.random(k_max) < 0.7).astype(float)), id=str(i))
+            for i, n in enumerate(sizes)]
+    posts = [init_posterior(b.n_instances, b.labels, config, rng) for b in bags]
+    for p in posts:
+        p.tau = rng.uniform(0.2, 5.0, size=(k_max, 2))
+    model = AppearanceModel(means=rng.normal(size=(k_max, d)),
+                            variances=rng.uniform(0.1, 1.0, size=k_max),
+                            vocab=config.default_vocab(), config=config)
+    m = np.triu(rng.uniform(0, 1, size=(k_max, k_max)), 1)
+    corr = CorrelationMatrix(m + m.T)
+    group = pack_group(bags, posts)
+    before = [p.nu.copy() for p in posts]
+    _sweep_bag(group, model, corr, config, use_mrf, update_sticks=False)
+
+    for bag, post, old in zip(bags, posts, before):
+        x = bag.features
+        for k in range(k_max):
+            seen = np.hstack([post.nu[:, :k], old[:, k:]])
+            phi = model.means[k]
+            resid = x - seen @ model.means
+            prior = sum(float(digamma(post.tau[t, 0]) - digamma(post.tau[t, 1]))
+                        for t in range(k + 1)) - stick_bound(post.tau, k + 1)[1]
+            quad = d * model.variances[k] + phi @ phi
+            expected = prior - (quad - 2 * (resid @ phi + seen[:, k] * (phi @ phi))) \
+                / (2 * config.sigma ** 2)
+            if use_mrf:
+                for a, b in bag.edges:
+                    expected[a] += beta * seen[b, k]
+                    expected[b] += beta * seen[a, k]
+                expected += rho * (seen @ corr.m[:, k])
+            np.testing.assert_allclose(post.logits[:, k], expected, rtol=1e-10, atol=1e-10)
+
+
 # --- MRF message application ------------------------------------------------
 
 def mrf_at(eta, post, correlation, edges, config):
-    """add_mrf_messages applied to every column of eta at one fixed nu."""
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    return np.column_stack([add_mrf_messages(eta[:, k], k, post.nu, src, dst,
-                                             correlation, config)
-                            for k in range(config.k_max)])
+    """The MRF part of every factor's logit at one fixed nu, added to eta: the
+    sweep's coupling with zero appearance means, then add_mrf_messages."""
+    n, k_max = post.nu.shape
+    bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
+              id="mrf")
+    group = pack_group([bag], [post])
+    model = AppearanceModel(means=np.zeros((k_max, 1)), variances=np.ones(k_max),
+                            vocab=config.default_vocab(), config=config)
+    _, coupling = sweep_terms(group, model, correlation, config, use_mrf=True)
+    return np.column_stack([add_mrf_messages(factor_logit(k, eta, coupling, group.nu), k,
+                                             group.nu, group.src, group.dst, config)
+                            for k in range(k_max)])
 
 
 class TestApplyMrf:
