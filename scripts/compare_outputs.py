@@ -8,8 +8,10 @@ Runs one round of a ``perfbench`` workload with the library in this
 checkout's ``src/`` (the ``pipeline`` workload through the CLI) and takes
 the model means and variances, the correlation matrix M, and every train
 and test tau, nu and logit. ``--save`` writes them to an ``.npz``;
-``--against`` prints the relative difference max|a - b| / max|b| of each
-array against the file and exits 1 if any exceeds 1e-9. Run it in two checkouts to compare them:
+``--against`` prints, for each array, the relative difference
+max|a - b| / max|b| against the file and whether its bytes match, then a
+``bit-identical: yes/no`` line over all arrays, and exits 1 if any relative
+difference exceeds 1e-9. Run it in two checkouts to compare them:
 it needs only ``src/`` and ``perfbench/``, so a copy of this script saves the
 outputs of an older checkout too.
 """
@@ -62,7 +64,7 @@ def main() -> int:
         np.savez(args.save, **ours)
         return 0
     theirs = np.load(args.against)
-    worst = 0.0
+    worst, identical = 0.0, True
     for name, a in ours.items():
         b = theirs[name]
         if a.shape != b.shape:
@@ -71,8 +73,11 @@ def main() -> int:
         scale = np.abs(b).max()
         rel = np.abs(a - b).max() / scale if scale else float(np.abs(a).max())
         worst = max(worst, rel)
-        print(f"{name:<12} {rel:.3e}")
+        same = a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        identical &= same
+        print(f"{name:<12} {rel:.3e}  bytes {'identical' if same else 'differ'}")
     print(f"worst        {worst:.3e} (limit {LIMIT:g})")
+    print(f"bit-identical: {'yes' if identical else 'no'}")
     return 0 if worst <= LIMIT else 1
 
 

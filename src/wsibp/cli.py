@@ -22,8 +22,7 @@ class UsageError(Exception):
     pass
 
 
-_HYPER = ("alpha", "sigma_a", "sigma", "beta", "rho", "k_extra", "max_iters", "tol",
-          "seed", "threads")
+_HYPER = ("alpha", "sigma_a", "sigma", "beta", "rho", "k_extra", "max_iters", "tol", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,8 +48,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-4,
                    help="convergence threshold on mean |delta nu|")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="kept for compatibility; changes neither output nor speed")
 
 
 def _config(args, k_objects: int, k_attributes: int) -> ModelConfig:
@@ -178,7 +175,7 @@ def _cmd_fit(args) -> int:
     args.k_extra = loaded.k_extra
     config = _config(args, loaded.k_objects, loaded.k_attributes)
     result = inference.fit(loaded.bags, config, vocab=loaded.vocab,
-                           use_mrf=not args.no_mrf, threads=args.threads)
+                           use_mrf=not args.no_mrf)
     io.save_model(args.model_out, result.model, result.correlation)
     if args.posteriors_out:
         io.save_posteriors(args.posteriors_out,
@@ -264,12 +261,11 @@ def _cmd_segment(args) -> int:
         if given.get("k_extra", config.k_extra) != config.k_extra:
             raise ConfigError(f"--k-extra {args.k_extra} does not match the "
                               f"model's k_extra {config.k_extra}")
-        threads = given.pop("threads", 1)
         config = dataclasses.replace(config, **given)
         train = io.load_dataset(args.train_data)
         test = io.load_dataset(args.data)
         _, test_posts, _ = inference.fit_transductive(
-            train.bags, test.bags, config, vocab=model.vocab, threads=threads)
+            train.bags, test.bags, config, vocab=model.vocab)
         posts = [(b.id, p) for b, p in zip(test.bags, test_posts)]
     else:
         if not args.posteriors:

@@ -8,7 +8,7 @@ attribute factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,10 +273,15 @@ def log_sum_exp(a, axis=None):
     return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
+    """where(x >= 0, 1, e) / (1 + e), e = exp(-|x|), into ``out`` (x itself allowed)."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # in [0, 1], so nothing overflows
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    positive = x >= 0
+    e = np.abs(x, out=np.empty_like(x) if out is None else out)
+    np.exp(np.negative(e, out=e), out=e)  # in [0, 1], so nothing overflows
+    den = e + 1.0
+    np.copyto(e, 1.0, where=positive)
+    return np.divide(e, den, out=e)
 
 
 def expected_pi(tau: np.ndarray) -> np.ndarray:

@@ -106,15 +106,15 @@ def init_model(config: ModelConfig, feature_dim: int, vocab: list[str],
 class BagGroup:
     """Consecutive bags swept together: ``nu``/``logits`` hold their rows back
     to back (each bag's ``BagPosterior`` is a view of its rows), ``tau`` their
-    stick parameters as (M, k_max, 2), ``src``/``dst`` the directed edges in
-    group rows (int32 halves their memory), ``cache`` the stick cache of tau."""
+    stick parameters as (M, k_max, 2), ``nbrs``/``rank`` the neighbour table of
+    ``mrf_messages``, ``cache`` the stick cache of tau."""
 
     features: list[np.ndarray]  # per bag, as given
     rows: list[slice]  # per bag, its rows of the group
     counts: np.ndarray  # (M,) instances per bag
-    bits: np.ndarray  # (M, k_max) label bits
-    src: np.ndarray
-    dst: np.ndarray
+    bits: np.ndarray  # (k_max, rows) bool, each row's label bits
+    nbrs: list[np.ndarray]  # nbrs[j]: j-th neighbour of the rows, by degree, of degree > j
+    rank: np.ndarray  # (rows,) each row's position in degree order
     tau: np.ndarray
     nu: np.ndarray
     logits: np.ndarray
@@ -122,7 +122,10 @@ class BagGroup:
 
 
 def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
-    """Copy consecutive bags' posteriors into one group; each becomes a view of its rows."""
+    """Copy consecutive bags' posteriors into one group; each becomes a view of its rows.
+    Neighbour table: the directed edges (each edge as given, then reversed) sorted
+    stably by source; rows ordered by degree, descending and stable; ``nbrs[j]`` the
+    j-th neighbour of each leading row of degree > j; ``rank`` each row's place."""
     counts = np.array([b.n_instances for b in bags])
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts), counts)]
     tau = np.stack([p.tau for p in posteriors])
@@ -131,12 +134,17 @@ def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
     for p, r, t in zip(posteriors, rows, tau):
         p.tau, p.nu, p.logits = t, nu[r], logits[r]
     edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
-                            for b, r in zip(bags, rows)]).astype(np.int32)
+                            for b, r in zip(bags, rows)]).astype(np.intp)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])[np.argsort(src, kind="stable")]
+    degree = np.bincount(src, minlength=len(nu))
+    by_degree = np.argsort(-degree, kind="stable")
+    first = (np.cumsum(degree) - degree)[by_degree]  # where each row's neighbours start
+    wider = len(nu) - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > j
     return BagGroup(features=[b.features for b in bags], rows=rows, counts=counts,
-                    bits=np.array([b.labels.bits for b in bags]),
-                    src=np.concatenate([edges[:, 0], edges[:, 1]]),
-                    dst=np.concatenate([edges[:, 1], edges[:, 0]]),
-                    tau=tau, nu=nu, logits=logits,
+                    bits=np.repeat([b.labels.bits > 0 for b in bags], counts, axis=0).T.copy(),
+                    nbrs=[dst[first[:n] + j] for j, n in enumerate(wider)],
+                    rank=np.argsort(by_degree), tau=tau, nu=nu, logits=logits,
                     cache=StickBoundCache.from_tau(tau))
 
 
@@ -222,21 +230,24 @@ def factor_logit(k: int, base: np.ndarray, coupling: np.ndarray, nu: np.ndarray)
     return base[:, k] + nu @ coupling[k]
 
 
-def add_mrf_messages(eta: np.ndarray, k: int, nu: np.ndarray, src: np.ndarray,
-                     dst: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """eta + beta * (sum of neighbours' nu[:, k]); instance src[i] receives
-    nu[dst[i], k], and each undirected edge is listed in both directions."""
-    return eta + config.beta * np.bincount(src, nu[:, k].take(dst), minlength=nu.shape[0])
+def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
+    """beta * (sum of each row's neighbours' nu), (rows, k_max), for a whole sweep:
+    only factor k writes nu[:, k], so its start-of-sweep value is what factor k
+    reads. Level j adds each row's j-th neighbour, so every row sums from zero in
+    directed-edge order: the same additions as np.bincount over those edges."""
+    acc = np.zeros_like(group.nu)
+    for nb in group.nbrs:
+        acc[:len(nb)] += group.nu.take(nb, axis=0)
+    return np.multiply(acc.take(group.rank, axis=0), config.beta, out=acc)
 
 
-def set_factor(post: BagPosterior | BagGroup, k: int, eta: np.ndarray, bit) -> np.ndarray:
-    """Write logits[:, k] = eta and nu[:, k] = bit * sigmoid(clip(eta)), bit a
-    scalar or one per row; return the change old - new of nu[:, k]."""
+def set_factor(post: BagPosterior | BagGroup, k: int, eta: np.ndarray, bit) -> None:
+    """Write logits[:, k] = eta and nu[:, k] = bit * sigmoid(clip(eta)), bit a scalar
+    or one per row (bool or 0/1). Works in place: eta is clipped and squashed."""
     post.logits[:, k] = eta
-    new_col = bit * sigmoid(np.clip(eta, -LOGIT_CLIP, LOGIT_CLIP))
-    change = post.nu[:, k] - new_col
-    post.nu[:, k] = new_col
-    return change
+    np.maximum(eta, -LOGIT_CLIP, out=eta)
+    np.minimum(eta, LOGIT_CLIP, out=eta)
+    np.multiply(sigmoid(eta, out=eta), bit, out=post.nu[:, k])
 
 
 def _sweep_bag(group: BagGroup, model: AppearanceModel,
@@ -245,23 +256,24 @@ def _sweep_bag(group: BagGroup, model: AppearanceModel,
     """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
     mean |delta nu|. The stick stage runs once for all its bags and keeps the new
     tau's cache; factors then update in ascending order, each seeing the freshest
-    others, all rows of the group jointly per factor. Means, variances and M are
-    fixed within a sweep and, with resid = x - nu @ means, resid @ phi_k + nu_k G_kk =
-    x @ phi_k - sum_{j != k} nu_j G_jk (G = means @ means.T), so a factor costs one
-    mat-vec (``factor_logit``) against the per-sweep ``sweep_terms``."""
+    others, all rows of the group jointly. Means, variances and M are fixed within
+    a sweep, so a factor costs one mat-vec (``factor_logit``) against the per-sweep
+    ``sweep_terms`` and ``mrf_messages``; nu's change is the start-of-sweep copy
+    minus the final nu."""
     if update_sticks:
         update_stick(group, group.cache, config, group.counts)
         group.cache = StickBoundCache.from_tau(group.tau)
+    msgs = mrf_messages(group, config) if use_mrf else None
     base, coupling = sweep_terms(group, model, correlation, config, use_mrf)
     nu = group.nu
-    total_delta = 0.0
+    change = nu.T.copy()  # (k_max, rows): one contiguous column sum per factor
     for k in range(config.k_max):
         eta = factor_logit(k, base, coupling, nu)
         if use_mrf:
-            eta = add_mrf_messages(eta, k, nu, group.src, group.dst, config)
-        change = set_factor(group, k, eta, np.repeat(group.bits[:, k], group.counts))
-        total_delta += np.abs(change).sum()
-    return total_delta / (nu.shape[0] * config.k_max)
+            eta += msgs[:, k]
+        set_factor(group, k, eta, group.bits[k])
+    np.subtract(change, nu.T, out=change)
+    return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
 
 
 def update_correlation(posteriors: list[BagPosterior] | list[BagGroup],
@@ -282,14 +294,12 @@ def update_correlation(posteriors: list[BagPosterior] | list[BagGroup],
 
 
 def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
-        use_mrf: bool = True, threads: int = 1) -> FitResult:
+        use_mrf: bool = True) -> FitResult:
     """Run the full variational learning loop until |delta nu| < tol.
 
-    Consecutive bags are packed into groups of at most ``GROUP_ROWS``
-    instances (a larger bag is a group of its own), and each stage runs
-    once per factor per group; the returned posteriors are views of the
-    groups' arrays. ``threads`` is accepted for compatibility and changes
-    neither the output nor the speed.
+    Consecutive bags are packed into groups of at most ``GROUP_ROWS`` instances (a
+    larger bag is a group of its own), and each stage runs once per factor per group;
+    the returned posteriors are views of the groups' arrays.
     """
     handle = validate_dataset(bags, config)
     if vocab is None:
@@ -350,7 +360,6 @@ def fit_transductive(
     test_labels: list[WeakLabels] | None = None,
     vocab: list[str] | None = None,
     use_mrf: bool = True,
-    threads: int = 1,
 ) -> tuple[AppearanceModel, list[BagPosterior], FitResult]:
     """Joint fit over train + test bags; test labels default to all-ones."""
     if test_labels is None:
@@ -361,6 +370,5 @@ def fit_transductive(
         Bag(features=b.features, edges=b.edges, labels=lab, id=b.id)
         for b, lab in zip(test_bags, test_labels)
     ]
-    result = fit(train_bags + relabeled, config, vocab=vocab,
-                 use_mrf=use_mrf, threads=threads)
+    result = fit(train_bags + relabeled, config, vocab=vocab, use_mrf=use_mrf)
     return result.model, result.posteriors[len(train_bags):], result

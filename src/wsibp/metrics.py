@@ -7,7 +7,7 @@ list of the best recall attained at that level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,6 @@ from .core import WsibpError
 class BagTruth:
     object: int
     attributes: set[int]
-
-
-@dataclass
-class GroundTruth:
-    """Evaluation targets for the three task families."""
-
-    bags: dict[str, BagTruth] = field(default_factory=dict)
-    segmentation: dict[str, np.ndarray] = field(default_factory=dict)
-    relevance: dict[tuple, set[str]] = field(default_factory=dict)
 
 
 def average_precision(relevant_flags: list[bool]) -> float:

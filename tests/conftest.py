@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wsibp import ModelConfig, sample_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -19,3 +26,20 @@ def small_dataset(small_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fit_files(tmp_path):
+    """fit_files(data_dir, flags, blas_threads) runs ``wsibp fit`` in a fresh
+    process with OpenBLAS on ``blas_threads`` threads and returns the bytes of
+    the model and posterior files it wrote."""
+    def run(data_dir, flags, blas_threads):
+        model, post = tmp_path / f"{blas_threads}.model", tmp_path / f"{blas_threads}.post"
+        path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+                   PYTHONPATH=os.pathsep.join(path))
+        subprocess.run([sys.executable, "-m", "wsibp.cli", "fit", "--data", str(data_dir),
+                        "--model-out", str(model), "--posteriors-out", str(post), *flags],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        return model.read_bytes(), post.read_bytes()
+    return run

@@ -63,17 +63,11 @@ def test_full_pipeline(workspace):
     assert len(os.listdir(segs)) == 8
 
 
-def test_fit_threads_bit_identical(workspace):
-    tmp, ds = workspace
-    m1, m2 = str(tmp / "m1.model"), str(tmp / "m2.model")
-    p1, p2 = str(tmp / "p1.post"), str(tmp / "p2.post")
-    extra = ["--beta", "1.0", "--rho", "0.1"]
-    assert main(["fit", "--data", ds, "--model-out", m1,
-                 "--posteriors-out", p1, "--threads", "1"] + HYPER + extra) == 0
-    assert main(["fit", "--data", ds, "--model-out", m2,
-                 "--posteriors-out", p2, "--threads", "4"] + HYPER + extra) == 0
-    assert open(m1, "rb").read() == open(m2, "rb").read()
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+def test_fit_threads_bit_identical(workspace, fit_files):
+    # model and posterior files from separate processes, OpenBLAS on 1 and 2 threads
+    _, ds = workspace
+    flags = HYPER + ["--beta", "1.0", "--rho", "0.1"]
+    assert fit_files(ds, flags, 1) == fit_files(ds, flags, 2)
 
 
 def test_eval_segmentation_identity(workspace, capsys):

@@ -164,3 +164,4 @@ class TestMathUtils:
         ex = np.exp(x[~pos])
         expected[~pos] = ex / (1.0 + ex)
         assert sigmoid(x).tobytes() == expected.tobytes()
+        assert sigmoid(x, out=x).tobytes() == expected.tobytes()  # in place, as set_factor runs it

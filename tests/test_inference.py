@@ -21,12 +21,13 @@ from wsibp import (
 )
 from wsibp import inference
 from wsibp.core import digamma, sigmoid
+from wsibp.io import save_dataset
 from wsibp.inference import (
     StickBoundCache,
     _sweep_bag,
-    add_mrf_messages,
     factor_logit,
     init_posterior,
+    mrf_messages,
     pack_group,
     set_factor,
     sweep_terms,
@@ -386,7 +387,7 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, use_mrf, s
 
 def mrf_at(eta, post, correlation, edges, config):
     """The MRF part of every factor's logit at one fixed nu, added to eta: the
-    sweep's coupling with zero appearance means, then add_mrf_messages."""
+    sweep's coupling with zero appearance means, then the sweep's mrf_messages."""
     n, k_max = post.nu.shape
     bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
               id="mrf")
@@ -394,8 +395,8 @@ def mrf_at(eta, post, correlation, edges, config):
     model = AppearanceModel(means=np.zeros((k_max, 1)), variances=np.ones(k_max),
                             vocab=config.default_vocab(), config=config)
     _, coupling = sweep_terms(group, model, correlation, config, use_mrf=True)
-    return np.column_stack([add_mrf_messages(factor_logit(k, eta, coupling, group.nu), k,
-                                             group.nu, group.src, group.dst, config)
+    msgs = mrf_messages(group, config)
+    return np.column_stack([factor_logit(k, eta, coupling, group.nu) + msgs[:, k]
                             for k in range(k_max)])
 
 
@@ -427,6 +428,42 @@ class TestApplyMrf:
         out = mrf_at(eta, post, CorrelationMatrix(m),
                      np.zeros((0, 2), dtype=np.int64), config)
         assert out[0, 0] == pytest.approx(0.4)
+
+
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4), k_max=st.integers(1, 5),
+       beta=st.floats(0, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
+    # byte for byte: each row sums its neighbours from zero in the order of the
+    # directed edge list (every edge as given, then every edge reversed), the
+    # order np.bincount over that list adds them in
+    rng = np.random.default_rng(seed)
+    bags = []
+    for i, n in enumerate(sizes):
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pair, max_size=2 * n)) if n > 1 else []
+        if n > 1 and data.draw(st.booleans()):  # a hub row joined to every other row
+            hub = data.draw(st.integers(0, n - 1))
+            edges += [(hub, j) if rng.random() < 0.5 else (j, hub)
+                      for j in range(n) if j != hub]
+        if edges and data.draw(st.booleans()):  # repeat some edges
+            edges += data.draw(st.lists(st.sampled_from(edges), min_size=1))
+        bags.append(Bag(features=np.zeros((n, 1)), edges=np.array(edges, dtype=np.int64),
+                        labels=WeakLabels(np.ones(k_max)), id=str(i)))
+    posts = [init_posterior(b.n_instances, b.labels, cfg_k(k_max), rng) for b in bags]
+    for p in posts:  # spread magnitudes so that a different order changes the sums
+        p.nu[:] = rng.random(p.nu.shape) * 10.0 ** rng.integers(-12, 1, size=p.nu.shape)
+    group = pack_group(bags, posts)
+
+    expected = np.zeros_like(group.nu)
+    for bag, rows in zip(bags, group.rows):
+        directed = [(a, b) for a, b in bag.edges] + [(b, a) for a, b in bag.edges]
+        for a, b in directed:
+            expected[rows.start + a] += group.nu[rows.start + b]
+    expected *= beta
+    got = mrf_messages(group, cfg_k(k_max, beta=beta))
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 # --- nu update --------------------------------------------------------------
@@ -536,16 +573,16 @@ class TestFit:
             assert np.array_equal(a.nu, b.nu)
             assert np.array_equal(a.tau, b.tau)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, tmp_path, fit_files):
+        # the one thread count that can still reach fit is OpenBLAS's
         config = ModelConfig(k_objects=2, k_attributes=2, k_extra=1,
                              sigma=0.2, beta=1.0, rho=0.1, max_iters=15,
                              tol=1e-6, seed=5)
         ds = sample_dataset(config, 6, 8, 5, seed=5)
-        single = fit(ds.bags, config, threads=1)
-        multi = fit(ds.bags, config, threads=4)
-        assert single.model.means.tobytes() == multi.model.means.tobytes()
-        for a, b in zip(single.posteriors, multi.posteriors):
-            assert a.nu.tobytes() == b.nu.tobytes()
+        save_dataset(str(tmp_path / "ds"), ds.bags, config.default_vocab(), 2, 2, 1)
+        flags = ["--sigma", "0.2", "--beta", "1.0", "--rho", "0.1", "--max-iters", "15",
+                 "--tol", "1e-6", "--seed", "5"]
+        assert fit_files(tmp_path / "ds", flags, 1) == fit_files(tmp_path / "ds", flags, 2)
 
     def test_zero_instance_bag_rejected(self, small_dataset, small_config):
         empty = dataclasses.replace(small_dataset.bags[0], id="empty",
@@ -671,14 +708,15 @@ class TestFitTransductive:
 
 # --- kernel wiring ----------------------------------------------------------
 
-KERNEL = ("factor_logit", "add_mrf_messages", "set_factor")
+KERNEL = ("factor_logit", "mrf_messages", "set_factor")
 
 
 def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
                                              small_config):
     # the oracle tests above call these functions; fit and infer_test must
-    # run them once per group, factor and sweep, and the ten small bags
-    # make one group
+    # run factor_logit and set_factor once per group, factor and sweep and
+    # mrf_messages once per group and sweep, and the ten small bags make one
+    # group
     calls = {}
     for name in KERNEL:
         def counted(*args, _fn=getattr(inference, name), _name=name):
@@ -687,18 +725,19 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
         monkeypatch.setattr(inference, name, counted)
     config = dataclasses.replace(small_config, max_iters=1)
     assert sum(b.n_instances for b in small_dataset.bags) <= inference.GROUP_ROWS
+    per_sweep = {"factor_logit": config.k_max, "mrf_messages": 1,
+                 "set_factor": config.k_max}
     fit(small_dataset.bags[:2], config)
-    assert calls == dict.fromkeys(KERNEL, config.k_max)
+    assert calls == per_sweep
     calls.clear()
     fit(small_dataset.bags, config)
-    per_sweep = config.k_max
-    assert calls == dict.fromkeys(KERNEL, per_sweep)
+    assert calls == per_sweep
     calls.clear()
     result = fit(small_dataset.bags, config, use_mrf=False)
-    assert calls == {"factor_logit": per_sweep, "set_factor": per_sweep}
+    assert calls == {"factor_logit": config.k_max, "set_factor": config.k_max}
     calls.clear()
     infer_test(small_dataset.bags[0], result.model, result.correlation, config)
-    assert calls == dict.fromkeys(KERNEL, config.k_max)
+    assert calls == per_sweep
 
 
 # --- packed groups ----------------------------------------------------------
