@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -22,7 +23,20 @@ class UsageError(Exception):
     pass
 
 
-_HYPER = ("alpha", "sigma_a", "sigma", "beta", "rho", "k_extra", "max_iters", "tol", "seed")
+# the ModelConfig fields that are flags, with their help
+_HYPER = {
+    "alpha": "IBP sparsity prior (alpha)",
+    "sigma_a": "appearance prior std (sigma_A)",
+    "sigma": "observation noise std (sigma)",
+    "k_extra": "unannotated/background factor slots (K_bg); fit takes the "
+               "dataset's and segment the model's by default",
+    "seed": "random seed",
+    "beta": "spatial MRF coupling (beta)",
+    "rho": "factorial MRF weight (rho)",
+    "max_iters": "iteration cap",
+    "tol": "convergence threshold on mean |delta nu|",
+}
+_SYNTH_HYPER = ("alpha", "sigma_a", "sigma", "k_extra", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,33 +44,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=2.0,
-                   help="IBP sparsity prior (alpha)")
-    p.add_argument("--sigma-a", type=float, default=1.0,
-                   help="appearance prior std (sigma_A)")
-    p.add_argument("--sigma", type=float, default=0.5,
-                   help="observation noise std (sigma)")
-    p.add_argument("--beta", type=float, default=1.0,
-                   help="spatial MRF coupling (beta)")
-    p.add_argument("--rho", type=float, default=0.1,
-                   help="factorial MRF weight (rho)")
-    p.add_argument("--k-extra", type=int,
-                   help="unannotated/background factor slots (K_bg); "
-                        "fit defaults to the dataset's value")
-    p.add_argument("--max-iters", type=int, default=1500)
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="convergence threshold on mean |delta nu|")
-    p.add_argument("--seed", type=int, default=0)
+def _add_hyper_flags(p: argparse.ArgumentParser, names=tuple(_HYPER)) -> None:
+    """One flag per field in ``names``, typed as ModelConfig declares it. Each
+    defaults to None, so a flag not given leaves ModelConfig's default."""
+    types = typing.get_type_hints(ModelConfig)
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=types[name], help=_HYPER[name])
 
 
-def _config(args, k_objects: int, k_attributes: int) -> ModelConfig:
-    return ModelConfig(
-        k_objects=k_objects, k_attributes=k_attributes, k_extra=args.k_extra,
-        alpha=args.alpha, sigma_a=args.sigma_a, sigma=args.sigma,
-        beta=args.beta, rho=args.rho, max_iters=args.max_iters,
-        tol=args.tol, seed=args.seed,
-    )
+def _given(args) -> dict:
+    """The hyperparameter flags given on the command line, by field name."""
+    return {k: v for k, v in vars(args).items() if k in _HYPER and v is not None}
+
+
+def _config(args, **fixed) -> ModelConfig:
+    return ModelConfig(**{**_given(args), **fixed})
 
 
 def build_parser() -> _Parser:
@@ -75,16 +77,13 @@ def build_parser() -> _Parser:
                    help="omit the 4-neighbour grid adjacency")
     p.add_argument("--text", action="store_true",
                    help="write features as decimal text instead of binary")
-    _add_hyper_flags(p)
-    p.set_defaults(k_extra=20)
+    _add_hyper_flags(p, _SYNTH_HYPER)
 
     p = sub.add_parser("fit", help="train on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--posteriors-out", help="also write training-bag posteriors")
     p.add_argument("--trace-out", help="write per-iteration delta/time CSV")
-    p.add_argument("--no-mrf", action="store_true",
-                   help="disable the MRF code path entirely")
     _add_hyper_flags(p)
 
     p = sub.add_parser("infer", help="test-time inference with a trained model")
@@ -118,7 +117,6 @@ def build_parser() -> _Parser:
     p.add_argument("--raster", help="CSV raster of pixel -> instance ids")
     p.add_argument("--raster-bag", help="bag id the raster applies to")
     _add_hyper_flags(p)  # each given flag overrides the model's for the refit
-    p.set_defaults(**dict.fromkeys(_HYPER))
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--task", required=True,
@@ -152,11 +150,10 @@ def _load_posteriors(path: str, k_max: int) -> list:
 
 
 def _cmd_synth(args) -> int:
-    config = _config(args, args.k_objects, args.k_attributes)
+    config = _config(args, k_objects=args.k_objects, k_attributes=args.k_attributes)
     ds = generative.sample_dataset(
         config, args.num_bags, args.instances, args.feature_dim,
         grid_adjacency=not args.no_grid, labels=args.label_density,
-        seed=args.seed,
     )
     vocab = config.default_vocab()
     io.save_dataset(args.out, ds.bags, vocab, config.k_objects,
@@ -172,10 +169,9 @@ def _cmd_fit(args) -> int:
     if args.k_extra not in (None, loaded.k_extra):
         raise ConfigError(f"--k-extra {args.k_extra} does not match the "
                           f"dataset's k_extra {loaded.k_extra}")
-    args.k_extra = loaded.k_extra
-    config = _config(args, loaded.k_objects, loaded.k_attributes)
-    result = inference.fit(loaded.bags, config, vocab=loaded.vocab,
-                           use_mrf=not args.no_mrf)
+    config = _config(args, k_objects=loaded.k_objects,
+                     k_attributes=loaded.k_attributes, k_extra=loaded.k_extra)
+    result = inference.fit(loaded.bags, config, vocab=loaded.vocab)
     io.save_model(args.model_out, result.model, result.correlation)
     if args.posteriors_out:
         io.save_posteriors(args.posteriors_out,
@@ -251,7 +247,7 @@ def _cmd_query(args) -> int:
 def _cmd_segment(args) -> int:
     model, corr = io.load_model(args.model)
     config = model.config
-    given = {k: v for k, v in vars(args).items() if k in _HYPER and v is not None}
+    given = _given(args)
     if given and not args.transductive:
         raise ConfigError(f"--{', --'.join(given).replace('_', '-')}: hyperparameter "
                           "flags only apply to segment --transductive")
@@ -295,6 +291,8 @@ def _eval_annotation(pred: dict, truth: dict, t_values: list[int]) -> None:
     predictions = {}
     scores_rows, row_ids = [], []
     for entry in pred["bags"]:
+        if not entry["annotations"]:
+            raise WsibpError(f"bag {entry['bag']!r} has no annotations")
         ann = entry["annotations"][0]
         attrs_ranked = [int(k) for k, _ in ann["attributes"]]
         predictions[entry["bag"]] = (int(ann["object"]), attrs_ranked)

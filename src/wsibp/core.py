@@ -266,13 +266,6 @@ def digamma(x):
     return out[0] if scalar else out
 
 
-def log_sum_exp(a, axis=None):
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
-
-
 def sigmoid(x, out=None):
     """where(x >= 0, 1, e) / (1 + e), e = exp(-|x|), into ``out`` (x itself allowed)."""
     x = np.asarray(x, dtype=np.float64)

@@ -203,10 +203,10 @@ def update_stick(post: BagPosterior | BagGroup, cache: StickBoundCache,
 
 
 def sweep_terms(group: BagGroup, model: AppearanceModel, correlation: CorrelationMatrix,
-                config: ModelConfig, use_mrf: bool) -> tuple[np.ndarray, np.ndarray]:
+                config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """The logit terms fixed for one sweep, with G = means @ means.T: ``base`` (rows,
     k_max) = x @ means.T / sigma^2 + the row's stick prior - (D var_k + G_kk) / (2 sigma^2),
-    ``coupling`` = -(G - diag G) / sigma^2, plus rho * M.T under ``use_mrf``."""
+    ``coupling`` = -(G - diag G) / sigma^2 + rho * M.T (rho = 0 adds zeros)."""
     inv_s2 = 1.0 / config.sigma ** 2
     gram = model.means @ model.means.T
     quad = model.feature_dim * model.variances + np.diag(gram)
@@ -218,8 +218,7 @@ def sweep_terms(group: BagGroup, model: AppearanceModel, correlation: Correlatio
         base[rows] += c
     coupling = -inv_s2 * gram
     np.fill_diagonal(coupling, 0.0)
-    if use_mrf:
-        coupling += config.rho * correlation.m.T
+    coupling += config.rho * correlation.m.T
     return base, coupling
 
 
@@ -252,25 +251,25 @@ def set_factor(post: BagPosterior | BagGroup, k: int, eta: np.ndarray, bit) -> N
 
 def _sweep_bag(group: BagGroup, model: AppearanceModel,
                correlation: CorrelationMatrix, config: ModelConfig,
-               use_mrf: bool, update_sticks: bool = True) -> float:
+               update_sticks: bool = True) -> float:
     """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
     mean |delta nu|. The stick stage runs once for all its bags and keeps the new
     tau's cache; factors then update in ascending order, each seeing the freshest
     others, all rows of the group jointly. Means, variances and M are fixed within
     a sweep, so a factor costs one mat-vec (``factor_logit``) against the per-sweep
-    ``sweep_terms`` and ``mrf_messages``; nu's change is the start-of-sweep copy
-    minus the final nu."""
+    ``sweep_terms`` and ``mrf_messages``, added after it; at beta = rho = 0 both
+    couplings add zeros, so no logit depends on the edges or on M. nu's change is the
+    start-of-sweep copy minus the final nu."""
     if update_sticks:
         update_stick(group, group.cache, config, group.counts)
         group.cache = StickBoundCache.from_tau(group.tau)
-    msgs = mrf_messages(group, config) if use_mrf else None
-    base, coupling = sweep_terms(group, model, correlation, config, use_mrf)
+    msgs = mrf_messages(group, config)
+    base, coupling = sweep_terms(group, model, correlation, config)
     nu = group.nu
     change = nu.T.copy()  # (k_max, rows): one contiguous column sum per factor
     for k in range(config.k_max):
         eta = factor_logit(k, base, coupling, nu)
-        if use_mrf:
-            eta += msgs[:, k]
+        eta += msgs[:, k]
         set_factor(group, k, eta, group.bits[k])
     np.subtract(change, nu.T, out=change)
     return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
@@ -293,9 +292,11 @@ def update_correlation(posteriors: list[BagPosterior] | list[BagGroup],
     return CorrelationMatrix(m)
 
 
-def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
-        use_mrf: bool = True) -> FitResult:
+def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) -> FitResult:
     """Run the full variational learning loop until |delta nu| < tol.
+
+    The spatial and factorial MRFs always run: ``dataclasses.replace(config,
+    beta=0.0, rho=0.0)`` is the MRF-free weakly-supervised stacked IBP.
 
     Consecutive bags are packed into groups of at most ``GROUP_ROWS`` instances (a
     larger bag is a group of its own), and each stage runs once per factor per group;
@@ -319,7 +320,7 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
     for _ in range(config.max_iters):
         start = time.perf_counter()
         update_appearance(groups, model, config)
-        deltas = [_sweep_bag(g, model, correlation, config, use_mrf) for g in groups]
+        deltas = [_sweep_bag(g, model, correlation, config) for g in groups]
         delta = float(np.dot(deltas, sizes) / sum(sizes))
         correlation = update_correlation(groups, all_labels, first_iteration=False)
         trace.append((delta, time.perf_counter() - start))
@@ -330,8 +331,7 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None,
 
 
 def infer_test(bag: Bag, model: AppearanceModel,
-               correlation: CorrelationMatrix, config: ModelConfig,
-               use_mrf: bool = True) -> BagPosterior:
+               correlation: CorrelationMatrix, config: ModelConfig) -> BagPosterior:
     """Test-time inference: appearance and correlation frozen, labels all-ones.
 
     The bag is swept as a group of one.
@@ -347,7 +347,7 @@ def infer_test(bag: Bag, model: AppearanceModel,
     post = init_posterior(bag.n_instances, labels, config, rng)
     group = pack_group([open_bag], [post])
     for _ in range(config.max_iters):
-        delta = _sweep_bag(group, model, correlation, config, use_mrf)
+        delta = _sweep_bag(group, model, correlation, config)
         if delta < config.tol:
             break
     return post
@@ -359,7 +359,6 @@ def fit_transductive(
     config: ModelConfig,
     test_labels: list[WeakLabels] | None = None,
     vocab: list[str] | None = None,
-    use_mrf: bool = True,
 ) -> tuple[AppearanceModel, list[BagPosterior], FitResult]:
     """Joint fit over train + test bags; test labels default to all-ones."""
     if test_labels is None:
@@ -370,5 +369,5 @@ def fit_transductive(
         Bag(features=b.features, edges=b.edges, labels=lab, id=b.id)
         for b, lab in zip(test_bags, test_labels)
     ]
-    result = fit(train_bags + relabeled, config, vocab=vocab, use_mrf=use_mrf)
+    result = fit(train_bags + relabeled, config, vocab=vocab)
     return result.model, result.posteriors[len(train_bags):], result

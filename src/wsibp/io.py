@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -225,19 +226,16 @@ def load_dataset(path: str) -> LoadedDataset:
                          k_attributes=k_attributes, k_extra=k_extra)
 
 
-_CONFIG_FIELDS = ("k_objects", "k_attributes", "k_extra", "alpha", "sigma_a",
-                  "sigma", "beta", "rho", "max_iters", "tol", "seed")
-
-
 def save_model(path: str, model: AppearanceModel,
                correlation: CorrelationMatrix, binary: bool = True) -> None:
-    """Versioned container: config snapshot, vocab, means, variances, M."""
+    """Versioned container: config snapshot (every ModelConfig field, in declared
+    order), vocab, means, variances, M."""
     with open(path, "wb") as fh:
         fh.write((MODEL_MAGIC + "\n").encode("ascii"))
         fh.write(f"version: {FORMAT_VERSION}\n".encode("ascii"))
         fh.write(f"feature_dim: {model.feature_dim}\n".encode("ascii"))
-        for name in _CONFIG_FIELDS:
-            fh.write(f"{name}: {getattr(model.config, name)!r}\n".encode("ascii"))
+        for f in fields(ModelConfig):
+            fh.write(f"{f.name}: {getattr(model.config, f.name)!r}\n".encode("ascii"))
         fh.write(("vocab: " + ",".join(model.vocab) + "\n").encode("ascii"))
         _write_array(fh, "means", np.asarray(model.means, dtype=np.float64), binary)
         _write_array(fh, "variances",
@@ -251,20 +249,9 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
         reader = _BlockReader(fh.read(), path)
     _check_version(reader, MODEL_MAGIC)
     feature_dim = int(reader.key("feature_dim"))
-    raw = {name: reader.key(name) for name in _CONFIG_FIELDS}
-    config = ModelConfig(
-        k_objects=int(raw["k_objects"]),
-        k_attributes=int(raw["k_attributes"]),
-        k_extra=int(raw["k_extra"]),
-        alpha=float(raw["alpha"]),
-        sigma_a=float(raw["sigma_a"]),
-        sigma=float(raw["sigma"]),
-        beta=float(raw["beta"]),
-        rho=float(raw["rho"]),
-        max_iters=int(raw["max_iters"]),
-        tol=float(raw["tol"]),
-        seed=int(raw["seed"]),
-    )
+    types = typing.get_type_hints(ModelConfig)
+    config = ModelConfig(**{f.name: types[f.name](reader.key(f.name))
+                            for f in fields(ModelConfig)})
     vocab_line = reader.key("vocab")
     vocab = vocab_line.split(",") if vocab_line else []
     k = config.k_max

@@ -34,6 +34,8 @@ def _rank_desc(scores: np.ndarray) -> np.ndarray:
 
 def _attributes_at(post: BagPosterior, j_star: int, config: ModelConfig,
                    top: int) -> list[tuple[int, float]]:
+    if top < 0:
+        raise WsibpError(f"top_attributes {top} is negative")
     lo, hi = config.k_objects, config.k_annotated
     scores = post.nu[j_star, lo:hi]
     order = _rank_desc(scores)[:top]
@@ -45,9 +47,9 @@ def free_annotation(post: BagPosterior, config: ModelConfig,
     """Rank objects by their inferred usage rate in the bag (mean activation
     across instances), then describe each at its best-matching instance with
     its top attributes."""
-    if top_objects > config.k_objects:
+    if not 1 <= top_objects <= config.k_objects:
         raise WsibpError(
-            f"top_objects {top_objects} exceeds k_objects {config.k_objects}"
+            f"top_objects {top_objects} outside [1, k_objects {config.k_objects}]"
         )
     pi = post.nu[:, : config.k_objects].mean(axis=0)
     out = []

@@ -6,6 +6,8 @@ straight-line computations (enumeration, Monte Carlo, or replicated formulas),
 never calls back into the code under test.
 """
 
+import dataclasses
+
 import numpy as np
 
 from wsibp import (
@@ -81,7 +83,7 @@ def test_criterion_02_exact_oracle_marginals():
     group = pack_group([bag], [post])
     for _ in range(500):
         delta = _sweep_bag(group, model, CorrelationMatrix.zeros(2),
-                           config, use_mrf=False, update_sticks=False)
+                           config, update_sticks=False)
         if delta < 1e-13:
             break
 
@@ -175,19 +177,31 @@ def test_criterion_04_label_masking_exhaustive():
 
 
 def test_criterion_05_mrf_disabled_reduction():
+    # beta = rho = 0 is the MRF-free model: the fit must not depend on the edges,
+    # and a sweep from the fitted state must not depend on M
     config = ModelConfig(k_objects=2, k_attributes=2, k_extra=1,
                          sigma=0.2, beta=0.0, rho=0.0, max_iters=25,
                          tol=1e-6, seed=11)
     ds = sample_dataset(config, 10, 9, 6, seed=11)
-    full = fit(ds.bags, config, use_mrf=True)
-    reduced = fit(ds.bags, config, use_mrf=False)
-    same = (full.model.means.tobytes() == reduced.model.means.tobytes()
-            and full.model.variances.tobytes() == reduced.model.variances.tobytes()
-            and all(a.nu.tobytes() == b.nu.tobytes()
-                    and a.tau.tobytes() == b.tau.tobytes()
-                    for a, b in zip(full.posteriors, reduced.posteriors)))
-    _report(5, "beta=rho=0 reduction", same,
-            "bit-identical" if same else "outputs differ")
+    bare = [dataclasses.replace(b, edges=np.zeros((0, 2), dtype=np.int64))
+            for b in ds.bags]
+    full, reduced = fit(ds.bags, config), fit(bare, config)
+
+    def arrays(model, posts):
+        return [model.means.tobytes(), model.variances.tobytes()] + [
+            getattr(p, name).tobytes() for p in posts for name in ("nu", "tau", "logits")]
+
+    def sweep(bags, correlation):
+        posts = [dataclasses.replace(p) for p in full.posteriors]
+        _sweep_bag(pack_group(bags, posts), full.model, correlation, config)
+        return arrays(full.model, posts)
+
+    fit_same = arrays(full.model, full.posteriors) == arrays(reduced.model, reduced.posteriors)
+    sweep_same = (sweep(ds.bags, full.correlation)
+                  == sweep(bare, CorrelationMatrix.zeros(config.k_max)))
+    _report(5, "beta=rho=0 reduction", fit_same and sweep_same,
+            f"fit with vs without edges bit-identical {fit_same}; sweep with "
+            f"edges and fitted M vs neither bit-identical {sweep_same}")
 
 
 def test_criterion_06_spatial_mrf_effect():

@@ -148,14 +148,23 @@ def test_data_error_exit_2(tmp_path):
                  str(tmp_path / "m.model")]) == 2
 
 
-def test_beta_rho_zero_matches_no_mrf(workspace):
-    tmp, ds = workspace
-    m1, m2 = str(tmp / "a.model"), str(tmp / "b.model")
-    assert main(["fit", "--data", ds, "--model-out", m1,
-                 "--beta", "0", "--rho", "0"] + HYPER) == 0
-    assert main(["fit", "--data", ds, "--model-out", m2, "--no-mrf",
-                 "--beta", "0", "--rho", "0"] + HYPER) == 0
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+def test_beta_rho_zero_ignores_the_grid(tmp_path):
+    # the features do not depend on the grid, so at beta = rho = 0 (the
+    # MRF-free model) a fit must not either
+    files = []
+    for grid in ([], ["--no-grid"]):
+        ds, model, post = (str(tmp_path / f"{name}{len(grid)}")
+                           for name in ("ds", "m.model", "t.post"))
+        assert main(SYNTH + ["--out", ds] + grid) == 0
+        assert main(["fit", "--data", ds, "--model-out", model, "--posteriors-out", post,
+                     "--beta", "0", "--rho", "0"] + HYPER) == 0
+        files.append((open(model, "rb").read(), open(post, "rb").read()))
+    assert files[0] == files[1]
+    assert main(["fit", "--data", ds, "--model-out", model, "--no-mrf"]) == 1
+
+
+def test_synth_takes_no_fit_flags(tmp_path):
+    assert main(SYNTH + ["--out", str(tmp_path / "ds"), "--beta", "1"]) == 1
 
 
 @pytest.mark.parametrize("corrupt", ["edge", "nan"])
@@ -174,6 +183,22 @@ def test_infer_invalid_bag_exit_2(workspace, corrupt):
                  loaded.k_attributes, loaded.k_extra)
     assert main(["infer", "--data", bad, "--model", model,
                  "--out", str(tmp / "t.post")]) == 2
+
+
+def test_annotation_counts_checked(workspace, capsys):
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "train.post")
+    assert main(["fit", "--data", ds, "--model-out", model,
+                 "--posteriors-out", post] + HYPER) == 0
+    assert main(["annotate", "--posteriors", post, "--model", model,
+                 "--out", str(tmp / "ann.json"), "--top-attrs", "-1"]) == 2
+    assert "top_attributes -1" in capsys.readouterr().err
+    pred, truth = tmp / "p.json", tmp / "t.json"
+    pred.write_text(json.dumps({"bags": [{"bag": "b0", "annotations": []}]}))
+    truth.write_text(json.dumps({"bags": {"b0": {"object": 0, "attributes": [2]}}}))
+    assert main(["eval", "--task", "annotation", "--pred", str(pred),
+                 "--truth", str(truth)]) == 2
+    assert "no annotations" in capsys.readouterr().err
 
 
 def test_infer_takes_no_hyper_flags(workspace):

@@ -13,7 +13,7 @@ from wsibp import (
     expected_pi,
     validate_dataset,
 )
-from wsibp.core import digamma, log_sum_exp, sigmoid
+from wsibp.core import digamma, sigmoid
 
 
 def make_bag(n, d, config, bag_id="b0", edges=None):
@@ -136,14 +136,6 @@ class TestMathUtils:
     def test_digamma_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             digamma(0.0)
-
-    def test_log_sum_exp_matches_direct(self):
-        a = np.array([-1.0, 2.0, 0.5])
-        assert abs(float(log_sum_exp(a)) - np.log(np.exp(a).sum())) < 1e-12
-
-    def test_log_sum_exp_large_values(self):
-        a = np.array([1000.0, 1000.0])
-        assert abs(float(log_sum_exp(a)) - (1000 + np.log(2))) < 1e-9
 
     @given(st.floats(-800, 800))
     def test_sigmoid_bounded_and_monotone_at_zero(self, x):

@@ -270,7 +270,7 @@ def logits_at(bag, post, model, cache, config):
     group = pack_group([bag], [post])
     group.cache = StickBoundCache(*(a.reshape(1, -1) for a in dataclasses.astuple(cache)))
     base, coupling = sweep_terms(group, model, CorrelationMatrix.zeros(config.k_max),
-                                 config, use_mrf=False)
+                                 config)
     return np.column_stack([factor_logit(k, base, coupling, group.nu)
                             for k in range(config.k_max)])
 
@@ -340,10 +340,9 @@ class TestComputeLogits:
 
 @given(k_max=st.integers(1, 12), d=st.integers(1, 5),
        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-       beta=st.floats(0, 3), rho=st.floats(0, 1), use_mrf=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       beta=st.floats(0, 3), rho=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, use_mrf, seed):
+def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
     # each factor's logit as the residual form gives it, from the nu it saw:
     # factors before k already updated in this sweep, k and after not yet
     rng = np.random.default_rng(seed)
@@ -362,7 +361,7 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, use_mrf, s
     corr = CorrelationMatrix(m + m.T)
     group = pack_group(bags, posts)
     before = [p.nu.copy() for p in posts]
-    _sweep_bag(group, model, corr, config, use_mrf, update_sticks=False)
+    _sweep_bag(group, model, corr, config, update_sticks=False)
 
     for bag, post, old in zip(bags, posts, before):
         x = bag.features
@@ -375,11 +374,10 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, use_mrf, s
             quad = d * model.variances[k] + phi @ phi
             expected = prior - (quad - 2 * (resid @ phi + seen[:, k] * (phi @ phi))) \
                 / (2 * config.sigma ** 2)
-            if use_mrf:
-                for a, b in bag.edges:
-                    expected[a] += beta * seen[b, k]
-                    expected[b] += beta * seen[a, k]
-                expected += rho * (seen @ corr.m[:, k])
+            for a, b in bag.edges:
+                expected[a] += beta * seen[b, k]
+                expected[b] += beta * seen[a, k]
+            expected += rho * (seen @ corr.m[:, k])
             np.testing.assert_allclose(post.logits[:, k], expected, rtol=1e-10, atol=1e-10)
 
 
@@ -394,7 +392,7 @@ def mrf_at(eta, post, correlation, edges, config):
     group = pack_group([bag], [post])
     model = AppearanceModel(means=np.zeros((k_max, 1)), variances=np.ones(k_max),
                             vocab=config.default_vocab(), config=config)
-    _, coupling = sweep_terms(group, model, correlation, config, use_mrf=True)
+    _, coupling = sweep_terms(group, model, correlation, config)
     msgs = mrf_messages(group, config)
     return np.column_stack([factor_logit(k, eta, coupling, group.nu) + msgs[:, k]
                             for k in range(k_max)])
@@ -560,18 +558,30 @@ class TestFit:
             pi = expected_pi(post.tau)
             assert np.all(np.diff(pi) <= 1e-12)
 
-    def test_mrf_reduction_bit_identical(self):
-        config = ModelConfig(k_objects=2, k_attributes=2, k_extra=0,
-                             sigma=0.2, beta=0.0, rho=0.0, max_iters=20,
-                             tol=1e-6, seed=3)
+    def test_mrf_reduction_bit_identical(self, rng):
+        # each coupling at zero adds zeros while the other is on: at rho = 0 a
+        # sweep does not depend on M, at beta = 0 it does not depend on the edges
+        config = ModelConfig(k_objects=2, k_attributes=2, k_extra=1, sigma=0.2, seed=3)
         ds = sample_dataset(config, 8, 9, 6, seed=3)
-        with_path = fit(ds.bags, config, use_mrf=True)
-        without = fit(ds.bags, config, use_mrf=False)
-        assert np.array_equal(with_path.model.means, without.model.means)
-        assert np.array_equal(with_path.model.variances, without.model.variances)
-        for a, b in zip(with_path.posteriors, without.posteriors):
-            assert np.array_equal(a.nu, b.nu)
-            assert np.array_equal(a.tau, b.tau)
+        bare = [dataclasses.replace(b, edges=np.zeros((0, 2), dtype=np.int64))
+                for b in ds.bags]
+        model = AppearanceModel(means=rng.normal(size=(5, 6)),
+                                variances=rng.uniform(0.1, 1.0, size=5),
+                                vocab=config.default_vocab(), config=config)
+        m = np.triu(rng.uniform(0, 1, size=(5, 5)), 1)
+        corr = CorrelationMatrix(m + m.T)
+
+        def sweep(bags, correlation, **coupling):
+            cfg = dataclasses.replace(config, **coupling)
+            posts = [init_posterior(b.n_instances, b.labels, cfg, np.random.default_rng(i))
+                     for i, b in enumerate(bags)]
+            _sweep_bag(pack_group(bags, posts), model, correlation, cfg)
+            return [getattr(p, name).tobytes() for p in posts
+                    for name in ("nu", "tau", "logits")]
+
+        assert sweep(ds.bags, corr, rho=0.0) == sweep(ds.bags, CorrelationMatrix.zeros(5),
+                                                      rho=0.0)
+        assert sweep(ds.bags, corr, beta=0.0) == sweep(bare, corr, beta=0.0)
 
     def test_thread_count_invariance(self, tmp_path, fit_files):
         # the one thread count that can still reach fit is OpenBLAS's
@@ -730,11 +740,8 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
     fit(small_dataset.bags[:2], config)
     assert calls == per_sweep
     calls.clear()
-    fit(small_dataset.bags, config)
+    result = fit(small_dataset.bags, config)
     assert calls == per_sweep
-    calls.clear()
-    result = fit(small_dataset.bags, config, use_mrf=False)
-    assert calls == {"factor_logit": config.k_max, "set_factor": config.k_max}
     calls.clear()
     infer_test(small_dataset.bags[0], result.model, result.correlation, config)
     assert calls == per_sweep
@@ -760,8 +767,8 @@ def test_group_sweep_matches_sweeping_each_bag(rng):
     group = pack_group(bags, together)
     singles = [pack_group([b], [p]) for b, p in zip(bags, alone)]
     for _ in range(3):
-        delta = _sweep_bag(group, model, corr, config, use_mrf=True)
-        deltas = [_sweep_bag(g, model, corr, config, use_mrf=True) for g in singles]
+        delta = _sweep_bag(group, model, corr, config)
+        deltas = [_sweep_bag(g, model, corr, config) for g in singles]
         rows = [b.n_instances for b in bags]
         assert abs(delta - np.dot(deltas, rows) / sum(rows)) < 1e-12
     for a, b in zip(together, alone):

@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsibp import (
+    AppearanceModel,
     CorrelationMatrix,
     FormatError,
     ModelConfig,
@@ -126,6 +128,38 @@ class TestModelRoundTrip:
                   labels=WeakLabels(np.ones(model.config.k_max)), id="w")
         with pytest.raises(DimensionMismatchError):
             infer_test(bag, model, corr, model.config)
+
+    def test_config_keys_fixed(self, tmp_path, trained):
+        # the on-disk order and names, whatever ModelConfig's field order
+        path = tmp_path / "m.model"
+        save_model(str(path), trained.model, trained.correlation)
+        lines = path.read_bytes().split(b"\n")[3:14]
+        assert [line.split(b":")[0].decode() for line in lines] == [
+            "k_objects", "k_attributes", "k_extra", "alpha", "sigma_a", "sigma",
+            "beta", "rho", "max_iters", "tol", "seed"]
+
+
+positive = st.floats(1e-300, 1e300)
+nonnegative = st.floats(0.0, 1e300)
+
+
+@given(config=st.builds(
+    ModelConfig, k_objects=st.integers(0, 3), k_attributes=st.integers(0, 3),
+    k_extra=st.integers(1, 3), alpha=positive, sigma_a=positive, sigma=positive,
+    beta=nonnegative, rho=nonnegative, max_iters=st.integers(1, 2 ** 62),
+    tol=nonnegative, seed=st.integers(0, 2 ** 64)),
+    binary=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_model_config_round_trip(tmp_path_factory, config, binary):
+    k = config.k_max
+    model = AppearanceModel(means=np.zeros((k, 2)), variances=np.ones(k),
+                            vocab=config.default_vocab(), config=config)
+    path = str(tmp_path_factory.mktemp("model") / "m.model")
+    save_model(path, model, CorrelationMatrix.zeros(k), binary=binary)
+    back, _ = load_model(path)
+    for name, value in vars(config).items():
+        assert getattr(back.config, name) == value
+        assert type(getattr(back.config, name)) is type(value)
 
 
 class TestPosteriorsRoundTrip:

@@ -49,6 +49,11 @@ class TestFreeAnnotation:
         with pytest.raises(WsibpError):
             free_annotation(posterior(np.ones((2, 4))), CFG, 3, 1)
 
+    @pytest.mark.parametrize("top_objects, top_attributes", [(0, 1), (-1, 1), (1, -1)])
+    def test_counts_below_range_rejected(self, top_objects, top_attributes):
+        with pytest.raises(WsibpError, match="top_"):
+            free_annotation(posterior(np.ones((2, 4))), CFG, top_objects, top_attributes)
+
     def test_planted_pair_recovered(self):
         hits = 0
         trials = 100
@@ -109,6 +114,10 @@ class TestAnnotateGivenObject:
     def test_invalid_object_rejected(self):
         with pytest.raises(WsibpError):
             annotate_given_object(posterior(np.ones((2, 4))), CFG, 2, 1)
+
+    def test_negative_attribute_count_rejected(self):
+        with pytest.raises(WsibpError, match="top_attributes"):
+            annotate_given_object(posterior(np.ones((2, 4))), CFG, 0, -1)
 
 
 class TestRankQuery:
