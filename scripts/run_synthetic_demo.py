@@ -23,16 +23,19 @@ def main() -> None:
     ap.add_argument("--k-objects", type=int, default=3)
     ap.add_argument("--k-attributes", type=int, default=3)
     ap.add_argument("--sigma", type=float, default=0.15)
-    ap.add_argument("--beta", type=float, default=1.0)
-    ap.add_argument("--rho", type=float, default=0.1)
+    ap.add_argument("--beta", type=float, help="default: ModelConfig's")
+    ap.add_argument("--rho", type=float, help="default: ModelConfig's")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--train-fraction", type=float, default=0.75)
     args = ap.parse_args()
 
+    couplings = {name: getattr(args, name) for name in ("beta", "rho")
+                 if getattr(args, name) is not None}
+    # a demo should finish in seconds: at most 150 sweeps for fit and for each
+    # test bag, where the default allows 1500
     config = ModelConfig(k_objects=args.k_objects,
                          k_attributes=args.k_attributes, k_extra=0,
-                         sigma=args.sigma, beta=args.beta, rho=args.rho,
-                         max_iters=150, tol=1e-4, seed=args.seed)
+                         sigma=args.sigma, max_iters=150, seed=args.seed, **couplings)
     ds = sample_dataset(config, args.num_bags, args.instances,
                         args.feature_dim, seed=args.seed, labels=0.6)
     split = int(args.num_bags * args.train_fraction)

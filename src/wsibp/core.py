@@ -65,6 +65,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        scalars = (self.alpha, self.sigma_a, self.sigma, self.beta, self.rho)
+        if not np.all(np.isfinite(scalars)) or np.isnan(self.tol):
+            raise ConfigError("alpha, sigma_a, sigma, beta and rho must be finite, "
+                              "and tol a number")
         if self.alpha <= 0 or self.sigma_a <= 0 or self.sigma <= 0:
             raise ConfigError("alpha, sigma_a and sigma must be > 0")
         if self.beta < 0 or self.rho < 0:
@@ -239,21 +243,29 @@ def validate_dataset(bags: list[Bag], config: ModelConfig) -> DatasetHandle:
 
 # --- math utilities ---------------------------------------------------------
 
-_DIGAMMA_SHIFT = 8.0
+_DIGAMMA_SHIFT = 8
 
 
 def digamma(x):
-    """Digamma via upward recurrence to x >= 8 plus asymptotic series."""
+    """Digamma via upward recurrence to x >= 8 plus asymptotic series.
+
+    Any x > 0 passes the shift within 8 steps: ``shifted`` holds x, x+1, ..., x+8,
+    each one addition from the last, and psi(x) = psi(x+n) - sum_{i<n} 1/(x+i) over
+    the n steps below the shift, summed in step order. Shifts only grow, so the
+    smallest one at or past the shift is x+n."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("digamma defined here for x > 0 only")
     scalar = x.ndim == 0
-    x = np.atleast_1d(x).copy()
-    acc = np.zeros_like(x)
-    for _ in range(int(_DIGAMMA_SHIFT)):  # any x > 0 passes the shift in 8 steps
-        small = x < _DIGAMMA_SHIFT
-        acc -= np.where(small, 1.0 / x, 0.0)
-        x += small
+    x = np.atleast_1d(x)
+    steps = np.ones((_DIGAMMA_SHIFT + 1,) + x.shape)
+    steps[0] = x
+    shifted = np.add.accumulate(steps, axis=0)
+    small = shifted < _DIGAMMA_SHIFT
+    # 1/x where small, else +0, summed in step order: a reduction along axis 0 of
+    # a (8, 1) array would run pairwise
+    acc = -np.add.accumulate(small[:-1] / shifted[:-1], axis=0)[-1]
+    x = np.where(small, np.inf, shifted).min(axis=0)
     inv2 = 1.0 / (x * x)
     # psi(x) ~ ln x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) + 1/(240x^8)
     series = (

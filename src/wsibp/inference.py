@@ -5,6 +5,11 @@ appearance sweep over factors, stick and factor-probability updates (with
 spatial and factorial MRF messages folded into the logits), and a
 recomputation of the inter-factor correlation matrix. Bags are swept in
 packed groups (``BagGroup``), so each stage runs once per factor per group.
+A group stores ν and the logits factor-major, ``(k_max, rows)``, so each
+per-factor step reads and writes contiguous memory; a bag's ``BagPosterior``
+sees its rows as an ``(N_i, k_max)`` view. The logit terms of the model alone
+(``sweep_terms``, ``project``) are taken once per fit iteration and once per
+``infer_test`` call.
 """
 
 from __future__ import annotations
@@ -104,9 +109,10 @@ def init_model(config: ModelConfig, feature_dim: int, vocab: list[str],
 
 @dataclass
 class BagGroup:
-    """Consecutive bags swept together: ``nu``/``logits`` hold their rows back
-    to back (each bag's ``BagPosterior`` is a view of its rows), ``tau`` their
-    stick parameters as (M, k_max, 2), ``nbrs``/``rank`` the neighbour table of
+    """Consecutive bags swept together. ``nu``/``logits`` are factor-major,
+    (k_max, rows), with the bags' rows back to back along axis 1: each bag's
+    ``BagPosterior.nu`` is the view ``nu[:, rows].T``. ``tau`` holds the stick
+    parameters as (M, k_max, 2), ``nbrs``/``rank`` the neighbour table of
     ``mrf_messages``, ``cache`` the stick cache of tau."""
 
     features: list[np.ndarray]  # per bag, as given
@@ -115,34 +121,35 @@ class BagGroup:
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
     nbrs: list[np.ndarray]  # nbrs[j]: j-th neighbour of the rows, by degree, of degree > j
     rank: np.ndarray  # (rows,) each row's position in degree order
-    tau: np.ndarray
-    nu: np.ndarray
-    logits: np.ndarray
+    tau: np.ndarray  # (M, k_max, 2)
+    nu: np.ndarray  # (k_max, rows)
+    logits: np.ndarray  # (k_max, rows)
     cache: StickBoundCache
 
 
 def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
-    """Copy consecutive bags' posteriors into one group; each becomes a view of its rows.
-    Neighbour table: the directed edges (each edge as given, then reversed) sorted
-    stably by source; rows ordered by degree, descending and stable; ``nbrs[j]`` the
-    j-th neighbour of each leading row of degree > j; ``rank`` each row's place."""
+    """Copy consecutive bags' posteriors into one group, factor-major; each becomes a
+    view of its rows, ``nu[:, rows].T``. Neighbour table: the directed edges (each edge
+    as given, then reversed) sorted stably by source; rows ordered by degree, descending
+    and stable; ``nbrs[j]`` the j-th neighbour of each leading row of degree > j;
+    ``rank`` each row's place."""
     counts = np.array([b.n_instances for b in bags])
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts), counts)]
     tau = np.stack([p.tau for p in posteriors])
-    nu = np.concatenate([p.nu for p in posteriors])
-    logits = np.concatenate([p.logits for p in posteriors])
+    nu, logits = (np.empty((tau.shape[1], counts.sum())) for _ in range(2))
     for p, r, t in zip(posteriors, rows, tau):
-        p.tau, p.nu, p.logits = t, nu[r], logits[r]
+        nu[:, r], logits[:, r] = p.nu.T, p.logits.T
+        p.tau, p.nu, p.logits = t, nu[:, r].T, logits[:, r].T
     edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
                             for b, r in zip(bags, rows)]).astype(np.intp)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])[np.argsort(src, kind="stable")]
-    degree = np.bincount(src, minlength=len(nu))
+    degree = np.bincount(src, minlength=nu.shape[1])
     by_degree = np.argsort(-degree, kind="stable")
     first = (np.cumsum(degree) - degree)[by_degree]  # where each row's neighbours start
-    wider = len(nu) - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > j
+    wider = nu.shape[1] - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > j
     return BagGroup(features=[b.features for b in bags], rows=rows, counts=counts,
-                    bits=np.repeat([b.labels.bits > 0 for b in bags], counts, axis=0).T.copy(),
+                    bits=np.repeat(np.transpose([b.labels.bits > 0 for b in bags]), counts, axis=1),
                     nbrs=[dst[first[:n] + j] for j, n in enumerate(wider)],
                     rank=np.argsort(by_degree), tau=tau, nu=nu, logits=logits,
                     cache=StickBoundCache.from_tau(tau))
@@ -163,14 +170,15 @@ def update_appearance(groups: list[BagGroup], model: AppearanceModel,
                       config: ModelConfig) -> None:
     """Gauss-Seidel sweep over factors, each using the freshest other means.
 
-    With S = sum nu^T nu and R = sum nu^T x over the groups in order (so the
-    reduction is deterministic), nu[:, k] @ (x - nu @ means) = R[k] - S[k] @ means.
+    With S = sum nu nu^T and R = sum nu x over the groups in order (so the
+    reduction is deterministic; nu factor-major), nu[k] @ (x - nu^T @ means) =
+    R[k] - S[k] @ means.
     """
     inv_s2 = 1.0 / config.sigma ** 2
     inv_sa2 = 1.0 / config.sigma_a ** 2
-    gram = sum(g.nu.T @ g.nu for g in groups)
-    proj = sum(g.nu[rows].T @ f for g in groups for f, rows in zip(g.features, g.rows))
-    mass = sum(g.nu.sum(axis=0) for g in groups)
+    gram = sum(g.nu @ g.nu.T for g in groups)
+    proj = sum(g.nu[:, rows] @ f for g in groups for f, rows in zip(g.features, g.rows))
+    mass = sum(g.nu.sum(axis=1) for g in groups)
     for k in range(config.k_max):
         num = proj[k] - gram[k] @ model.means + gram[k, k] * model.means[k]
         var = max(1.0 / (inv_sa2 + inv_s2 * mass[k]), VAR_FLOOR)
@@ -178,111 +186,124 @@ def update_appearance(groups: list[BagGroup], model: AppearanceModel,
         model.variances[k] = var
 
 
-def update_stick(post: BagPosterior | BagGroup, cache: StickBoundCache,
-                 config: ModelConfig, n_i) -> None:
-    """Closed-form stick Beta update of a bag, or a group of bags with n_i
-    instances each; cache is of post.tau. With d_m = n - sum_j nu_jm and
-    G = neg_log_terms, q_mk = exp(w_k - G_m), so the sums over m of d_m q_mk
-    are suffix log-sum-exps of log d_m - G_m (Doshi-Velez et al., 2009)."""
-    counts = np.atleast_1d(n_i)
-    s = np.add.reduceat(post.nu, np.cumsum(counts) - counts, axis=0)
-    w, g = cache.w.reshape(s.shape), cache.neg_log_terms.reshape(s.shape)
+def update_stick(group: BagGroup, config: ModelConfig) -> None:
+    """Closed-form stick Beta update of a group's bags from their cache. With
+    d_m = n - sum_j nu_jm and G = neg_log_terms, q_mk = exp(w_k - G_m), so the sums
+    over m of d_m q_mk are suffix log-sum-exps of log d_m - G_m (Doshi-Velez et al.,
+    2009)."""
+    counts = group.counts
+    s = np.add.reduceat(group.nu, np.cumsum(counts) - counts, axis=1).T  # (M, k_max)
+    w, g = group.cache.w, group.cache.neg_log_terms
     deficit = counts[:, None] - s
     with np.errstate(divide="ignore"):
         log_d = np.log(deficit) - g
 
-    def suffix(op, x, strict=False):  # op over m >= k, or over m > k
-        out = op.accumulate(x[:, ::-1], axis=1)[:, ::-1]
-        return np.concatenate([out[:, 1:], np.full((len(x), 1), op.identity)],
-                              axis=1) if strict else out
+    def suffix(op, x):  # op over m >= k
+        return op.accumulate(x[:, ::-1], axis=1)[:, ::-1]
 
-    cross = suffix(np.add, deficit, True) - np.exp(g + suffix(np.logaddexp, log_d, True))
-    tau = np.stack([config.alpha + suffix(np.add, s) + cross,
-                    1.0 + np.exp(w + suffix(np.logaddexp, log_d))], axis=-1)
-    post.tau[...] = tau.reshape(post.tau.shape)
+    def after(x, identity):  # a suffix over m >= k shifted to the one over m > k
+        return np.concatenate([x[:, 1:], np.full((len(x), 1), identity)], axis=1)
+
+    lse = suffix(np.logaddexp, log_d)
+    cross = after(suffix(np.add, deficit), 0.0) - np.exp(g + after(lse, -np.inf))
+    group.tau[...] = np.stack([config.alpha + suffix(np.add, s) + cross,
+                               1.0 + np.exp(w + lse)], axis=-1)
 
 
-def sweep_terms(group: BagGroup, model: AppearanceModel, correlation: CorrelationMatrix,
+def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
                 config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The logit terms fixed for one sweep, with G = means @ means.T: ``base`` (rows,
-    k_max) = x @ means.T / sigma^2 + the row's stick prior - (D var_k + G_kk) / (2 sigma^2),
-    ``coupling`` = -(G - diag G) / sigma^2 + rho * M.T (rho = 0 adds zeros)."""
+    """The logit terms fixed while the model is, with G = means @ means.T:
+    ``coupling`` = -(G - diag G) / sigma^2 + rho * M.T (rho = 0 adds zeros) and
+    ``quad`` (k_max,) = (D var_k + G_kk) / (2 sigma^2)."""
     inv_s2 = 1.0 / config.sigma ** 2
     gram = model.means @ model.means.T
-    quad = model.feature_dim * model.variances + np.diag(gram)
-    const = group.cache.prior_cumsum - group.cache.neg_log_terms - 0.5 * inv_s2 * quad
-    base = np.empty_like(group.nu)
-    for f, rows, c in zip(group.features, group.rows, const):
-        np.matmul(f, model.means.T, out=base[rows])
-        base[rows] *= inv_s2
-        base[rows] += c
+    quad = 0.5 * inv_s2 * (model.feature_dim * model.variances + np.diag(gram))
     coupling = -inv_s2 * gram
     np.fill_diagonal(coupling, 0.0)
     coupling += config.rho * correlation.m.T
-    return base, coupling
+    return coupling, quad
+
+
+def project(group: BagGroup, model: AppearanceModel, config: ModelConfig) -> np.ndarray:
+    """means @ x^T / sigma^2 for the group's rows, (k_max, rows)."""
+    proj = np.empty_like(group.nu)
+    for f, rows in zip(group.features, group.rows):
+        np.matmul(model.means, f.T, out=proj[:, rows])
+    proj *= 1.0 / config.sigma ** 2
+    return proj
+
+
+def base_logits(group: BagGroup, proj: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Logits of one sweep before the couplings, (k_max, rows): proj + each row's
+    stick prior - quad, the prior read from the group's stick cache."""
+    const = group.cache.prior_cumsum - group.cache.neg_log_terms - quad  # (M, k_max)
+    base = np.repeat(const.T, group.counts, axis=1)
+    base += proj
+    return base
 
 
 def factor_logit(k: int, base: np.ndarray, coupling: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Logit of factor k before spatial messages, base[:, k] + nu @ coupling[k]: with
-    resid = x - nu @ means, the residual form's resid @ phi_k + nu_k G_kk equals
-    x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (nu @ M)[:, k] rides in coupling."""
-    return base[:, k] + nu @ coupling[k]
+    """Logit of factor k before spatial messages, base[k] + coupling[k] @ nu (nu
+    factor-major): with resid = x - nu^T @ means, the residual form's resid @ phi_k +
+    nu_k G_kk equals x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (M^T nu)[k] rides
+    in coupling."""
+    return base[k] + coupling[k] @ nu
 
 
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
-    """beta * (sum of each row's neighbours' nu), (rows, k_max), for a whole sweep:
-    only factor k writes nu[:, k], so its start-of-sweep value is what factor k
-    reads. Level j adds each row's j-th neighbour, so every row sums from zero in
+    """beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep:
+    only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
+    Level j adds each row's j-th neighbour, so every row sums from zero in
     directed-edge order: the same additions as np.bincount over those edges."""
     acc = np.zeros_like(group.nu)
     for nb in group.nbrs:
-        acc[:len(nb)] += group.nu.take(nb, axis=0)
-    return np.multiply(acc.take(group.rank, axis=0), config.beta, out=acc)
+        acc[:, :len(nb)] += group.nu.take(nb, axis=1)
+    return np.multiply(acc.take(group.rank, axis=1), config.beta, out=acc)
 
 
-def set_factor(post: BagPosterior | BagGroup, k: int, eta: np.ndarray, bit) -> None:
-    """Write logits[:, k] = eta and nu[:, k] = bit * sigmoid(clip(eta)), bit a scalar
-    or one per row (bool or 0/1). Works in place: eta is clipped and squashed."""
-    post.logits[:, k] = eta
+def set_factor(group: BagGroup, k: int, eta: np.ndarray, bit) -> None:
+    """Write logits[k] = eta and nu[k] = bit * sigmoid(clip(eta)), bit a scalar or
+    one per row (bool or 0/1). Works in place: eta is clipped and squashed."""
+    group.logits[k] = eta
     np.maximum(eta, -LOGIT_CLIP, out=eta)
     np.minimum(eta, LOGIT_CLIP, out=eta)
-    np.multiply(sigmoid(eta, out=eta), bit, out=post.nu[:, k])
+    np.multiply(sigmoid(eta, out=eta), bit, out=group.nu[k])
 
 
-def _sweep_bag(group: BagGroup, model: AppearanceModel,
-               correlation: CorrelationMatrix, config: ModelConfig,
-               update_sticks: bool = True) -> float:
+def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
+               config: ModelConfig, update_sticks: bool = True) -> float:
     """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
-    mean |delta nu|. The stick stage runs once for all its bags and keeps the new
-    tau's cache; factors then update in ascending order, each seeing the freshest
-    others, all rows of the group jointly. Means, variances and M are fixed within
-    a sweep, so a factor costs one mat-vec (``factor_logit``) against the per-sweep
-    ``sweep_terms`` and ``mrf_messages``, added after it; at beta = rho = 0 both
+    mean |delta nu|. ``proj`` is ``project``'s and ``terms`` ``sweep_terms``'s, both
+    fixed while the model is. The stick stage runs once for all its bags and keeps
+    the new tau's cache; factors then update in ascending order, each seeing the
+    freshest others, all rows of the group jointly. ``base_logits`` and
+    ``mrf_messages`` are taken once per sweep, so a factor costs one mat-vec
+    (``factor_logit``) plus its messages, added after it; at beta = rho = 0 both
     couplings add zeros, so no logit depends on the edges or on M. nu's change is the
     start-of-sweep copy minus the final nu."""
     if update_sticks:
-        update_stick(group, group.cache, config, group.counts)
+        update_stick(group, config)
         group.cache = StickBoundCache.from_tau(group.tau)
+    coupling, quad = terms
     msgs = mrf_messages(group, config)
-    base, coupling = sweep_terms(group, model, correlation, config)
+    base = base_logits(group, proj, quad)
     nu = group.nu
-    change = nu.T.copy()  # (k_max, rows): one contiguous column sum per factor
+    change = nu.copy()
     for k in range(config.k_max):
         eta = factor_logit(k, base, coupling, nu)
-        eta += msgs[:, k]
+        eta += msgs[k]
         set_factor(group, k, eta, group.bits[k])
-    np.subtract(change, nu.T, out=change)
+    np.subtract(change, nu, out=change)
     return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
 
 
-def update_correlation(posteriors: list[BagPosterior] | list[BagGroup],
-                       labels: list[WeakLabels],
+def update_correlation(groups: list[BagGroup], labels: list[WeakLabels],
                        first_iteration: bool) -> CorrelationMatrix:
     """Recompute M from scratch: label outer products first, nu afterwards."""
     if first_iteration:
         m = sum(np.outer(lab.bits, lab.bits) for lab in labels)
     else:
-        m = sum(post.nu.T @ post.nu for post in posteriors)
+        m = sum(g.nu @ g.nu.T for g in groups)
     m = np.asarray(m, dtype=np.float64)
     np.fill_diagonal(m, 0.0)
     m = 0.5 * (m + m.T)
@@ -314,13 +335,14 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
         posteriors += posts
     all_labels = [b.labels for b in bags]
     correlation = update_correlation(groups, all_labels, first_iteration=True)
-    sizes = [g.nu.shape[0] for g in groups]
+    sizes = [g.nu.shape[1] for g in groups]
 
     trace: list[tuple[float, float]] = []
     for _ in range(config.max_iters):
         start = time.perf_counter()
         update_appearance(groups, model, config)
-        deltas = [_sweep_bag(g, model, correlation, config) for g in groups]
+        terms = sweep_terms(model, correlation, config)
+        deltas = [_sweep_bag(g, project(g, model, config), terms, config) for g in groups]
         delta = float(np.dot(deltas, sizes) / sum(sizes))
         correlation = update_correlation(groups, all_labels, first_iteration=False)
         trace.append((delta, time.perf_counter() - start))
@@ -334,7 +356,8 @@ def infer_test(bag: Bag, model: AppearanceModel,
                correlation: CorrelationMatrix, config: ModelConfig) -> BagPosterior:
     """Test-time inference: appearance and correlation frozen, labels all-ones.
 
-    The bag is swept as a group of one.
+    The bag is swept as a group of one; the model's logit terms and the features'
+    projection are taken once, before the first sweep.
     """
     labels = WeakLabels(np.ones(config.k_max))
     open_bag = Bag(features=bag.features, edges=bag.edges, labels=labels, id=bag.id)
@@ -346,8 +369,9 @@ def infer_test(bag: Bag, model: AppearanceModel,
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     post = init_posterior(bag.n_instances, labels, config, rng)
     group = pack_group([open_bag], [post])
+    proj, terms = project(group, model, config), sweep_terms(model, correlation, config)
     for _ in range(config.max_iters):
-        delta = _sweep_bag(group, model, correlation, config)
+        delta = _sweep_bag(group, proj, terms, config)
         if delta < config.tol:
             break
     return post

@@ -51,7 +51,8 @@ def free_annotation(post: BagPosterior, config: ModelConfig,
         raise WsibpError(
             f"top_objects {top_objects} outside [1, k_objects {config.k_objects}]"
         )
-    pi = post.nu[:, : config.k_objects].mean(axis=0)
+    # a row-major copy sums in row order, whatever the layout of post.nu
+    pi = np.ascontiguousarray(post.nu[:, : config.k_objects]).mean(axis=0)
     out = []
     for k in _rank_desc(pi)[:top_objects]:
         k = int(k)

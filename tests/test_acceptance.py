@@ -23,7 +23,7 @@ from wsibp import (
     stick_bound,
 )
 from wsibp.generative import plant_correlation, smooth_spatially
-from wsibp.inference import _sweep_bag, init_posterior, pack_group
+from wsibp.inference import _sweep_bag, init_posterior, pack_group, project, sweep_terms
 from wsibp.io import save_dataset
 from wsibp.metrics import (
     BagTruth,
@@ -81,9 +81,10 @@ def test_criterion_02_exact_oracle_marginals():
     scale = 1e7
     post.tau = np.column_stack([scale * v, scale * (1.0 - v)])
     group = pack_group([bag], [post])
+    proj = project(group, model, config)
+    terms = sweep_terms(model, CorrelationMatrix.zeros(2), config)
     for _ in range(500):
-        delta = _sweep_bag(group, model, CorrelationMatrix.zeros(2),
-                           config, update_sticks=False)
+        delta = _sweep_bag(group, proj, terms, config, update_sticks=False)
         if delta < 1e-13:
             break
 
@@ -193,7 +194,9 @@ def test_criterion_05_mrf_disabled_reduction():
 
     def sweep(bags, correlation):
         posts = [dataclasses.replace(p) for p in full.posteriors]
-        _sweep_bag(pack_group(bags, posts), full.model, correlation, config)
+        group = pack_group(bags, posts)
+        _sweep_bag(group, project(group, full.model, config),
+                   sweep_terms(full.model, correlation, config), config)
         return arrays(full.model, posts)
 
     fit_same = arrays(full.model, full.posteriors) == arrays(reduced.model, reduced.posteriors)

@@ -163,6 +163,16 @@ def test_beta_rho_zero_ignores_the_grid(tmp_path):
     assert main(["fit", "--data", ds, "--model-out", model, "--no-mrf"]) == 1
 
 
+def test_fit_nan_hyperparameter_exit_2(workspace, capsys):
+    tmp, ds = workspace
+    model = tmp / "m.model"
+    assert main(["fit", "--data", ds, "--model-out", str(model), "--sigma", "nan"]
+                + HYPER[2:]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not model.exists()
+
+
 def test_synth_takes_no_fit_flags(tmp_path):
     assert main(SYNTH + ["--out", str(tmp_path / "ds"), "--beta", "1"]) == 1
 

@@ -40,6 +40,20 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(k_objects=2, k_attributes=2, k_extra=1, **kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "sigma_a", "sigma", "beta", "rho", "tol"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ConfigError, match="finite"):
+            ModelConfig(k_objects=2, k_attributes=2, k_extra=1, **{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["alpha", "sigma_a", "sigma", "beta", "rho"])
+    def test_infinite_hyperparameters_rejected(self, name):
+        with pytest.raises(ConfigError, match="finite"):
+            ModelConfig(k_objects=2, k_attributes=2, k_extra=1, **{name: float("inf")})
+
+    def test_infinite_tol_accepted(self):
+        # tol = inf stops fit after one iteration
+        assert ModelConfig(k_objects=2, k_attributes=2, tol=float("inf")).tol == float("inf")
+
     def test_zero_factors_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(k_objects=0, k_attributes=0, k_extra=0)
@@ -132,6 +146,24 @@ class TestMathUtils:
         euler_gamma = 0.5772156649015329
         assert abs(float(digamma(1.0)) + euler_gamma) < 1e-10
         assert abs(float(digamma(0.5)) + euler_gamma + 2 * np.log(2)) < 1e-10
+
+    @given(st.lists(st.floats(1e-8, 100), min_size=1, max_size=60)
+           | st.sampled_from([[8.0], [7.999999], [1e-8], [7.0, 8.0, 9.0]]))
+    def test_digamma_matches_eight_step_loop(self, values):
+        # the shift as eight masked steps, each adding one to the x still below 8
+        # and subtracting its reciprocal; the accumulated shifts must give the same bits
+        x = np.array(values)
+        shifted, acc = x.copy(), np.zeros_like(x)
+        for _ in range(8):
+            small = shifted < 8.0
+            acc -= np.where(small, 1.0 / shifted, 0.0)
+            shifted += small
+        inv2 = 1.0 / (shifted * shifted)
+        series = (np.log(shifted) - 0.5 / shifted
+                  - inv2 * (1.0 / 12.0
+                            - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0))))
+        assert np.array_equal(digamma(x), acc + series)
+        assert np.array_equal(digamma(x.reshape(-1, 1, 1)), (acc + series).reshape(-1, 1, 1))
 
     def test_digamma_rejects_nonpositive(self):
         with pytest.raises(ValueError):

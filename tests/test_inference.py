@@ -25,10 +25,12 @@ from wsibp.io import save_dataset
 from wsibp.inference import (
     StickBoundCache,
     _sweep_bag,
+    base_logits,
     factor_logit,
     init_posterior,
     mrf_messages,
     pack_group,
+    project,
     set_factor,
     sweep_terms,
     update_appearance,
@@ -51,6 +53,14 @@ def ones_bag(n, d, config, rng, edges=None):
     return Bag(features=rng.normal(size=(n, d)).astype(np.float32),
                edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                labels=labels, id="t")
+
+
+def group_of(*posts):
+    """The posteriors packed as one group of featureless, edgeless, all-on bags."""
+    bags = [Bag(features=np.zeros((p.nu.shape[0], 1)), edges=np.zeros((0, 2), dtype=np.int64),
+                labels=WeakLabels(np.ones(p.nu.shape[1])), id=str(i))
+            for i, p in enumerate(posts)]
+    return pack_group(bags, list(posts))
 
 
 # --- stick bound ------------------------------------------------------------
@@ -183,14 +193,14 @@ class TestUpdateStick:
         config = cfg_k(1, alpha=2.0)
         post = init_posterior(5, WeakLabels(np.ones(1)), config, rng)
         post.nu[:] = 0.0
-        update_stick(post, StickBoundCache.from_tau(post.tau), config, 5)
+        update_stick(group_of(post), config)
         np.testing.assert_allclose(post.tau, [[2.0, 6.0]])
 
     def test_saturated_factor(self, rng):
         config = cfg_k(1, alpha=2.0)
         post = init_posterior(5, WeakLabels(np.ones(1)), config, rng)
         post.nu[:] = 1.0
-        update_stick(post, StickBoundCache.from_tau(post.tau), config, 5)
+        update_stick(group_of(post), config)
         np.testing.assert_allclose(post.tau, [[7.0, 1.0]])
 
     def test_oracle_straight_line(self, rng):
@@ -200,7 +210,7 @@ class TestUpdateStick:
         post.tau = np.ones((2, 2))
         cache = StickBoundCache.from_tau(post.tau)
         q = cache.q.copy()
-        update_stick(post, cache, config, 4)
+        update_stick(group_of(post), config)
 
         k_max, n_i, alpha = 2, 4, 2.0
         nu_sums = [2.0, 2.0]  # column sums of nu
@@ -221,7 +231,7 @@ class TestUpdateStick:
         config = cfg_k(4, alpha=0.5)
         post = init_posterior(6, WeakLabels(np.ones(4)), config, rng)
         post.nu = rng.uniform(0, 1, size=post.nu.shape)
-        update_stick(post, StickBoundCache.from_tau(post.tau), config, 6)
+        update_stick(group_of(post), config)
         assert np.all(post.tau > 0)
 
 
@@ -259,7 +269,7 @@ def test_closed_form_stick_update_matches_triple_loop(k_max, n_i, alpha, data):
     nu[:, rng.random(k_max) < 0.2] = 1.0  # saturated: zero deficit
     post = init_posterior(n_i, WeakLabels(np.ones(k_max)), cfg_k(k_max), rng)
     post.nu, post.tau = nu, tau.copy()
-    update_stick(post, StickBoundCache.from_tau(tau), cfg_k(k_max, alpha=alpha), n_i)
+    update_stick(group_of(post), cfg_k(k_max, alpha=alpha))
     np.testing.assert_allclose(post.tau, stick_triple_loop(tau, nu, alpha), rtol=1e-9)
 
 
@@ -269,8 +279,8 @@ def logits_at(bag, post, model, cache, config):
     """factor_logit for every factor at one fixed state, as columns."""
     group = pack_group([bag], [post])
     group.cache = StickBoundCache(*(a.reshape(1, -1) for a in dataclasses.astuple(cache)))
-    base, coupling = sweep_terms(group, model, CorrelationMatrix.zeros(config.k_max),
-                                 config)
+    coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
+    base = base_logits(group, project(group, model, config), quad)
     return np.column_stack([factor_logit(k, base, coupling, group.nu)
                             for k in range(config.k_max)])
 
@@ -361,7 +371,8 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
     corr = CorrelationMatrix(m + m.T)
     group = pack_group(bags, posts)
     before = [p.nu.copy() for p in posts]
-    _sweep_bag(group, model, corr, config, update_sticks=False)
+    _sweep_bag(group, project(group, model, config), sweep_terms(model, corr, config), config,
+               update_sticks=False)
 
     for bag, post, old in zip(bags, posts, before):
         x = bag.features
@@ -384,25 +395,25 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
 # --- MRF message application ------------------------------------------------
 
 def mrf_at(eta, post, correlation, edges, config):
-    """The MRF part of every factor's logit at one fixed nu, added to eta: the
-    sweep's coupling with zero appearance means, then the sweep's mrf_messages."""
+    """The MRF part of every factor's logit at one fixed nu, added to eta (k_max, N):
+    the sweep's coupling with zero appearance means, then the sweep's mrf_messages."""
     n, k_max = post.nu.shape
     bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
               id="mrf")
     group = pack_group([bag], [post])
     model = AppearanceModel(means=np.zeros((k_max, 1)), variances=np.ones(k_max),
                             vocab=config.default_vocab(), config=config)
-    _, coupling = sweep_terms(group, model, correlation, config)
+    coupling, _ = sweep_terms(model, correlation, config)
     msgs = mrf_messages(group, config)
-    return np.column_stack([factor_logit(k, eta, coupling, group.nu) + msgs[:, k]
-                            for k in range(k_max)])
+    return np.stack([factor_logit(k, eta, coupling, group.nu) + msgs[k]
+                     for k in range(k_max)])
 
 
 class TestApplyMrf:
     def test_zero_couplings_identity(self, rng):
         config = cfg_k(2, beta=0.0, rho=0.0)
         post = init_posterior(3, WeakLabels(np.ones(2)), config, rng)
-        eta = rng.normal(size=(3, 2))
+        eta = rng.normal(size=(2, 3))  # (k_max, N)
         edges = np.array([[0, 1], [1, 2]])
         out = mrf_at(eta, post, CorrelationMatrix.zeros(2), edges, config)
         assert np.array_equal(out, eta)
@@ -411,10 +422,10 @@ class TestApplyMrf:
         config = cfg_k(1, beta=1.0, rho=0.0)
         post = init_posterior(3, WeakLabels(np.ones(1)), config, rng)
         post.nu[:] = 1.0
-        eta = np.zeros((3, 1))
+        eta = np.zeros((1, 3))
         edges = np.array([[0, 1], [1, 2]])
         out = mrf_at(eta, post, CorrelationMatrix.zeros(1), edges, config)
-        assert out[1, 0] == pytest.approx(2.0)
+        assert out[0, 1] == pytest.approx(2.0)
         assert out[0, 0] == pytest.approx(1.0)
 
     def test_factorial_message(self, rng):
@@ -422,7 +433,7 @@ class TestApplyMrf:
         post = init_posterior(1, WeakLabels(np.ones(2)), config, rng)
         post.nu[0] = [0.0, 0.8]
         m = np.array([[0.0, 0.5], [0.5, 0.0]])
-        eta = np.zeros((1, 2))
+        eta = np.zeros((2, 1))
         out = mrf_at(eta, post, CorrelationMatrix(m),
                      np.zeros((0, 2), dtype=np.int64), config)
         assert out[0, 0] == pytest.approx(0.4)
@@ -454,11 +465,11 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
         p.nu[:] = rng.random(p.nu.shape) * 10.0 ** rng.integers(-12, 1, size=p.nu.shape)
     group = pack_group(bags, posts)
 
-    expected = np.zeros_like(group.nu)
+    expected = np.zeros_like(group.nu)  # (k_max, rows)
     for bag, rows in zip(bags, group.rows):
         directed = [(a, b) for a, b in bag.edges] + [(b, a) for a, b in bag.edges]
         for a, b in directed:
-            expected[rows.start + a] += group.nu[rows.start + b]
+            expected[:, rows.start + a] += group.nu[:, rows.start + b]
     expected *= beta
     got = mrf_messages(group, cfg_k(k_max, beta=beta))
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
@@ -467,9 +478,10 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
 # --- nu update --------------------------------------------------------------
 
 def set_all_factors(eta, labels, post):
-    """set_factor for every column of eta, in ascending factor order."""
+    """set_factor for every column of eta, in ascending factor order, on post's group."""
+    group = group_of(post)
     for k in range(eta.shape[1]):
-        set_factor(post, k, eta[:, k], labels.bits[k])
+        set_factor(group, k, eta[:, k], labels.bits[k])
 
 
 class TestUpdateNu:
@@ -514,7 +526,7 @@ class TestUpdateCorrelation:
         config = cfg_k(3)
         post = init_posterior(4, WeakLabels(np.ones(3)), config, rng)
         post.nu[:] = 0.0
-        corr = update_correlation([post], [], first_iteration=False)
+        corr = update_correlation([group_of(post)], [], first_iteration=False)
         assert np.all(corr.m == 0.0)
 
     def test_normalized_max_one(self, rng):
@@ -524,7 +536,7 @@ class TestUpdateCorrelation:
             p = init_posterior(5, WeakLabels(np.ones(4)), config, rng)
             p.nu = rng.uniform(0, 1, size=p.nu.shape)
             posts.append(p)
-        corr = update_correlation(posts, [], first_iteration=False)
+        corr = update_correlation([group_of(p) for p in posts], [], first_iteration=False)
         corr.validate()
         assert corr.m.max() == pytest.approx(1.0)
 
@@ -575,7 +587,9 @@ class TestFit:
             cfg = dataclasses.replace(config, **coupling)
             posts = [init_posterior(b.n_instances, b.labels, cfg, np.random.default_rng(i))
                      for i, b in enumerate(bags)]
-            _sweep_bag(pack_group(bags, posts), model, correlation, cfg)
+            group = pack_group(bags, posts)
+            _sweep_bag(group, project(group, model, cfg), sweep_terms(model, correlation, cfg),
+                       cfg)
             return [getattr(p, name).tobytes() for p in posts
                     for name in ("nu", "tau", "logits")]
 
@@ -718,15 +732,15 @@ class TestFitTransductive:
 
 # --- kernel wiring ----------------------------------------------------------
 
-KERNEL = ("factor_logit", "mrf_messages", "set_factor")
+KERNEL = ("base_logits", "factor_logit", "mrf_messages", "set_factor")
 
 
 def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
                                              small_config):
     # the oracle tests above call these functions; fit and infer_test must
     # run factor_logit and set_factor once per group, factor and sweep and
-    # mrf_messages once per group and sweep, and the ten small bags make one
-    # group
+    # base_logits and mrf_messages once per group and sweep, and the ten small
+    # bags make one group
     calls = {}
     for name in KERNEL:
         def counted(*args, _fn=getattr(inference, name), _name=name):
@@ -735,7 +749,7 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
         monkeypatch.setattr(inference, name, counted)
     config = dataclasses.replace(small_config, max_iters=1)
     assert sum(b.n_instances for b in small_dataset.bags) <= inference.GROUP_ROWS
-    per_sweep = {"factor_logit": config.k_max, "mrf_messages": 1,
+    per_sweep = {"base_logits": 1, "factor_logit": config.k_max, "mrf_messages": 1,
                  "set_factor": config.k_max}
     fit(small_dataset.bags[:2], config)
     assert calls == per_sweep
@@ -745,6 +759,37 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
     calls.clear()
     infer_test(small_dataset.bags[0], result.model, result.correlation, config)
     assert calls == per_sweep
+
+
+def test_posteriors_are_views_of_factor_major_groups(monkeypatch, small_dataset,
+                                                    small_config):
+    # fit's and infer_test's posteriors read and write their group's (k_max, rows)
+    # arrays: nu and logits as nu[:, rows].T, tau as one bag of the (M, k_max, 2) stack
+    groups = []
+
+    def packed(*args, _fn=inference.pack_group):
+        groups.append(_fn(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(inference, "pack_group", packed)
+    config = dataclasses.replace(small_config, max_iters=2)
+    result = fit(small_dataset.bags, config)
+    test_post = infer_test(small_dataset.bags[0], result.model, result.correlation, config)
+    assert len(groups) == 2
+    for group, posts in [(groups[0], result.posteriors), (groups[1], [test_post])]:
+        rows = sum(group.counts)
+        for name in ("nu", "logits"):
+            whole = getattr(group, name)
+            assert whole.shape == (config.k_max, rows) and whole.flags.c_contiguous
+            for post, r in zip(posts, group.rows):
+                view = getattr(post, name)
+                assert view.base is whole and np.shares_memory(view, whole)
+                assert view.shape == (r.stop - r.start, config.k_max)
+                assert np.array_equal(view, whole[:, r].T)
+        for post, t in zip(posts, group.tau):
+            assert np.shares_memory(post.tau, group.tau) and np.array_equal(post.tau, t)
+        group.nu[0, 0] = 0.25  # a write to the group shows in the first posterior
+        assert posts[0].nu[0, 0] == 0.25
 
 
 # --- packed groups ----------------------------------------------------------
@@ -766,9 +811,10 @@ def test_group_sweep_matches_sweeping_each_bag(rng):
     together, alone = posteriors(), posteriors()
     group = pack_group(bags, together)
     singles = [pack_group([b], [p]) for b, p in zip(bags, alone)]
+    terms = sweep_terms(model, corr, config)
     for _ in range(3):
-        delta = _sweep_bag(group, model, corr, config)
-        deltas = [_sweep_bag(g, model, corr, config) for g in singles]
+        delta = _sweep_bag(group, project(group, model, config), terms, config)
+        deltas = [_sweep_bag(g, project(g, model, config), terms, config) for g in singles]
         rows = [b.n_instances for b in bags]
         assert abs(delta - np.dot(deltas, rows) / sum(rows)) < 1e-12
     for a, b in zip(together, alone):

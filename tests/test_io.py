@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from wsibp import (
     AppearanceModel,
+    BagPosterior,
     CorrelationMatrix,
     FormatError,
     ModelConfig,
     VocabMismatchError,
     fit,
+    infer_test,
     sample_dataset,
 )
 from wsibp.io import (
@@ -175,6 +177,28 @@ class TestPosteriorsRoundTrip:
             assert pa.nu.tobytes() == pb.nu.tobytes()
             assert pa.tau.tobytes() == pb.tau.tobytes()
             assert pa.logits.tobytes() == pb.logits.tobytes()
+
+    def test_factor_major_views_round_trip(self, tmp_path, trained, small_dataset,
+                                           small_config):
+        # fit's and infer_test's posteriors are strided views of their group's
+        # (k_max, rows) arrays; the file holds them row-major, the same bytes as
+        # a C-contiguous copy writes, and reads back byte for byte
+        test_post = infer_test(small_dataset.bags[0], trained.model, trained.correlation,
+                               small_config)
+        views = [(b.id, p) for b, p in zip(small_dataset.bags, trained.posteriors)]
+        views.append(("test", test_post))
+        assert all(not p.nu.flags.c_contiguous for _, p in views)
+        copies = [(bag_id, BagPosterior(*(np.ascontiguousarray(a)
+                                          for a in (p.tau, p.nu, p.logits))))
+                  for bag_id, p in views]
+        paths = [str(tmp_path / name) for name in ("views.post", "copies.post")]
+        for path, pairs in zip(paths, (views, copies)):
+            save_posteriors(path, pairs, small_config.k_max)
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        for (ida, pa), (idb, pb) in zip(views, load_posteriors(paths[0])):
+            assert ida == idb
+            for name in ("tau", "nu", "logits"):
+                assert getattr(pa, name).tobytes() == getattr(pb, name).tobytes()
 
 
 class TestWriteSegmentation:

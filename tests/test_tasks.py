@@ -188,3 +188,24 @@ class TestSegment:
         nu[:, 2:] = 1.0  # attribute columns dominate but are excluded
         seg = segment(posterior(nu), CFG)
         assert np.all(seg.labels < CFG.k_objects)
+
+
+def test_views_and_contiguous_copies_give_the_same_results(small_dataset, small_config):
+    # fit's and infer_test's posteriors are strided (N_i, k_max) views of their
+    # group's factor-major arrays; every task must read them as it reads a copy
+    result = fit(small_dataset.bags, small_config)
+    views = result.posteriors + [infer_test(small_dataset.bags[0], result.model,
+                                            result.correlation, small_config)]
+    copies = [BagPosterior(*(np.ascontiguousarray(a) for a in (p.tau, p.nu, p.logits)))
+              for p in views]
+    assert not views[0].nu.flags.c_contiguous and copies[0].nu.flags.c_contiguous
+    k_o = small_config.k_objects
+    for view, copy in zip(views, copies):
+        a, b = segment(view, small_config), segment(copy, small_config)
+        assert np.array_equal(a.labels, b.labels) and np.array_equal(a.scores, b.scores)
+        assert (free_annotation(view, small_config, k_o, 2)
+                == free_annotation(copy, small_config, k_o, 2))
+    for obj, attrs in [(0, []), (1, [k_o]), (2, [k_o + 1, k_o + 2])]:
+        named = [[(str(i), p) for i, p in enumerate(posts)] for posts in (views, copies)]
+        assert (rank_query(named[0], small_config, obj, attrs)
+                == rank_query(named[1], small_config, obj, attrs))
