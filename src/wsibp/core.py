@@ -249,23 +249,20 @@ _DIGAMMA_SHIFT = 8
 def digamma(x):
     """Digamma via upward recurrence to x >= 8 plus asymptotic series.
 
-    Any x > 0 passes the shift within 8 steps: ``shifted`` holds x, x+1, ..., x+8,
-    each one addition from the last, and psi(x) = psi(x+n) - sum_{i<n} 1/(x+i) over
-    the n steps below the shift, summed in step order. Shifts only grow, so the
-    smallest one at or past the shift is x+n."""
-    x = np.asarray(x, dtype=np.float64)
+    Any x > 0 passes the shift within 8 steps. Each step runs on the whole array:
+    every x still below the shift gains 1 and psi(x) = psi(x+n) - sum_{i<n} 1/(x+i)
+    loses its reciprocal, in step order. So the bits match a per-element loop, and
+    NumPy runs no inner loop per element, whatever the array's shape."""
+    x = np.array(x, dtype=np.float64)  # a copy: the steps shift it in place
     if np.any(x <= 0):
         raise ValueError("digamma defined here for x > 0 only")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    steps = np.ones((_DIGAMMA_SHIFT + 1,) + x.shape)
-    steps[0] = x
-    shifted = np.add.accumulate(steps, axis=0)
-    small = shifted < _DIGAMMA_SHIFT
-    # 1/x where small, else +0, summed in step order: a reduction along axis 0 of
-    # a (8, 1) array would run pairwise
-    acc = -np.add.accumulate(small[:-1] / shifted[:-1], axis=0)[-1]
-    x = np.where(small, np.inf, shifted).min(axis=0)
+    acc = np.zeros_like(x)
+    small = np.empty(x.shape, dtype=bool)
+    step = np.empty_like(x)
+    for _ in range(_DIGAMMA_SHIFT):
+        np.less(x, _DIGAMMA_SHIFT, out=small)
+        acc -= np.divide(small, x, out=step)  # 1/x where small, else +0
+        x += small
     inv2 = 1.0 / (x * x)
     # psi(x) ~ ln x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) + 1/(240x^8)
     series = (
@@ -274,19 +271,7 @@ def digamma(x):
         - inv2 * (1.0 / 12.0
                   - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
     )
-    out = acc + series
-    return out[0] if scalar else out
-
-
-def sigmoid(x, out=None):
-    """where(x >= 0, 1, e) / (1 + e), e = exp(-|x|), into ``out`` (x itself allowed)."""
-    x = np.asarray(x, dtype=np.float64)
-    positive = x >= 0
-    e = np.abs(x, out=np.empty_like(x) if out is None else out)
-    np.exp(np.negative(e, out=e), out=e)  # in [0, 1], so nothing overflows
-    den = e + 1.0
-    np.copyto(e, 1.0, where=positive)
-    return np.divide(e, den, out=e)
+    return acc + series
 
 
 def expected_pi(tau: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .core import (
     ModelConfig,
     WeakLabels,
     digamma,
-    sigmoid,
     validate_dataset,
 )
 
@@ -52,18 +51,22 @@ class StickBoundCache:
 
     @staticmethod
     def from_tau(tau: np.ndarray) -> "StickBoundCache":
+        """The cache of tau (..., k_max, 2): one ``digamma`` call over the stacked
+        (3, ..., k_max) arguments tau_1, tau_2, tau_1 + tau_2, then cumulative sums
+        along the factor axis, with w built in place in psi(tau_2)'s row."""
         tau = np.asarray(tau, dtype=np.float64)
         if np.any(tau <= 0):
             raise ValueError("stick parameters must be > 0")
-        d1, d2, d12 = np.moveaxis(
-            digamma(np.concatenate([tau, tau.sum(axis=-1, keepdims=True)], axis=-1)), -1, 0)
+        t1, t2 = tau[..., 0], tau[..., 1]
+        d1, d2, d12 = digamma(np.array([t1, t2, t1 + t2]))
+        prior_cumsum = np.cumsum(d1 - d2, axis=-1)
         # w_s = psi(tau_s2) + sum_{t<s} psi(tau_t1) - sum_{t<=s} psi(tau_t1+tau_t2)
-        before = np.concatenate([np.zeros_like(d1[..., :1]),
-                                 np.cumsum(d1, axis=-1)[..., :-1]], axis=-1)
-        w = d2 + before - np.cumsum(d12, axis=-1)
+        w = d2
+        w[..., 1:] += np.cumsum(d1[..., :-1], axis=-1)
+        w -= np.cumsum(d12, axis=-1)
         # sum_s q_s w_s + H(q) collapses to logsumexp(w[..., :k+1])
         return StickBoundCache(w=w, neg_log_terms=np.logaddexp.accumulate(w, axis=-1),
-                               prior_cumsum=np.cumsum(d1 - d2, axis=-1))
+                               prior_cumsum=prior_cumsum)
 
     @property
     def q(self) -> np.ndarray:
@@ -93,8 +96,9 @@ def init_posterior(bag_n: int, labels: WeakLabels, config: ModelConfig,
                    rng: np.random.Generator) -> BagPosterior:
     k = config.k_max
     bits = labels.bits
-    nu = (0.5 + rng.uniform(-0.01, 0.01, size=(bag_n, k))) * bits
-    np.clip(nu, 0.0, 1.0, out=nu)
+    nu = rng.uniform(-0.01, 0.01, size=(bag_n, k))
+    nu += 0.5
+    nu *= bits
     tau = np.column_stack([np.full(k, config.alpha), np.ones(k)])
     return BagPosterior(tau=tau, nu=nu, logits=np.zeros((bag_n, k)))
 
@@ -201,13 +205,13 @@ def update_stick(group: BagGroup, config: ModelConfig) -> None:
     def suffix(op, x):  # op over m >= k
         return op.accumulate(x[:, ::-1], axis=1)[:, ::-1]
 
-    def after(x, identity):  # a suffix over m >= k shifted to the one over m > k
-        return np.concatenate([x[:, 1:], np.full((len(x), 1), identity)], axis=1)
-
     lse = suffix(np.logaddexp, log_d)
-    cross = after(suffix(np.add, deficit), 0.0) - np.exp(g + after(lse, -np.inf))
-    group.tau[...] = np.stack([config.alpha + suffix(np.add, s) + cross,
-                               1.0 + np.exp(w + lse)], axis=-1)
+    tau1, tau2 = group.tau[..., 0], group.tau[..., 1]
+    np.add(config.alpha, suffix(np.add, s), out=tau1)
+    # the cross term sums over m > k, so the last factor has none
+    tau1[:, :-1] += suffix(np.add, deficit)[:, 1:] - np.exp(g[:, :-1] + lse[:, 1:])
+    np.exp(w + lse, out=tau2)
+    tau2 += 1.0
 
 
 def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
@@ -233,21 +237,25 @@ def project(group: BagGroup, model: AppearanceModel, config: ModelConfig) -> np.
     return proj
 
 
-def base_logits(group: BagGroup, proj: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Logits of one sweep before the couplings, (k_max, rows): proj + each row's
-    stick prior - quad, the prior read from the group's stick cache."""
+def base_logits(group: BagGroup, proj: np.ndarray, quad: np.ndarray,
+                msgs: np.ndarray) -> np.ndarray:
+    """Logits of one sweep before the couplings, (k_max, rows), added in place into
+    ``mrf_messages``'s output: messages + each row's stick prior - quad + proj, the
+    prior read from the group's stick cache."""
     const = group.cache.prior_cumsum - group.cache.neg_log_terms - quad  # (M, k_max)
-    base = np.repeat(const.T, group.counts, axis=1)
-    base += proj
-    return base
+    msgs += np.repeat(const.T, group.counts, axis=1)
+    msgs += proj
+    return msgs
 
 
-def factor_logit(k: int, base: np.ndarray, coupling: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Logit of factor k before spatial messages, base[k] + coupling[k] @ nu (nu
-    factor-major): with resid = x - nu^T @ means, the residual form's resid @ phi_k +
+def factor_logit(group: BagGroup, k: int, base: np.ndarray, coupling: np.ndarray) -> None:
+    """Write factor k's logit, coupling[k] @ nu + base[k] (nu factor-major), straight
+    into logits[k]: with resid = x - nu^T @ means, the residual form's resid @ phi_k +
     nu_k G_kk equals x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (M^T nu)[k] rides
     in coupling."""
-    return base[k] + coupling[k] @ nu
+    eta = group.logits[k]
+    np.matmul(coupling[k], group.nu, out=eta)
+    eta += base[k]
 
 
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
@@ -261,13 +269,16 @@ def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
     return np.multiply(acc.take(group.rank, axis=1), config.beta, out=acc)
 
 
-def set_factor(group: BagGroup, k: int, eta: np.ndarray, bit) -> None:
-    """Write logits[k] = eta and nu[k] = bit * sigmoid(clip(eta)), bit a scalar or
-    one per row (bool or 0/1). Works in place: eta is clipped and squashed."""
-    group.logits[k] = eta
-    np.maximum(eta, -LOGIT_CLIP, out=eta)
-    np.minimum(eta, LOGIT_CLIP, out=eta)
-    np.multiply(sigmoid(eta, out=eta), bit, out=group.nu[k])
+def set_factor(group: BagGroup, k: int, bit) -> None:
+    """nu[k] = bit / (1 + exp(-clip(logits[k]))), bit a scalar or one per row (bool
+    or 0/1), so masked rows are +0. nu[k] is the work row, and logits[k] keeps the
+    unclipped logit; with |clip| <= LOGIT_CLIP the exponential cannot overflow."""
+    nu = group.nu[k]
+    np.maximum(group.logits[k], -LOGIT_CLIP, out=nu)
+    np.minimum(nu, LOGIT_CLIP, out=nu)
+    np.exp(np.negative(nu, out=nu), out=nu)
+    nu += 1.0
+    np.divide(bit, nu, out=nu)
 
 
 def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
@@ -275,25 +286,24 @@ def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.nd
     """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
     mean |delta nu|. ``proj`` is ``project``'s and ``terms`` ``sweep_terms``'s, both
     fixed while the model is. The stick stage runs once for all its bags and keeps
-    the new tau's cache; factors then update in ascending order, each seeing the
-    freshest others, all rows of the group jointly. ``base_logits`` and
-    ``mrf_messages`` are taken once per sweep, so a factor costs one mat-vec
-    (``factor_logit``) plus its messages, added after it; at beta = rho = 0 both
-    couplings add zeros, so no logit depends on the edges or on M. nu's change is the
-    start-of-sweep copy minus the final nu."""
+    the new tau's cache. ``mrf_messages`` then reads the start-of-sweep nu and
+    ``base_logits`` adds the rest of the fixed logit into its output, so a factor
+    costs one mat-vec written into its logits (``factor_logit``) and one squash
+    (``set_factor``), factors in ascending order, each seeing the freshest others, all
+    rows of the group jointly. At beta = rho = 0 both couplings add zeros, so no logit
+    depends on the edges or on M. nu's change is the start-of-sweep copy minus the
+    final nu."""
     if update_sticks:
         update_stick(group, config)
         group.cache = StickBoundCache.from_tau(group.tau)
     coupling, quad = terms
-    msgs = mrf_messages(group, config)
-    base = base_logits(group, proj, quad)
-    nu = group.nu
-    change = nu.copy()
+    base = base_logits(group, proj, quad, mrf_messages(group, config))
+    bits = group.bits
+    change = group.nu.copy()
     for k in range(config.k_max):
-        eta = factor_logit(k, base, coupling, nu)
-        eta += msgs[k]
-        set_factor(group, k, eta, group.bits[k])
-    np.subtract(change, nu, out=change)
+        factor_logit(group, k, base, coupling)
+        set_factor(group, k, bits[k])
+    np.subtract(change, group.nu, out=change)
     return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
 
 

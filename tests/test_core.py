@@ -13,7 +13,7 @@ from wsibp import (
     expected_pi,
     validate_dataset,
 )
-from wsibp.core import digamma, sigmoid
+from wsibp.core import digamma
 
 
 def make_bag(n, d, config, bag_id="b0", edges=None):
@@ -137,6 +137,21 @@ class TestExpectedPi:
         assert np.all(np.diff(pi) <= 0)
 
 
+def eight_step_digamma(x):
+    """The shift as eight masked steps, each adding one to the x still below 8 and
+    subtracting its reciprocal, then the asymptotic series."""
+    shifted, acc = x.copy(), np.zeros_like(x)
+    for _ in range(8):
+        small = shifted < 8.0
+        acc -= np.where(small, 1.0 / shifted, 0.0)
+        shifted += small
+    inv2 = 1.0 / (shifted * shifted)
+    series = (np.log(shifted) - 0.5 / shifted
+              - inv2 * (1.0 / 12.0
+                        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0))))
+    return acc + series
+
+
 class TestMathUtils:
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.0])
     def test_digamma_recurrence(self, x):
@@ -150,42 +165,21 @@ class TestMathUtils:
     @given(st.lists(st.floats(1e-8, 100), min_size=1, max_size=60)
            | st.sampled_from([[8.0], [7.999999], [1e-8], [7.0, 8.0, 9.0]]))
     def test_digamma_matches_eight_step_loop(self, values):
-        # the shift as eight masked steps, each adding one to the x still below 8
-        # and subtracting its reciprocal; the accumulated shifts must give the same bits
         x = np.array(values)
-        shifted, acc = x.copy(), np.zeros_like(x)
-        for _ in range(8):
-            small = shifted < 8.0
-            acc -= np.where(small, 1.0 / shifted, 0.0)
-            shifted += small
-        inv2 = 1.0 / (shifted * shifted)
-        series = (np.log(shifted) - 0.5 / shifted
-                  - inv2 * (1.0 / 12.0
-                            - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0))))
-        assert np.array_equal(digamma(x), acc + series)
-        assert np.array_equal(digamma(x.reshape(-1, 1, 1)), (acc + series).reshape(-1, 1, 1))
+        expected = eight_step_digamma(x)
+        assert np.array_equal(digamma(x), expected)
+        assert np.array_equal(digamma(x.reshape(-1, 1, 1)), expected.reshape(-1, 1, 1))
+
+    @pytest.mark.parametrize("shape", [(28, 30, 3), (4, 30, 3), (3, 28, 30)])
+    def test_digamma_on_group_shapes(self, shape):
+        # a fit group's stick arguments: the same bits as the reference on the
+        # flattened array and as digamma of it, whatever the layout
+        x = np.random.default_rng(7).uniform(1e-3, 40.0, size=shape)
+        expected = eight_step_digamma(x.ravel()).reshape(shape)
+        assert np.array_equal(digamma(x), expected)
+        assert np.array_equal(digamma(x), digamma(x.ravel()).reshape(shape))
+        assert np.array_equal(digamma(x.T), expected.T)
 
     def test_digamma_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             digamma(0.0)
-
-    @given(st.floats(-800, 800))
-    def test_sigmoid_bounded_and_monotone_at_zero(self, x):
-        s = float(sigmoid(np.array(x)))
-        assert 0.0 <= s <= 1.0
-
-    def test_sigmoid_values(self):
-        np.testing.assert_allclose(sigmoid(np.array([0.0])), [0.5])
-        np.testing.assert_allclose(sigmoid(np.array([2.0])),
-                                   [1 / (1 + np.exp(-2))])
-
-    @given(st.lists(st.floats(-800, 800), min_size=1, max_size=40))
-    def test_sigmoid_matches_two_branch_form(self, values):
-        x = np.array(values)
-        expected = np.empty_like(x)
-        pos = x >= 0
-        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        expected[~pos] = ex / (1.0 + ex)
-        assert sigmoid(x).tobytes() == expected.tobytes()
-        assert sigmoid(x, out=x).tobytes() == expected.tobytes()  # in place, as set_factor runs it

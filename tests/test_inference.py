@@ -20,7 +20,7 @@ from wsibp import (
     stick_bound,
 )
 from wsibp import inference
-from wsibp.core import digamma, sigmoid
+from wsibp.core import digamma
 from wsibp.io import save_dataset
 from wsibp.inference import (
     StickBoundCache,
@@ -280,9 +280,11 @@ def logits_at(bag, post, model, cache, config):
     group = pack_group([bag], [post])
     group.cache = StickBoundCache(*(a.reshape(1, -1) for a in dataclasses.astuple(cache)))
     coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
-    base = base_logits(group, project(group, model, config), quad)
-    return np.column_stack([factor_logit(k, base, coupling, group.nu)
-                            for k in range(config.k_max)])
+    base = base_logits(group, project(group, model, config), quad,
+                       np.zeros_like(group.nu))
+    for k in range(config.k_max):
+        factor_logit(group, k, base, coupling)
+    return group.logits.T.copy()
 
 
 class TestComputeLogits:
@@ -396,7 +398,8 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
 
 def mrf_at(eta, post, correlation, edges, config):
     """The MRF part of every factor's logit at one fixed nu, added to eta (k_max, N):
-    the sweep's coupling with zero appearance means, then the sweep's mrf_messages."""
+    the sweep's mrf_messages plus eta, then the sweep's coupling with zero appearance
+    means."""
     n, k_max = post.nu.shape
     bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
               id="mrf")
@@ -405,8 +408,10 @@ def mrf_at(eta, post, correlation, edges, config):
                             vocab=config.default_vocab(), config=config)
     coupling, _ = sweep_terms(model, correlation, config)
     msgs = mrf_messages(group, config)
-    return np.stack([factor_logit(k, eta, coupling, group.nu) + msgs[k]
-                     for k in range(k_max)])
+    msgs += eta
+    for k in range(k_max):
+        factor_logit(group, k, msgs, coupling)
+    return group.logits.copy()
 
 
 class TestApplyMrf:
@@ -480,8 +485,9 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
 def set_all_factors(eta, labels, post):
     """set_factor for every column of eta, in ascending factor order, on post's group."""
     group = group_of(post)
+    group.logits[:] = eta.T
     for k in range(eta.shape[1]):
-        set_factor(group, k, eta[:, k], labels.bits[k])
+        set_factor(group, k, labels.bits[k])
 
 
 class TestUpdateNu:
@@ -499,6 +505,26 @@ class TestUpdateNu:
         set_all_factors(np.array([[0.0], [2.0]]), labels, post)
         assert post.nu[0, 0] == pytest.approx(0.5)
         assert post.nu[1, 0] == pytest.approx(1 / (1 + np.exp(-2)))
+
+    @given(st.lists(st.tuples(st.floats(-800, 800), st.booleans()), min_size=1,
+                    max_size=40))
+    def test_set_factor_matches_long_double_sigmoid(self, rows):
+        # nu = bit / (1 + exp(-clip(eta, +-30))) within 4 ulp of a long double
+        # reference, masked rows +0.0, unmasked rows strictly inside (0, 1), and
+        # logits holding the unclipped eta
+        eta = np.array([e for e, _ in rows])
+        on = np.array([b for _, b in rows])
+        post = init_posterior(len(rows), WeakLabels(np.ones(2)), cfg_k(2),
+                              np.random.default_rng(0))
+        group = group_of(post)
+        group.logits[1] = eta
+        set_factor(group, 1, on)
+        nu = group.nu[1]
+        ref = 1 / (1 + np.exp(-np.clip(eta.astype(np.longdouble), -30, 30)))
+        assert np.all(np.abs(nu[on] - ref[on]) <= 4 * np.spacing(ref[on].astype(np.float64)))
+        assert np.all((nu[on] > 0) & (nu[on] < 1))
+        assert nu[~on].tobytes() == np.zeros(int((~on).sum())).tobytes()
+        assert group.logits[1].tobytes() == eta.tobytes()
 
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=50)
