@@ -16,7 +16,7 @@ import typing
 import numpy as np
 
 from . import generative, inference, io, metrics, tasks
-from .core import ConfigError, DimensionMismatchError, ModelConfig, WsibpError
+from .core import ConfigError, DimensionMismatchError, FormatError, ModelConfig, WsibpError
 
 
 class UsageError(Exception):
@@ -358,6 +358,9 @@ def _eval_segmentation(pred_dir: str, truth: dict) -> None:
 def _cmd_eval(args) -> int:
     with open(args.truth, encoding="ascii") as fh:
         truth = json.load(fh)
+    key = "queries" if args.task == "query" else "bags"
+    if not isinstance(truth, dict) or key not in truth:
+        raise FormatError(f"{args.truth}: {args.task} truth needs a {key!r} key")
     if args.task == "segmentation":
         _eval_segmentation(args.pred, truth)
         return 0

@@ -7,9 +7,11 @@ recomputation of the inter-factor correlation matrix. Bags are swept in
 packed groups (``BagGroup``), so each stage runs once per factor per group.
 A group stores ν and the logits factor-major, ``(k_max, rows)``, so each
 per-factor step reads and writes contiguous memory; a bag's ``BagPosterior``
-sees its rows as an ``(N_i, k_max)`` view. The logit terms of the model alone
-(``sweep_terms``, ``project``) are taken once per fit iteration and once per
-``infer_test`` call.
+sees its rows as an ``(N_i, k_max)`` view. Its features are one ``(rows, D)``
+block and its neighbours one padded ``(max_degree, rows)`` table. The logit
+terms of the model alone (``sweep_terms``, ``project``) are taken once per fit
+iteration and once per ``infer_test`` call, and sum νᵀν (``nu_gram``) once at
+fit's set-up and once after each sweep.
 """
 
 from __future__ import annotations
@@ -115,16 +117,15 @@ def init_model(config: ModelConfig, feature_dim: int, vocab: list[str],
 class BagGroup:
     """Consecutive bags swept together. ``nu``/``logits`` are factor-major,
     (k_max, rows), with the bags' rows back to back along axis 1: each bag's
-    ``BagPosterior.nu`` is the view ``nu[:, rows].T``. ``tau`` holds the stick
-    parameters as (M, k_max, 2), ``nbrs``/``rank`` the neighbour table of
-    ``mrf_messages``, ``cache`` the stick cache of tau."""
+    ``BagPosterior.nu`` is the view ``nu[:, rows].T``. ``x`` holds the features
+    of those rows, ``nbr`` the neighbour table of ``mrf_messages``, ``tau`` the
+    stick parameters as (M, k_max, 2), ``cache`` the stick cache of tau."""
 
-    features: list[np.ndarray]  # per bag, as given
+    x: np.ndarray  # (rows, D) the bags' features stacked, in the dtype given
     rows: list[slice]  # per bag, its rows of the group
     counts: np.ndarray  # (M,) instances per bag
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
-    nbrs: list[np.ndarray]  # nbrs[j]: j-th neighbour of the rows, by degree, of degree > j
-    rank: np.ndarray  # (rows,) each row's position in degree order
+    nbr: np.ndarray  # (max_degree, rows) j-th neighbour of each row, else the index rows
     tau: np.ndarray  # (M, k_max, 2)
     nu: np.ndarray  # (k_max, rows)
     logits: np.ndarray  # (k_max, rows)
@@ -134,28 +135,27 @@ class BagGroup:
 def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
     """Copy consecutive bags' posteriors into one group, factor-major; each becomes a
     view of its rows, ``nu[:, rows].T``. Neighbour table: the directed edges (each edge
-    as given, then reversed) sorted stably by source; rows ordered by degree, descending
-    and stable; ``nbrs[j]`` the j-th neighbour of each leading row of degree > j;
-    ``rank`` each row's place."""
+    as given, then reversed) sorted stably by source; ``nbr[j, i]`` is row i's j-th
+    neighbour, or the pad index ``rows`` once j reaches its degree."""
     counts = np.array([b.n_instances for b in bags])
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts), counts)]
     tau = np.stack([p.tau for p in posteriors])
-    nu, logits = (np.empty((tau.shape[1], counts.sum())) for _ in range(2))
+    size = counts.sum()
+    nu, logits = (np.empty((tau.shape[1], size)) for _ in range(2))
     for p, r, t in zip(posteriors, rows, tau):
         nu[:, r], logits[:, r] = p.nu.T, p.logits.T
         p.tau, p.nu, p.logits = t, nu[:, r].T, logits[:, r].T
     edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
                             for b, r in zip(bags, rows)]).astype(np.intp)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])[np.argsort(src, kind="stable")]
-    degree = np.bincount(src, minlength=nu.shape[1])
-    by_degree = np.argsort(-degree, kind="stable")
-    first = (np.cumsum(degree) - degree)[by_degree]  # where each row's neighbours start
-    wider = nu.shape[1] - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > j
-    return BagGroup(features=[b.features for b in bags], rows=rows, counts=counts,
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.concatenate([edges[:, 1], edges[:, 0]])[order]
+    degree = np.bincount(src, minlength=size)
+    nbr = np.full((degree.max(), size), size)
+    nbr[np.arange(src.size) - (np.cumsum(degree) - degree)[src], src] = dst
+    return BagGroup(x=np.concatenate([b.features for b in bags]), rows=rows, counts=counts,
                     bits=np.repeat(np.transpose([b.labels.bits > 0 for b in bags]), counts, axis=1),
-                    nbrs=[dst[first[:n] + j] for j, n in enumerate(wider)],
-                    rank=np.argsort(by_degree), tau=tau, nu=nu, logits=logits,
+                    nbr=nbr, tau=tau, nu=nu, logits=logits,
                     cache=StickBoundCache.from_tau(tau))
 
 
@@ -170,18 +170,23 @@ def _group_bags(bags: list[Bag]):
     yield run
 
 
-def update_appearance(groups: list[BagGroup], model: AppearanceModel,
+def nu_gram(groups: list[BagGroup]) -> np.ndarray:
+    """sum nu nu^T over the groups in order (k_max, k_max): fit takes it once at set-up
+    and once after each sweep, for M and for the next appearance update."""
+    return sum(g.nu @ g.nu.T for g in groups)
+
+
+def update_appearance(groups: list[BagGroup], gram: np.ndarray, model: AppearanceModel,
                       config: ModelConfig) -> None:
     """Gauss-Seidel sweep over factors, each using the freshest other means.
 
-    With S = sum nu nu^T and R = sum nu x over the groups in order (so the
-    reduction is deterministic; nu factor-major), nu[k] @ (x - nu^T @ means) =
-    R[k] - S[k] @ means.
+    With S = ``gram`` (``nu_gram`` of the groups) and R = sum nu x over the groups in
+    order (so the reduction is deterministic; nu factor-major), nu[k] @ (x - nu^T @
+    means) = R[k] - S[k] @ means.
     """
     inv_s2 = 1.0 / config.sigma ** 2
     inv_sa2 = 1.0 / config.sigma_a ** 2
-    gram = sum(g.nu @ g.nu.T for g in groups)
-    proj = sum(g.nu[:, rows] @ f for g in groups for f, rows in zip(g.features, g.rows))
+    proj = sum(g.nu @ g.x for g in groups)
     mass = sum(g.nu.sum(axis=1) for g in groups)
     for k in range(config.k_max):
         num = proj[k] - gram[k] @ model.means + gram[k, k] * model.means[k]
@@ -230,9 +235,7 @@ def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
 
 def project(group: BagGroup, model: AppearanceModel, config: ModelConfig) -> np.ndarray:
     """means @ x^T / sigma^2 for the group's rows, (k_max, rows)."""
-    proj = np.empty_like(group.nu)
-    for f, rows in zip(group.features, group.rows):
-        np.matmul(model.means, f.T, out=proj[:, rows])
+    proj = model.means @ group.x.T
     proj *= 1.0 / config.sigma ** 2
     return proj
 
@@ -261,12 +264,14 @@ def factor_logit(group: BagGroup, k: int, base: np.ndarray, coupling: np.ndarray
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
     """beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep:
     only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
-    Level j adds each row's j-th neighbour, so every row sums from zero in
-    directed-edge order: the same additions as np.bincount over those edges."""
+    Slot j adds each row's j-th neighbour, and a pad reads the appended zero column,
+    so every row sums from zero in directed-edge order, then adds +0s: the same bits
+    as np.bincount over those edges."""
+    nu = np.concatenate([group.nu, np.zeros((len(group.nu), 1))], axis=1)
     acc = np.zeros_like(group.nu)
-    for nb in group.nbrs:
-        acc[:, :len(nb)] += group.nu.take(nb, axis=1)
-    return np.multiply(acc.take(group.rank, axis=1), config.beta, out=acc)
+    for nb in group.nbr:
+        acc += nu.take(nb, axis=1)
+    return np.multiply(acc, config.beta, out=acc)
 
 
 def set_factor(group: BagGroup, k: int, bit) -> None:
@@ -307,20 +312,13 @@ def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.nd
     return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
 
 
-def update_correlation(groups: list[BagGroup], labels: list[WeakLabels],
-                       first_iteration: bool) -> CorrelationMatrix:
-    """Recompute M from scratch: label outer products first, nu afterwards."""
-    if first_iteration:
-        m = sum(np.outer(lab.bits, lab.bits) for lab in labels)
-    else:
-        m = sum(g.nu @ g.nu.T for g in groups)
-    m = np.asarray(m, dtype=np.float64)
+def update_correlation(counts: np.ndarray) -> CorrelationMatrix:
+    """M from a co-occurrence sum (k_max, k_max), the labels' at set-up and ``nu_gram``
+    after each sweep: zero diagonal, symmetrised, scaled to a peak of 1."""
+    m = np.array(counts, dtype=np.float64)
     np.fill_diagonal(m, 0.0)
     m = 0.5 * (m + m.T)
-    peak = m.max()
-    if peak > 0:
-        m /= peak
-    return CorrelationMatrix(m)
+    return CorrelationMatrix(m / m.max() if m.max() > 0 else m)
 
 
 def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) -> FitResult:
@@ -343,18 +341,19 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
         posts = [init_posterior(b.n_instances, b.labels, config, rng) for b in run]
         groups.append(pack_group(run, posts))
         posteriors += posts
-    all_labels = [b.labels for b in bags]
-    correlation = update_correlation(groups, all_labels, first_iteration=True)
+    gram = nu_gram(groups)
+    correlation = update_correlation(sum(np.outer(b.labels.bits, b.labels.bits) for b in bags))
     sizes = [g.nu.shape[1] for g in groups]
 
     trace: list[tuple[float, float]] = []
     for _ in range(config.max_iters):
         start = time.perf_counter()
-        update_appearance(groups, model, config)
+        update_appearance(groups, gram, model, config)
         terms = sweep_terms(model, correlation, config)
         deltas = [_sweep_bag(g, project(g, model, config), terms, config) for g in groups]
         delta = float(np.dot(deltas, sizes) / sum(sizes))
-        correlation = update_correlation(groups, all_labels, first_iteration=False)
+        gram = nu_gram(groups)
+        correlation = update_correlation(gram)
         trace.append((delta, time.perf_counter() - start))
         if delta < config.tol:
             break

@@ -2,8 +2,8 @@
 
 All files are line-oriented ``key: value`` text; large numeric payloads can
 be embedded as little-endian binary blocks announced by a ``binary <nbytes>``
-header line. Binary mode round-trips bit-exactly; text mode stores full-
-precision decimal reprs.
+header line. Binary blocks round-trip bit-exactly; a dataset may instead store
+its features as text rows of full-precision decimal reprs.
 """
 
 from __future__ import annotations
@@ -226,10 +226,9 @@ def load_dataset(path: str) -> LoadedDataset:
                          k_attributes=k_attributes, k_extra=k_extra)
 
 
-def save_model(path: str, model: AppearanceModel,
-               correlation: CorrelationMatrix, binary: bool = True) -> None:
+def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix) -> None:
     """Versioned container: config snapshot (every ModelConfig field, in declared
-    order), vocab, means, variances, M."""
+    order), vocab, then means, variances and M as binary blocks."""
     with open(path, "wb") as fh:
         fh.write((MODEL_MAGIC + "\n").encode("ascii"))
         fh.write(f"version: {FORMAT_VERSION}\n".encode("ascii"))
@@ -237,11 +236,9 @@ def save_model(path: str, model: AppearanceModel,
         for f in fields(ModelConfig):
             fh.write(f"{f.name}: {getattr(model.config, f.name)!r}\n".encode("ascii"))
         fh.write(("vocab: " + ",".join(model.vocab) + "\n").encode("ascii"))
-        _write_array(fh, "means", np.asarray(model.means, dtype=np.float64), binary)
-        _write_array(fh, "variances",
-                     np.asarray(model.variances, dtype=np.float64), binary)
-        _write_array(fh, "correlation",
-                     np.asarray(correlation.m, dtype=np.float64), binary)
+        for key, arr in (("means", model.means), ("variances", model.variances),
+                         ("correlation", correlation.m)):
+            _write_array(fh, key, np.asarray(arr, dtype=np.float64), True)
 
 
 def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
@@ -277,10 +274,8 @@ def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
         fh.write(f"num_bags: {len(posteriors)}\n".encode("ascii"))
         for bag_id, post in posteriors:
             fh.write(f"bag: {bag_id},{post.nu.shape[0]}\n".encode("ascii"))
-            _write_array(fh, "tau", np.asarray(post.tau, dtype=np.float64), True)
-            _write_array(fh, "nu", np.asarray(post.nu, dtype=np.float64), True)
-            _write_array(fh, "logits",
-                         np.asarray(post.logits, dtype=np.float64), True)
+            for key, arr in (("tau", post.tau), ("nu", post.nu), ("logits", post.logits)):
+                _write_array(fh, key, np.asarray(arr, dtype=np.float64), True)
 
 
 def load_posteriors(path: str) -> list[tuple[str, BagPosterior]]:
@@ -296,27 +291,30 @@ def load_posteriors(path: str) -> list[tuple[str, BagPosterior]]:
         tau = reader.array("tau", (k_max, 2), np.float64)
         nu = reader.array("nu", (n, k_max), np.float64)
         logits = reader.array("logits", (n, k_max), np.float64)
+        bad = [need for need, ok in (("tau finite and > 0", np.isfinite(tau) & (tau > 0)),
+                                     ("nu in [0, 1]", (nu >= 0) & (nu <= 1)),
+                                     ("logits finite", np.isfinite(logits))) if not ok.all()]
+        if bad:
+            raise FormatError(f"{path}: bag {bag_id!r} needs {', '.join(bad)}")
         out.append((bag_id, BagPosterior(tau=tau, nu=nu, logits=logits)))
     return out
 
 
 def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
-                       raster: np.ndarray | None = None,
-                       ppm_path: str | None = None) -> None:
-    """Per-instance label CSV, plus an optional paletted P3 raster image."""
+                       raster: np.ndarray | None = None) -> None:
+    """Per-instance label CSV, plus an optional paletted P3 raster image at
+    ``path + ".ppm"``."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("instance,label_index,label_name,score\n")
         for j, (k, s) in enumerate(zip(seg.labels, seg.scores)):
             fh.write(f"{j},{int(k)},{vocab[int(k)]},{float(s)!r}\n")
     if raster is None:
         return
-    if ppm_path is None:
-        ppm_path = path + ".ppm"
     raster = np.asarray(raster)
     if raster.min() < 0 or raster.max() >= len(seg.labels):
         raise DatasetError("raster references an unknown instance id")
     h, w = raster.shape
-    with open(ppm_path, "w", encoding="ascii") as fh:
+    with open(path + ".ppm", "w", encoding="ascii") as fh:
         fh.write(f"P3\n{w} {h}\n255\n")
         for row in raster:
             parts = []

@@ -7,7 +7,7 @@ import pytest
 
 from wsibp import BagPosterior
 from wsibp.cli import main
-from wsibp.io import load_dataset, load_truth, save_dataset, save_posteriors
+from wsibp.io import load_dataset, load_posteriors, load_truth, save_dataset, save_posteriors
 
 
 SYNTH = ["synth", "--num-bags", "8", "--instances", "12", "--feature-dim", "6",
@@ -125,6 +125,17 @@ def test_eval_annotation_and_query(workspace, tmp_path, capsys):
     assert "MAR: 1.0000" in capsys.readouterr().out
 
 
+def test_eval_truth_without_task_key_exit_2(workspace, capsys):
+    # synth's truth.json holds the generating assignments, not eval's layouts
+    tmp, ds = workspace
+    truth = os.path.join(ds, "truth.json")
+    for task, key in (("segmentation", "bags"), ("annotation", "bags"), ("query", "queries")):
+        pred = tmp / "p.json"
+        pred.write_text(json.dumps({key: []}))
+        assert main(["eval", "--task", task, "--pred", str(pred), "--truth", truth]) == 2
+        assert f"{truth}: {task} truth needs a '{key}' key" in capsys.readouterr().err
+
+
 def test_transductive_segment(workspace):
     tmp, ds = workspace
     model = str(tmp / "m.model")
@@ -238,6 +249,23 @@ def test_posteriors_must_match_model(workspace, argv):
     save_posteriors(post, [("b0", wide)], 8)
     assert main(argv + [str(tmp / "out"), "--posteriors", post,
                         "--model", model]) == 2
+
+
+def test_out_of_range_posteriors_exit_2(workspace, capsys):
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "train.post")
+    assert main(["fit", "--data", ds, "--model-out", model, "--posteriors-out", post,
+                 "--sigma", "0.1", "--k-extra", "0", "--max-iters", "2"]) == 0
+    pairs = load_posteriors(post)
+    for bag_id, value in ((pairs[0][0], np.nan), (pairs[1][0], 7.0)):
+        posts = [(i, BagPosterior(p.tau, p.nu.copy(), p.logits)) for i, p in pairs]
+        dict(posts)[bag_id].nu[0, 0] = value
+        bad = str(tmp / "bad.post")
+        save_posteriors(bad, posts, posts[0][1].nu.shape[1])
+        for argv in (["annotate", "--out", str(tmp / "ann.json")],
+                     ["segment", "--out-dir", str(tmp / "segs")]):
+            assert main(argv + ["--posteriors", bad, "--model", model]) == 2
+            assert f"bag {bag_id!r} needs nu in [0, 1]" in capsys.readouterr().err
 
 
 def test_transductive_segment_honours_max_iters(workspace):

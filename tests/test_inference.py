@@ -29,6 +29,7 @@ from wsibp.inference import (
     factor_logit,
     init_posterior,
     mrf_messages,
+    nu_gram,
     pack_group,
     project,
     set_factor,
@@ -117,7 +118,8 @@ class TestUpdateAppearance:
         model = AppearanceModel(means=rng.normal(size=(2, 3)),
                                 variances=np.ones(2),
                                 vocab=["a", "b"], config=config)
-        update_appearance([pack_group([bag], [post])], model, config)
+        groups = [pack_group([bag], [post])]
+        update_appearance(groups, nu_gram(groups), model, config)
         np.testing.assert_allclose(model.means[1], 0.0)
         assert abs(model.variances[1] - 1.0) < 1e-12
 
@@ -132,7 +134,8 @@ class TestUpdateAppearance:
         post.nu[:] = 1.0
         model = AppearanceModel(means=np.zeros((1, 1)), variances=np.ones(1),
                                 vocab=["a"], config=config)
-        update_appearance([pack_group([bag], [post])], model, config)
+        groups = [pack_group([bag], [post])]
+        update_appearance(groups, nu_gram(groups), model, config)
         np.testing.assert_allclose(model.means, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(model.variances, [0.5], atol=1e-12)
 
@@ -149,7 +152,7 @@ class TestUpdateAppearance:
             posteriors.append(post)
         groups = [pack_group(ds.bags, posteriors)]
         for _ in range(5):
-            update_appearance(groups, model, config)
+            update_appearance(groups, nu_gram(groups), model, config)
         for k in range(6):
             if ds.true_a[k].std() == 0:
                 continue
@@ -167,7 +170,8 @@ class TestUpdateAppearance:
         means0 = rng.normal(size=(3, 4))
         model = AppearanceModel(means=means0.copy(), variances=np.ones(3),
                                 vocab=list("abc"), config=config)
-        update_appearance([pack_group(bags, posts)], model, config)
+        groups = [pack_group(bags, posts)]
+        update_appearance(groups, nu_gram(groups), model, config)
 
         phi = means0.copy()
         var = np.ones(3)
@@ -542,7 +546,7 @@ class TestUpdateNu:
 class TestUpdateCorrelation:
     def test_label_initialization(self):
         labels = [WeakLabels(np.array([1.0, 1.0, 0.0]))]
-        corr = update_correlation([], labels, first_iteration=True)
+        corr = update_correlation(sum(np.outer(lab.bits, lab.bits) for lab in labels))
         assert corr.m[0, 1] == 1.0
         assert corr.m[0, 2] == 0.0 and corr.m[1, 2] == 0.0
         assert np.all(np.diag(corr.m) == 0.0)
@@ -552,7 +556,7 @@ class TestUpdateCorrelation:
         config = cfg_k(3)
         post = init_posterior(4, WeakLabels(np.ones(3)), config, rng)
         post.nu[:] = 0.0
-        corr = update_correlation([group_of(post)], [], first_iteration=False)
+        corr = update_correlation(nu_gram([group_of(post)]))
         assert np.all(corr.m == 0.0)
 
     def test_normalized_max_one(self, rng):
@@ -562,9 +566,28 @@ class TestUpdateCorrelation:
             p = init_posterior(5, WeakLabels(np.ones(4)), config, rng)
             p.nu = rng.uniform(0, 1, size=p.nu.shape)
             posts.append(p)
-        corr = update_correlation([group_of(p) for p in posts], [], first_iteration=False)
+        corr = update_correlation(nu_gram([group_of(p) for p in posts]))
         corr.validate()
         assert corr.m.max() == pytest.approx(1.0)
+
+    def test_fit_m_is_normalised_gram_of_returned_nu(self, monkeypatch):
+        # fit takes sum nu nu^T once at set-up and once after each sweep, and the
+        # last one is M: zero diagonal, symmetrised, peak 1; 100 bags make two groups
+        config = cfg_k(2, 2, k_extra=1, sigma=0.2, beta=1.0, rho=0.1, max_iters=4, tol=0.0)
+        ds = sample_dataset(config, 100, 12, 6, seed=5)
+        calls = []
+
+        def counted(groups, _fn=inference.nu_gram):
+            calls.append(len(groups))
+            return _fn(groups)
+
+        monkeypatch.setattr(inference, "nu_gram", counted)
+        result = fit(ds.bags, config)
+        assert calls == [2] * (len(result.trace) + 1) and len(result.trace) == 4
+        gram = sum(p.nu.T @ p.nu for p in result.posteriors)
+        np.fill_diagonal(gram, 0.0)
+        gram += gram.T
+        np.testing.assert_allclose(result.correlation.m, gram / gram.max(), rtol=1e-12)
 
 
 # --- fit --------------------------------------------------------------------

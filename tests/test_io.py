@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,17 +97,13 @@ class TestDatasetRoundTrip:
 
 
 class TestModelRoundTrip:
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_round_trip(self, tmp_path, trained, binary):
+    def test_round_trip(self, tmp_path, trained):
         path = str(tmp_path / "m.model")
-        save_model(path, trained.model, trained.correlation, binary=binary)
+        save_model(path, trained.model, trained.correlation)
         model, corr = load_model(path)
-        if binary:
-            assert model.means.tobytes() == trained.model.means.tobytes()
-            assert model.variances.tobytes() == trained.model.variances.tobytes()
-            assert corr.m.tobytes() == trained.correlation.m.tobytes()
-        else:
-            np.testing.assert_allclose(model.means, trained.model.means)
+        assert model.means.tobytes() == trained.model.means.tobytes()
+        assert model.variances.tobytes() == trained.model.variances.tobytes()
+        assert corr.m.tobytes() == trained.correlation.m.tobytes()
         assert model.vocab == trained.model.vocab
         assert model.config == trained.model.config
 
@@ -149,15 +146,14 @@ nonnegative = st.floats(0.0, 1e300)
     ModelConfig, k_objects=st.integers(0, 3), k_attributes=st.integers(0, 3),
     k_extra=st.integers(1, 3), alpha=positive, sigma_a=positive, sigma=positive,
     beta=nonnegative, rho=nonnegative, max_iters=st.integers(1, 2 ** 62),
-    tol=nonnegative, seed=st.integers(0, 2 ** 64)),
-    binary=st.booleans())
+    tol=nonnegative, seed=st.integers(0, 2 ** 64)))
 @settings(max_examples=60, deadline=None)
-def test_model_config_round_trip(tmp_path_factory, config, binary):
+def test_model_config_round_trip(tmp_path_factory, config):
     k = config.k_max
     model = AppearanceModel(means=np.zeros((k, 2)), variances=np.ones(k),
                             vocab=config.default_vocab(), config=config)
     path = str(tmp_path_factory.mktemp("model") / "m.model")
-    save_model(path, model, CorrelationMatrix.zeros(k), binary=binary)
+    save_model(path, model, CorrelationMatrix.zeros(k))
     back, _ = load_model(path)
     for name, value in vars(config).items():
         assert getattr(back.config, name) == value
@@ -199,6 +195,22 @@ class TestPosteriorsRoundTrip:
             assert ida == idb
             for name in ("tau", "nu", "logits"):
                 assert getattr(pa, name).tobytes() == getattr(pb, name).tobytes()
+
+
+    @pytest.mark.parametrize("name, value, needs", [
+        ("tau", 0.0, "tau finite and > 0"), ("tau", np.inf, "tau finite and > 0"),
+        ("nu", np.nan, "nu in [0, 1]"), ("nu", 7.0, "nu in [0, 1]"),
+        ("nu", -0.5, "nu in [0, 1]"), ("logits", np.nan, "logits finite"),
+        ("logits", -np.inf, "logits finite")])
+    def test_out_of_range_values_rejected(self, tmp_path, name, value, needs):
+        ok = BagPosterior(tau=np.ones((2, 2)), nu=np.full((3, 2), 0.5),
+                          logits=np.zeros((3, 2)))
+        bad = BagPosterior(*(a.copy() for a in (ok.tau, ok.nu, ok.logits)))
+        getattr(bad, name)[1, 0] = value
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("ok", ok), ("b1", bad)], 2)
+        with pytest.raises(FormatError, match=f"bag 'b1' needs {re.escape(needs)}"):
+            load_posteriors(path)
 
 
 class TestWriteSegmentation:
