@@ -5,19 +5,17 @@ appearance sweep over factors, stick and factor-probability updates (with
 spatial and factorial MRF messages folded into the logits), and a
 recomputation of the inter-factor correlation matrix. Bags are swept in
 packed groups (``BagGroup``), so each stage runs once per factor per group.
-A group stores ν and the logits factor-major, ``(k_max, rows)``, so each
-per-factor step reads and writes contiguous memory; a bag's ``BagPosterior``
-sees its rows as an ``(N_i, k_max)`` view. Its features are one ``(rows, D)``
-block and its neighbours one padded ``(max_degree, rows)`` table. The logit
-terms of the model alone (``sweep_terms``, ``project``) are taken once per fit
-iteration and once per ``infer_test`` call, and sum νᵀν (``nu_gram``) once at
-fit's set-up and once after each sweep.
+A group stores ν and the logits factor-major, ``(k_max, rows)``, each bag's
+``BagPosterior`` an ``(N_i, k_max)`` view of its rows, its features one
+``(rows, D)`` block and its neighbours O(edges) slot lists. The model's logit
+terms (``sweep_terms``, ``project``) are taken once per fit iteration and per
+``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after each sweep.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,14 +116,15 @@ class BagGroup:
     """Consecutive bags swept together. ``nu``/``logits`` are factor-major,
     (k_max, rows), with the bags' rows back to back along axis 1: each bag's
     ``BagPosterior.nu`` is the view ``nu[:, rows].T``. ``x`` holds the features
-    of those rows, ``nbr`` the neighbour table of ``mrf_messages``, ``tau`` the
+    of those rows, ``nbr``/``tail`` the neighbours of ``mrf_messages``, ``tau`` the
     stick parameters as (M, k_max, 2), ``cache`` the stick cache of tau."""
 
-    x: np.ndarray  # (rows, D) the bags' features stacked, in the dtype given
+    x: np.ndarray  # (rows, D) the bags' features stacked (a lone bag's own array)
     rows: list[slice]  # per bag, its rows of the group
     counts: np.ndarray  # (M,) instances per bag
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
-    nbr: np.ndarray  # (max_degree, rows) j-th neighbour of each row, else the index rows
+    nbr: np.ndarray  # (wide slots, rows) j-th neighbour of each row, else the index rows
+    tail: list[tuple[np.ndarray, np.ndarray]]  # later slots: (rows of degree > j, neighbours)
     tau: np.ndarray  # (M, k_max, 2)
     nu: np.ndarray  # (k_max, rows)
     logits: np.ndarray  # (k_max, rows)
@@ -134,9 +133,10 @@ class BagGroup:
 
 def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
     """Copy consecutive bags' posteriors into one group, factor-major; each becomes a
-    view of its rows, ``nu[:, rows].T``. Neighbour table: the directed edges (each edge
-    as given, then reversed) sorted stably by source; ``nbr[j, i]`` is row i's j-th
-    neighbour, or the pad index ``rows`` once j reaches its degree."""
+    view of its rows, ``nu[:, rows].T``. Slot j holds each row's j-th neighbour over
+    the directed edges (each as given, then reversed): ``nbr`` the slots of a quarter of
+    the rows or more, padded with the index rows, ``tail`` each later one's rows,
+    ascending, and neighbours: at most 4 indices per directed edge, whatever the degrees."""
     counts = np.array([b.n_instances for b in bags])
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts), counts)]
     tau = np.stack([p.tau for p in posteriors])
@@ -150,12 +150,19 @@ def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     order = np.argsort(src, kind="stable")
     src, dst = src[order], np.concatenate([edges[:, 1], edges[:, 0]])[order]
-    degree = np.bincount(src, minlength=size)
-    nbr = np.full((degree.max(), size), size)
-    nbr[np.arange(src.size) - (np.cumsum(degree) - degree)[src], src] = dst
-    return BagGroup(x=np.concatenate([b.features for b in bags]), rows=rows, counts=counts,
+    slot = np.arange(src.size) - np.searchsorted(src, src)  # place among its row's edges
+    wide = np.count_nonzero(4 * np.bincount(slot) >= size)  # rows per slot never grow
+    near = slot < wide
+    nbr = np.full((wide, size), size)
+    nbr[slot[near], src[near]] = dst[near]
+    rest = np.flatnonzero(~near)
+    rest = rest[np.argsort(slot[rest], kind="stable")]
+    ends = np.cumsum(np.bincount(slot)[wide:]).tolist()  # where each later slot ends
+    tail = [(src[rest[a:b]], dst[rest[a:b]]) for a, b in zip([0] + ends, ends)]
+    x = bags[0].features if len(bags) == 1 else np.concatenate([b.features for b in bags])
+    return BagGroup(x=x, rows=rows, counts=counts,
                     bits=np.repeat(np.transpose([b.labels.bits > 0 for b in bags]), counts, axis=1),
-                    nbr=nbr, tau=tau, nu=nu, logits=logits,
+                    nbr=nbr, tail=tail, tau=tau, nu=nu, logits=logits,
                     cache=StickBoundCache.from_tau(tau))
 
 
@@ -264,13 +271,14 @@ def factor_logit(group: BagGroup, k: int, base: np.ndarray, coupling: np.ndarray
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
     """beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep:
     only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
-    Slot j adds each row's j-th neighbour, and a pad reads the appended zero column,
-    so every row sums from zero in directed-edge order, then adds +0s: the same bits
-    as np.bincount over those edges."""
+    Slot j adds each row's j-th neighbour (a pad reads the appended zero column), so
+    every row sums from zero in directed-edge order, as np.bincount over them does."""
     nu = np.concatenate([group.nu, np.zeros((len(group.nu), 1))], axis=1)
     acc = np.zeros_like(group.nu)
-    for nb in group.nbr:
-        acc += nu.take(nb, axis=1)
+    for d in group.nbr:
+        acc += nu.take(d, axis=1)
+    for r, d in group.tail:
+        acc[:, r] += nu.take(d, axis=1)
     return np.multiply(acc, config.beta, out=acc)
 
 
@@ -288,16 +296,13 @@ def set_factor(group: BagGroup, k: int, bit) -> None:
 
 def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
                config: ModelConfig, update_sticks: bool = True) -> float:
-    """One sweep of a group (consecutive bags packed by ``pack_group``); returns the
-    mean |delta nu|. ``proj`` is ``project``'s and ``terms`` ``sweep_terms``'s, both
-    fixed while the model is. The stick stage runs once for all its bags and keeps
-    the new tau's cache. ``mrf_messages`` then reads the start-of-sweep nu and
-    ``base_logits`` adds the rest of the fixed logit into its output, so a factor
-    costs one mat-vec written into its logits (``factor_logit``) and one squash
-    (``set_factor``), factors in ascending order, each seeing the freshest others, all
-    rows of the group jointly. At beta = rho = 0 both couplings add zeros, so no logit
-    depends on the edges or on M. nu's change is the start-of-sweep copy minus the
-    final nu."""
+    """One sweep of a group; returns the mean |delta nu|. ``proj`` (``project``'s) and
+    ``terms`` (``sweep_terms``'s) are fixed while the model is. The stick stage runs
+    once for all the bags and keeps the new tau's cache; ``base_logits`` adds the rest
+    of the fixed logit into ``mrf_messages``'s output (start-of-sweep nu), so a factor
+    costs one mat-vec into its logits (``factor_logit``) and one squash
+    (``set_factor``), factors ascending, each seeing the freshest others, all rows
+    jointly. At beta = rho = 0 both couplings add zeros."""
     if update_sticks:
         update_stick(group, config)
         group.cache = StickBoundCache.from_tau(group.tau)
@@ -369,12 +374,10 @@ def infer_test(bag: Bag, model: AppearanceModel,
     projection are taken once, before the first sweep.
     """
     labels = WeakLabels(np.ones(config.k_max))
-    open_bag = Bag(features=bag.features, edges=bag.edges, labels=labels, id=bag.id)
+    open_bag = replace(bag, labels=labels)
     if validate_dataset([open_bag], config).feature_dim != model.feature_dim:
-        raise DimensionMismatchError(
-            f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
-            f"model expects {model.feature_dim}"
-        )
+        raise DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
+                                     f"model expects {model.feature_dim}")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     post = init_posterior(bag.n_instances, labels, config, rng)
     group = pack_group([open_bag], [post])
@@ -398,9 +401,6 @@ def fit_transductive(
         test_labels = [WeakLabels(np.ones(config.k_max)) for _ in test_bags]
     if len(test_labels) != len(test_bags):
         raise DimensionMismatchError("one label vector required per test bag")
-    relabeled = [
-        Bag(features=b.features, edges=b.edges, labels=lab, id=b.id)
-        for b, lab in zip(test_bags, test_labels)
-    ]
+    relabeled = [replace(b, labels=lab) for b, lab in zip(test_bags, test_labels)]
     result = fit(train_bags + relabeled, config, vocab=vocab)
     return result.model, result.posteriors[len(train_bags):], result

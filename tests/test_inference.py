@@ -21,6 +21,7 @@ from wsibp import (
 )
 from wsibp import inference
 from wsibp.core import digamma
+from wsibp.generative import grid_edges
 from wsibp.io import save_dataset
 from wsibp.inference import (
     StickBoundCache,
@@ -482,6 +483,18 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
     expected *= beta
     got = mrf_messages(group, cfg_k(k_max, beta=beta))
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["star", "grid"])
+def test_neighbour_slots_are_linear_in_edges(shape):
+    # one hub row must not make every row of its group pay for its degree
+    n = 400
+    edges = np.array([(0, j) for j in range(1, n)]) if shape == "star" else grid_edges(n)
+    config = cfg_k(2)
+    bag = ones_bag(n, 1, config, np.random.default_rng(0), edges)
+    group = pack_group([bag], [init_posterior(n, bag.labels, config, np.random.default_rng(0))])
+    held = group.nbr.size + sum(r.size + d.size for r, d in group.tail)
+    assert held <= 4 * 2 * len(edges)
 
 
 # --- nu update --------------------------------------------------------------
