@@ -17,7 +17,6 @@ from .core import (
     VocabMismatchError,
     WeakLabels,
     WsibpError,
-    expected_pi,
     validate_dataset,
 )
 from .generative import SyntheticDataset, plant_correlation, sample_dataset
@@ -27,7 +26,6 @@ from .inference import (
     fit,
     fit_transductive,
     infer_test,
-    stick_bound,
 )
 
 __all__ = [
@@ -49,12 +47,10 @@ __all__ = [
     "VocabMismatchError",
     "WeakLabels",
     "WsibpError",
-    "expected_pi",
     "fit",
     "fit_transductive",
     "infer_test",
     "plant_correlation",
     "sample_dataset",
-    "stick_bound",
     "validate_dataset",
 ]

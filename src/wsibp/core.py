@@ -121,10 +121,9 @@ class WeakLabels:
 
     def validate(self, config: ModelConfig) -> None:
         if self.bits.shape != (config.k_max,):
-            raise DimensionMismatchError(
-                f"label vector has shape {self.bits.shape}, expected ({config.k_max},)"
-            )
-        if not np.all(np.isin(self.bits, (0.0, 1.0))):
+            raise DimensionMismatchError(f"label vector has shape {self.bits.shape}, "
+                                         f"expected ({config.k_max},)")
+        if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
             raise DatasetError("label bits must be 0 or 1")
         if not np.all(self.bits[config.k_annotated:] == 1.0):
             raise DatasetError("unannotated factor slots must have label bit 1")
@@ -215,30 +214,54 @@ class DatasetHandle:
 
 
 def validate_dataset(bags: list[Bag], config: ModelConfig) -> DatasetHandle:
-    """Check shape consistency across bags and return a summary handle."""
+    """Check shape consistency across bags and return a summary handle. A dataset that
+    fails the checks over all bags at once is walked, to raise its first bag's fault."""
     if not bags:
         raise EmptyDatasetError("dataset contains no bags")
     dim = bags[0].feature_dim
-    for bag in bags:
-        if bag.feature_dim != dim:
-            raise DimensionMismatchError(
-                f"bag {bag.id!r} has feature dim {bag.feature_dim}, expected {dim}"
-            )
-        if bag.n_instances == 0:
-            raise DatasetError(f"bag {bag.id!r} has no instances")
-        if not np.all(np.isfinite(bag.features)):
-            raise DatasetError(f"bag {bag.id!r} has non-finite feature values")
-        bag.labels.validate(config)
-        if bag.edges.size:
-            if bag.edges.ndim != 2 or bag.edges.shape[1] != 2:
-                raise EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")
-            if bag.edges.min() < 0 or bag.edges.max() >= bag.n_instances:
-                raise EdgeIndexError(
-                    f"bag {bag.id!r} has an edge endpoint outside [0, {bag.n_instances})"
-                )
-            if np.any(bag.edges[:, 0] == bag.edges[:, 1]):
-                raise EdgeIndexError(f"bag {bag.id!r} contains a self-edge")
+    if len(bags) == 1 or not _all_valid(bags, dim, config):  # one bag is cheaper walked
+        for bag in bags:
+            _validate_bag(bag, dim, config)
     return DatasetHandle(num_bags=len(bags), feature_dim=dim, k_max=config.k_max)
+
+
+def _all_valid(bags: list[Bag], dim: int, config: ModelConfig) -> bool:
+    """Whether no bag has a fault that ``_validate_bag`` raises, in a few passes over
+    the stacked label bits, features and edges (each edge beside its bag's size)."""
+    try:
+        if any(b.feature_dim != dim or b.labels.bits.shape != (config.k_max,) or b.edges.size
+               and (b.edges.ndim != 2 or b.edges.shape[1] != 2) for b in bags):
+            return False
+        counts = np.array([b.n_instances for b in bags])
+        bits = np.array([b.labels.bits for b in bags])
+        x = np.concatenate([b.features for b in bags])
+        edges = np.concatenate([b.edges.reshape(-1, 2) for b in bags])
+    except (AttributeError, IndexError, TypeError, ValueError):  # walked to raise as before
+        return False
+    ends = np.repeat(counts, [b.edges.size // 2 for b in bags])[:, None]
+    return bool(counts.all() and ((bits == 0.0) | (bits == 1.0)).all()
+                and (bits[:, config.k_annotated:] == 1.0).all() and np.isfinite(x).all()
+                and (edges >= 0).all() and (edges < ends).all()
+                and (edges[:, 0] != edges[:, 1]).all())
+
+
+def _validate_bag(bag: Bag, dim: int, config: ModelConfig) -> None:
+    if bag.feature_dim != dim:
+        raise DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
+                                     f"expected {dim}")
+    if bag.n_instances == 0:
+        raise DatasetError(f"bag {bag.id!r} has no instances")
+    if not np.all(np.isfinite(bag.features)):
+        raise DatasetError(f"bag {bag.id!r} has non-finite feature values")
+    bag.labels.validate(config)
+    if bag.edges.size:
+        if bag.edges.ndim != 2 or bag.edges.shape[1] != 2:
+            raise EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")
+        if bag.edges.min() < 0 or bag.edges.max() >= bag.n_instances:
+            raise EdgeIndexError(f"bag {bag.id!r} has an edge endpoint outside "
+                                 f"[0, {bag.n_instances})")
+        if np.any(bag.edges[:, 0] == bag.edges[:, 1]):
+            raise EdgeIndexError(f"bag {bag.id!r} contains a self-edge")
 
 
 # --- math utilities ---------------------------------------------------------
@@ -273,10 +296,3 @@ def digamma(x):
     )
     return acc + series
 
-
-def expected_pi(tau: np.ndarray) -> np.ndarray:
-    """E[pi_k] = prod_{t<=k} tau_{t1} / (tau_{t1} + tau_{t2}); non-increasing."""
-    tau = np.asarray(tau, dtype=np.float64)
-    if np.any(tau <= 0):
-        raise ValueError("stick parameters must be > 0")
-    return np.cumprod(tau[:, 0] / (tau[:, 0] + tau[:, 1]))

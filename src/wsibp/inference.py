@@ -4,12 +4,14 @@ The engine alternates three stages per outer iteration: a Gauss-Seidel
 appearance sweep over factors, stick and factor-probability updates (with
 spatial and factorial MRF messages folded into the logits), and a
 recomputation of the inter-factor correlation matrix. Bags are swept in
-packed groups (``BagGroup``), so each stage runs once per factor per group.
-A group stores ν and the logits factor-major, ``(k_max, rows)``, each bag's
-``BagPosterior`` an ``(N_i, k_max)`` view of its rows, its features one
-``(rows, D)`` block and its neighbours O(edges) slot lists. The model's logit
-terms (``sweep_terms``, ``project``) are taken once per fit iteration and per
-``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after each sweep.
+groups (``BagGroup``), so each stage runs once per factor per group. ``init_group``
+builds one in a single step: one draw of ν for all its rows, stored factor-major,
+``(k_max, rows)``, as are the logits; τ = (α, 1) with one bag's stick cache for all;
+each bag's ``BagPosterior`` as views of its rows and τ; the features as one
+``(rows, D)`` block and the neighbours as O(edges) slot lists.
+The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
+iteration and per ``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after
+each sweep. ``infer_test`` sweeps a group of one.
 """
 
 from __future__ import annotations
@@ -68,21 +70,6 @@ class StickBoundCache:
         return StickBoundCache(w=w, neg_log_terms=np.logaddexp.accumulate(w, axis=-1),
                                prior_cumsum=prior_cumsum)
 
-    @property
-    def q(self) -> np.ndarray:
-        """Bound weights; row k is the probability vector exp(w_s - G_k), s <= k."""
-        diff = self.w[..., None, :] - self.neg_log_terms[..., :, None]
-        return np.tril(np.exp(np.minimum(diff, 0.0)))
-
-
-def stick_bound(tau: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Multinomial-bound weights and lower bound for factor index k (1-based)."""
-    tau = np.asarray(tau, dtype=np.float64)
-    if not 1 <= k <= tau.shape[0]:
-        raise ValueError(f"k must lie in [1, {tau.shape[0]}]")
-    cache = StickBoundCache.from_tau(tau)
-    return cache.q[k - 1, :k].copy(), float(cache.neg_log_terms[k - 1])
-
 
 @dataclass
 class FitResult:
@@ -90,17 +77,6 @@ class FitResult:
     posteriors: list[BagPosterior]
     correlation: CorrelationMatrix
     trace: list[tuple[float, float]]  # (mean |delta nu|, seconds) per iteration
-
-
-def init_posterior(bag_n: int, labels: WeakLabels, config: ModelConfig,
-                   rng: np.random.Generator) -> BagPosterior:
-    k = config.k_max
-    bits = labels.bits
-    nu = rng.uniform(-0.01, 0.01, size=(bag_n, k))
-    nu += 0.5
-    nu *= bits
-    tau = np.column_stack([np.full(k, config.alpha), np.ones(k)])
-    return BagPosterior(tau=tau, nu=nu, logits=np.zeros((bag_n, k)))
 
 
 def init_model(config: ModelConfig, feature_dim: int, vocab: list[str],
@@ -113,11 +89,8 @@ def init_model(config: ModelConfig, feature_dim: int, vocab: list[str],
 
 @dataclass
 class BagGroup:
-    """Consecutive bags swept together. ``nu``/``logits`` are factor-major,
-    (k_max, rows), with the bags' rows back to back along axis 1: each bag's
-    ``BagPosterior.nu`` is the view ``nu[:, rows].T``. ``x`` holds the features
-    of those rows, ``nbr``/``tail`` the neighbours of ``mrf_messages``, ``tau`` the
-    stick parameters as (M, k_max, 2), ``cache`` the stick cache of tau."""
+    """Consecutive bags swept together, their rows back to back along axis 1 of the
+    factor-major arrays: each bag's ``BagPosterior.nu`` is the view ``nu[:, rows].T``."""
 
     x: np.ndarray  # (rows, D) the bags' features stacked (a lone bag's own array)
     rows: list[slice]  # per bag, its rows of the group
@@ -125,26 +98,36 @@ class BagGroup:
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
     nbr: np.ndarray  # (wide slots, rows) j-th neighbour of each row, else the index rows
     tail: list[tuple[np.ndarray, np.ndarray]]  # later slots: (rows of degree > j, neighbours)
-    tau: np.ndarray  # (M, k_max, 2)
+    tau: np.ndarray  # (M, k_max, 2) stick parameters
     nu: np.ndarray  # (k_max, rows)
     logits: np.ndarray  # (k_max, rows)
-    cache: StickBoundCache
+    cache: StickBoundCache  # of tau, (M, k_max) each
+    posteriors: list[BagPosterior]  # per bag, views of tau, nu and logits
 
 
-def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
-    """Copy consecutive bags' posteriors into one group, factor-major; each becomes a
-    view of its rows, ``nu[:, rows].T``. Slot j holds each row's j-th neighbour over
-    the directed edges (each as given, then reversed): ``nbr`` the slots of a quarter of
-    the rows or more, padded with the index rows, ``tail`` each later one's rows,
-    ascending, and neighbours: at most 4 indices per directed edge, whatever the degrees."""
+def init_group(bags: list[Bag], config: ModelConfig, rng: np.random.Generator) -> BagGroup:
+    """Consecutive bags as one group at its starting state: nu = 0.5 + U(-0.01, 0.01) times
+    the label bit, one draw over the rows in bag order (the numbers of one draw per bag),
+    tau = (alpha, 1) with one bag's stick cache repeated, and zero logits; each bag's
+    posterior views its rows and tau. Slot j holds each row's j-th neighbour over the
+    directed edges (each as given, then reversed): ``nbr`` the slots of a quarter of the
+    rows or more, padded with the index rows, ``tail`` each later one's rows, ascending,
+    and neighbours: at most 4 indices per directed edge, whatever the degrees."""
     counts = np.array([b.n_instances for b in bags])
-    rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts), counts)]
-    tau = np.stack([p.tau for p in posteriors])
-    size = counts.sum()
-    nu, logits = (np.empty((tau.shape[1], size)) for _ in range(2))
-    for p, r, t in zip(posteriors, rows, tau):
-        nu[:, r], logits[:, r] = p.nu.T, p.logits.T
-        p.tau, p.nu, p.logits = t, nu[:, r].T, logits[:, r].T
+    size, k = int(counts.sum()), config.k_max
+    rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts).tolist(), counts.tolist())]
+    bits = np.repeat(np.array([b.labels.bits for b in bags]).T > 0, counts, axis=1)
+    # row-major first, as per-bag draws were: other orders moved the sweeps' temporaries
+    # in the heap, and glibc trimmed and regrew it every iteration (see CHANGES.md)
+    draw, zeros = rng.uniform(-0.01, 0.01, size=(size, k)), np.zeros((size, k))
+    nu, logits = (np.empty((k, size)) for _ in range(2))
+    np.add(draw.T, 0.5, out=nu)
+    nu *= bits
+    logits[:] = zeros.T
+    tau = np.tile([config.alpha, 1.0], (len(bags), k, 1))
+    one = StickBoundCache.from_tau(tau[:1])  # every bag's tau is the same
+    cache = StickBoundCache(*(a.repeat(len(bags), axis=0) for a in
+                              (one.w, one.neg_log_terms, one.prior_cumsum)))
     edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
                             for b, r in zip(bags, rows)]).astype(np.intp)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -160,20 +143,21 @@ def pack_group(bags: list[Bag], posteriors: list[BagPosterior]) -> BagGroup:
     ends = np.cumsum(np.bincount(slot)[wide:]).tolist()  # where each later slot ends
     tail = [(src[rest[a:b]], dst[rest[a:b]]) for a, b in zip([0] + ends, ends)]
     x = bags[0].features if len(bags) == 1 else np.concatenate([b.features for b in bags])
-    return BagGroup(x=x, rows=rows, counts=counts,
-                    bits=np.repeat(np.transpose([b.labels.bits > 0 for b in bags]), counts, axis=1),
-                    nbr=nbr, tail=tail, tau=tau, nu=nu, logits=logits,
-                    cache=StickBoundCache.from_tau(tau))
+    posteriors = [BagPosterior(tau=t, nu=nu[:, r].T, logits=logits[:, r].T)
+                  for t, r in zip(tau, rows)]
+    return BagGroup(x=x, rows=rows, counts=counts, bits=bits, nbr=nbr, tail=tail, tau=tau,
+                    nu=nu, logits=logits, cache=cache, posteriors=posteriors)
 
 
 def _group_bags(bags: list[Bag]):
     """Runs of consecutive bags of at most GROUP_ROWS instances; a larger bag runs alone."""
-    run = []
+    run, total = [], 0
     for bag in bags:
-        if run and sum(b.n_instances for b in run) + bag.n_instances > GROUP_ROWS:
+        if run and total + bag.n_instances > GROUP_ROWS:
             yield run
-            run = []
+            run, total = [], 0
         run.append(bag)
+        total += bag.n_instances
     yield run
 
 
@@ -332,22 +316,18 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
     The spatial and factorial MRFs always run: ``dataclasses.replace(config,
     beta=0.0, rho=0.0)`` is the MRF-free weakly-supervised stacked IBP.
 
-    Consecutive bags are packed into groups of at most ``GROUP_ROWS`` instances (a
-    larger bag is a group of its own), and each stage runs once per factor per group;
-    the returned posteriors are views of the groups' arrays.
+    Consecutive bags make groups of at most ``GROUP_ROWS`` instances (a larger bag is a
+    group of its own); the returned posteriors are views of the groups' arrays.
     """
     handle = validate_dataset(bags, config)
     if vocab is None:
         vocab = config.default_vocab()
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = np.random.default_rng(config.seed)
     model = init_model(config, handle.feature_dim, vocab, rng)
-    groups, posteriors = [], []
-    for run in _group_bags(bags):
-        posts = [init_posterior(b.n_instances, b.labels, config, rng) for b in run]
-        groups.append(pack_group(run, posts))
-        posteriors += posts
+    groups = [init_group(run, config, rng) for run in _group_bags(bags)]
     gram = nu_gram(groups)
-    correlation = update_correlation(sum(np.outer(b.labels.bits, b.labels.bits) for b in bags))
+    bits = np.array([b.labels.bits for b in bags])
+    correlation = update_correlation(bits.T @ bits)  # sums of 0/1 products, exact
     sizes = [g.nu.shape[1] for g in groups]
 
     trace: list[tuple[float, float]] = []
@@ -362,7 +342,7 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
         trace.append((delta, time.perf_counter() - start))
         if delta < config.tol:
             break
-    return FitResult(model=model, posteriors=posteriors,
+    return FitResult(model=model, posteriors=[p for g in groups for p in g.posteriors],
                      correlation=correlation, trace=trace)
 
 
@@ -373,20 +353,17 @@ def infer_test(bag: Bag, model: AppearanceModel,
     The bag is swept as a group of one; the model's logit terms and the features'
     projection are taken once, before the first sweep.
     """
-    labels = WeakLabels(np.ones(config.k_max))
-    open_bag = replace(bag, labels=labels)
+    open_bag = replace(bag, labels=WeakLabels(np.ones(config.k_max)))
     if validate_dataset([open_bag], config).feature_dim != model.feature_dim:
         raise DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
                                      f"model expects {model.feature_dim}")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    post = init_posterior(bag.n_instances, labels, config, rng)
-    group = pack_group([open_bag], [post])
+    group = init_group([open_bag], config, np.random.default_rng(config.seed))
     proj, terms = project(group, model, config), sweep_terms(model, correlation, config)
     for _ in range(config.max_iters):
         delta = _sweep_bag(group, proj, terms, config)
         if delta < config.tol:
             break
-    return post
+    return group.posteriors[0]
 
 
 def fit_transductive(

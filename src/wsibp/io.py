@@ -8,7 +8,9 @@ its features as text rows of full-precision decimal reprs.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, fields
@@ -46,10 +48,11 @@ PALETTE = [
 class _BlockReader:
     """Sequential reader mixing ascii header lines and raw binary blocks."""
 
+    LITTLE_ENDIAN = {t: np.dtype(t).newbyteorder("<") for t in (np.float32, np.float64)}
+
     def __init__(self, data: bytes, name: str):
-        self.data = data
-        self.pos = 0
-        self.name = name
+        self.data, self.name = data, name
+        self.pos = self.last = 0  # last: where the last line read starts
 
     def line(self) -> str:
         end = self.data.find(b"\n", self.pos)
@@ -59,8 +62,31 @@ class _BlockReader:
             out = self.data[self.pos:end].decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.name}: non-ascii header line") from exc
-        self.pos = end + 1
+        self.last, self.pos = self.pos, end + 1
         return out
+
+    def parse(self, text: str, parse, what: str):
+        """``parse(text)`` of the last line read; a ValueError names file, line and what."""
+        try:
+            return parse(text)
+        except ValueError as exc:
+            line = self.data.count(b"\n", 0, self.last) + 1
+            raise FormatError(f"{self.name}:{line}: {what}: {exc}") from None
+
+    def field(self, key: str, parse=int):
+        """The value of the next line, ``key: value``, through ``parse``."""
+        return self.parse(self.key(key), parse, key)
+
+    def pairs(self, count: int) -> np.ndarray:
+        """The next ``count`` lines, each ``a,b``, as (count, 2) ints, parsed in one pass;
+        only if that fails are they read again, to name the first bad line."""
+        start, lines = self.pos, [self.line() for _ in range(count)]
+        if all(line.count(",") == 1 for line in lines):
+            with contextlib.suppress(ValueError):
+                return np.array([int(v) for line in lines for v in line.split(",")],
+                                dtype=np.int64).reshape(-1, 2)
+        self.pos, pair = start, _fields(int, int)
+        return np.array([self.parse(self.line(), pair, "edge") for _ in range(count)])
 
     def key(self, expect: str) -> str:
         line = self.line()
@@ -68,8 +94,8 @@ class _BlockReader:
             raise FormatError(f"{self.name}: expected {expect!r}, got {line!r}")
         return line[len(expect) + 1:].strip()
 
-    def block(self, nbytes: int) -> bytes:
-        out = self.data[self.pos: self.pos + nbytes]
+    def block(self, nbytes: int) -> memoryview:
+        out = memoryview(self.data)[self.pos: self.pos + nbytes]  # not a copy
         if len(out) != nbytes:
             raise FormatError(f"{self.name}: truncated binary block")
         self.pos += nbytes
@@ -81,23 +107,29 @@ class _BlockReader:
     def array(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Read an array written by _write_array (binary or text rows)."""
         spec = self.key(key)
-        count = int(np.prod(shape)) if shape else 0
+        count = math.prod(shape) if shape else 0
         if spec.startswith("binary"):
-            nbytes = int(spec.split()[1])
-            arr = np.frombuffer(self.block(nbytes), dtype=np.dtype(dtype).newbyteorder("<"))
+            nbytes = self.parse(spec, lambda s: int(s.removeprefix("binary")), key)
+            arr = np.frombuffer(self.block(nbytes), dtype=self.LITTLE_ENDIAN[dtype])
             if arr.size != count:
                 raise FormatError(f"{self.name}: {key} block has {arr.size} values, "
                                   f"expected {count}")
             return arr.astype(dtype).reshape(shape)
         if spec != "text":
             raise FormatError(f"{self.name}: unknown encoding for {key}: {spec!r}")
-        rows = shape[0] if shape else 0
-        vals = []
-        for _ in range(rows):
-            line = self.line()
-            vals.append([float(v) for v in line.split(",")] if line else [])
-        arr = np.array(vals, dtype=dtype).reshape(shape)
-        return arr
+        row = lambda s: [float(v) for v in s.split(",")] if s else []  # noqa: E731
+        vals = [self.parse(self.line(), row, key) for _ in range(shape[0] if shape else 0)]
+        return self.parse(vals, lambda v: np.array(v, dtype=dtype).reshape(shape), f"{key} block")
+
+
+def _fields(*types):
+    """A parser of a line of comma-separated values, one per type."""
+    def parse(line: str) -> tuple:
+        parts = line.split(",")
+        if len(parts) != len(types):
+            raise ValueError(f"expected {len(types)} comma-separated values, got {len(parts)}")
+        return tuple(t(v) for t, v in zip(types, parts))
+    return parse
 
 
 def _write_array(fh, key: str, arr: np.ndarray, binary: bool) -> None:
@@ -126,8 +158,7 @@ def _check_version(reader: _BlockReader, magic: str) -> None:
     first = reader.line()
     if first != magic:
         raise FormatError(f"{reader.name}: bad magic line {first!r}")
-    version = int(reader.key("version"))
-    if version != FORMAT_VERSION:
+    if (version := reader.field("version")) != FORMAT_VERSION:
         raise FormatError(f"{reader.name}: unknown version {version}")
 
 
@@ -172,56 +203,41 @@ def load_dataset(path: str) -> LoadedDataset:
     with open(manifest_path, "rb") as fh:
         reader = _BlockReader(fh.read(), manifest_path)
     _check_version(reader, DATASET_MAGIC)
-    feature_dim = int(reader.key("feature_dim"))
+    feature_dim = reader.field("feature_dim")
     reader.key("mode")
-    k_objects = int(reader.key("k_objects"))
-    k_attributes = int(reader.key("k_attributes"))
-    k_extra = int(reader.key("k_extra"))
+    k_objects, k_attributes, k_extra = (reader.field(key) for key in
+                                        ("k_objects", "k_attributes", "k_extra"))
     vocab_line = reader.key("vocab")
     vocab = vocab_line.split(",") if vocab_line else []
     if len(vocab) != k_objects + k_attributes + k_extra:
-        raise VocabMismatchError(
-            f"{manifest_path}: vocab length {len(vocab)} does not match factor counts"
-        )
-    num_bags = int(reader.key("num_bags"))
+        raise VocabMismatchError(f"{manifest_path}: vocab length {len(vocab)} does not "
+                                 "match factor counts")
     name_to_index = {name: k for k, name in enumerate(vocab)}
     k_annotated = k_objects + k_attributes
     k_max = len(vocab)
 
     bags = []
-    for _ in range(num_bags):
-        bag_id, n_str, fname = reader.key("bag").split(",")
-        n = int(n_str)
+    for _ in range(reader.field("num_bags")):
+        bag_id, n, fname = reader.field("bag", _fields(str, int, str))
         bag_path = os.path.join(path, fname)
         with open(bag_path, "rb") as fh:
             br = _BlockReader(fh.read(), bag_path)
         if br.key("id") != bag_id:
             raise FormatError(f"{bag_path}: id does not match manifest entry {bag_id!r}")
-        if int(br.key("instances")) != n:
+        if br.field("instances") != n:
             raise FormatError(f"{bag_path}: instance count mismatch with manifest")
         feats = br.array("features", (n, feature_dim), np.float32)
-        n_edges = int(br.key("edges"))
-        edges = np.zeros((0, 2), dtype=np.int64)
-        if n_edges:
-            rows = [tuple(int(v) for v in br.line().split(",")) for _ in range(n_edges)]
-            edges = np.array(rows, dtype=np.int64)
+        edges = br.pairs(br.field("edges"))
         label_line = br.key("labels")
-        bits = np.zeros(k_max)
-        bits[k_annotated:] = 1.0
-        if label_line:
-            for name in label_line.split(","):
-                if name not in name_to_index:
-                    raise VocabMismatchError(
-                        f"{bag_path}: unknown factor name {name!r}"
-                    )
-                k = name_to_index[name]
-                if k >= k_annotated:
-                    raise VocabMismatchError(
-                        f"{bag_path}: {name!r} is not an annotated factor"
-                    )
-                bits[k] = 1.0
-        bags.append(Bag(features=feats, edges=edges,
-                        labels=WeakLabels(bits), id=bag_id))
+        bits = (np.arange(k_max) >= k_annotated).astype(np.float64)  # extra slots on
+        for name in label_line.split(",") if label_line else []:
+            if name not in name_to_index:
+                raise VocabMismatchError(f"{bag_path}: unknown factor name {name!r}")
+            k = name_to_index[name]
+            if k >= k_annotated:
+                raise VocabMismatchError(f"{bag_path}: {name!r} is not an annotated factor")
+            bits[k] = 1.0
+        bags.append(Bag(features=feats, edges=edges, labels=WeakLabels(bits), id=bag_id))
     return LoadedDataset(bags=bags, vocab=vocab, k_objects=k_objects,
                          k_attributes=k_attributes, k_extra=k_extra)
 
@@ -245,9 +261,9 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
     with open(path, "rb") as fh:
         reader = _BlockReader(fh.read(), path)
     _check_version(reader, MODEL_MAGIC)
-    feature_dim = int(reader.key("feature_dim"))
+    feature_dim = reader.field("feature_dim")
     types = typing.get_type_hints(ModelConfig)
-    config = ModelConfig(**{f.name: types[f.name](reader.key(f.name))
+    config = ModelConfig(**{f.name: reader.field(f.name, types[f.name])
                             for f in fields(ModelConfig)})
     vocab_line = reader.key("vocab")
     vocab = vocab_line.split(",") if vocab_line else []
@@ -257,8 +273,7 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
     means = reader.array("means", (k, feature_dim), np.float64)
     variances = reader.array("variances", (k,), np.float64)
     m = reader.array("correlation", (k, k), np.float64)
-    model = AppearanceModel(means=means, variances=variances,
-                            vocab=vocab, config=config)
+    model = AppearanceModel(means=means, variances=variances, vocab=vocab, config=config)
     model.validate()
     corr = CorrelationMatrix(m)
     corr.validate()
@@ -282,22 +297,27 @@ def load_posteriors(path: str) -> list[tuple[str, BagPosterior]]:
     with open(path, "rb") as fh:
         reader = _BlockReader(fh.read(), path)
     _check_version(reader, POSTERIORS_MAGIC)
-    k_max = int(reader.key("k_max"))
-    num_bags = int(reader.key("num_bags"))
+    k_max, num_bags = reader.field("k_max"), reader.field("num_bags")
     out = []
     for _ in range(num_bags):
-        bag_id, n_str = reader.key("bag").split(",")
-        n = int(n_str)
+        bag_id, n = reader.field("bag", _fields(str, int))
         tau = reader.array("tau", (k_max, 2), np.float64)
         nu = reader.array("nu", (n, k_max), np.float64)
         logits = reader.array("logits", (n, k_max), np.float64)
-        bad = [need for need, ok in (("tau finite and > 0", np.isfinite(tau) & (tau > 0)),
-                                     ("nu in [0, 1]", (nu >= 0) & (nu <= 1)),
-                                     ("logits finite", np.isfinite(logits))) if not ok.all()]
-        if bad:
+        if bad := _lacks(tau, nu, logits):
             raise FormatError(f"{path}: bag {bag_id!r} needs {', '.join(bad)}")
         out.append((bag_id, BagPosterior(tau=tau, nu=nu, logits=logits)))
     return out
+
+
+def _lacks(tau: np.ndarray, nu: np.ndarray, logits: np.ndarray) -> list[str]:
+    """What posteriors need and these arrays lack, from their extremes (NaN fails every
+    comparison, and the initial values let empty arrays pass)."""
+    return [need for need, ok in (
+        ("tau finite and > 0", tau.min(initial=1.0) > 0 and tau.max(initial=1.0) < np.inf),
+        ("nu in [0, 1]", nu.min(initial=0.0) >= 0 and nu.max(initial=0.0) <= 1),
+        ("logits finite", -np.inf < logits.min(initial=0.0) and logits.max(initial=0.0) < np.inf),
+    ) if not ok]
 
 
 def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
@@ -335,12 +355,3 @@ def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh)
-
-
-def load_truth(path: str) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    payload["true_z"] = [np.array(z) for z in payload["true_z"]]
-    payload["true_pi"] = [np.array(p) for p in payload["true_pi"]]
-    payload["true_a"] = np.array(payload["true_a"])
-    return payload

@@ -16,7 +16,7 @@ from .core import BagPosterior, ModelConfig, WsibpError
 @dataclass
 class Annotation:
     object: int  # factor index < k_objects
-    object_score: float  # E[pi] of the object factor
+    object_score: float  # the object factor's mean nu over the bag's instances
     object_instance: int  # argmax instance j*
     attributes: list[tuple[int, float]]  # (attribute factor index, nu), descending
 

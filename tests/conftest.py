@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsibp import ModelConfig, sample_dataset
+from wsibp import ModelConfig, StickBoundCache, sample_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -26,6 +26,18 @@ def small_dataset(small_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def stick_bound():
+    """stick_bound(tau, k) for sticks tau (k_max, 2) and a factor k (1-based): the
+    multinomial bound's weights q_s = exp(w_s - G_k), s <= k, and the bound G_k on
+    E[log(1 - prod_{t<=k} v_t)], read from the stick cache that fit runs."""
+    def bound(tau, k):
+        cache = StickBoundCache.from_tau(tau)
+        g = cache.neg_log_terms[k - 1]
+        return np.exp(np.minimum(cache.w[:k] - g, 0.0)), float(g)
+    return bound
 
 
 @pytest.fixture

@@ -20,10 +20,9 @@ from wsibp import (
     fit_transductive,
     infer_test,
     sample_dataset,
-    stick_bound,
 )
 from wsibp.generative import plant_correlation, smooth_spatially
-from wsibp.inference import _sweep_bag, init_posterior, pack_group, project, sweep_terms
+from wsibp.inference import StickBoundCache, _sweep_bag, init_group, project, sweep_terms
 from wsibp.io import save_dataset
 from wsibp.metrics import (
     BagTruth,
@@ -76,11 +75,11 @@ def test_criterion_02_exact_oracle_marginals():
               labels=WeakLabels(np.ones(2)), id="oracle")
     model = AppearanceModel(means=phi, variances=np.full(2, 1e-12),
                             vocab=["a", "b"], config=config)
-    rng = np.random.default_rng(0)
-    post = init_posterior(2, bag.labels, config, rng)
+    group = init_group([bag], config, np.random.default_rng(0))
     scale = 1e7
-    post.tau = np.column_stack([scale * v, scale * (1.0 - v)])
-    group = pack_group([bag], [post])
+    group.tau[0] = np.column_stack([scale * v, scale * (1.0 - v)])
+    group.cache = StickBoundCache.from_tau(group.tau)
+    post = group.posteriors[0]
     proj = project(group, model, config)
     terms = sweep_terms(model, CorrelationMatrix.zeros(2), config)
     for _ in range(500):
@@ -125,7 +124,7 @@ def _log1mexp(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def test_criterion_03_stick_bound_validity():
+def test_criterion_03_stick_bound_validity(stick_bound):
     rng = np.random.default_rng(12)
     n = 1_000_000
     worst = np.inf
@@ -193,11 +192,13 @@ def test_criterion_05_mrf_disabled_reduction():
             getattr(p, name).tobytes() for p in posts for name in ("nu", "tau", "logits")]
 
     def sweep(bags, correlation):
-        posts = [dataclasses.replace(p) for p in full.posteriors]
-        group = pack_group(bags, posts)
+        group = init_group(bags, config, np.random.default_rng(0))
+        for post, fitted in zip(group.posteriors, full.posteriors):
+            post.nu[:], post.tau[:], post.logits[:] = fitted.nu, fitted.tau, fitted.logits
+        group.cache = StickBoundCache.from_tau(group.tau)
         _sweep_bag(group, project(group, full.model, config),
                    sweep_terms(full.model, correlation, config), config)
-        return arrays(full.model, posts)
+        return arrays(full.model, group.posteriors)
 
     fit_same = arrays(full.model, full.posteriors) == arrays(reduced.model, reduced.posteriors)
     sweep_same = (sweep(ds.bags, full.correlation)

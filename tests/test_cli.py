@@ -7,7 +7,7 @@ import pytest
 
 from wsibp import BagPosterior
 from wsibp.cli import main
-from wsibp.io import load_dataset, load_posteriors, load_truth, save_dataset, save_posteriors
+from wsibp.io import load_dataset, load_posteriors, save_dataset, save_posteriors
 
 
 SYNTH = ["synth", "--num-bags", "8", "--instances", "12", "--feature-dim", "6",
@@ -27,7 +27,8 @@ def test_synth_writes_dataset_and_truth(workspace):
     _, ds = workspace
     loaded = load_dataset(ds)
     assert len(loaded.bags) == 8
-    truth = load_truth(os.path.join(ds, "truth.json"))
+    with open(os.path.join(ds, "truth.json"), encoding="ascii") as fh:
+        truth = json.load(fh)
     assert len(truth["true_z"]) == 8
 
 
@@ -204,6 +205,28 @@ def test_infer_invalid_bag_exit_2(workspace, corrupt):
                  loaded.k_attributes, loaded.k_extra)
     assert main(["infer", "--data", bad, "--model", model,
                  "--out", str(tmp / "t.post")]) == 2
+
+
+@pytest.mark.parametrize("where, text, why", [
+    ("edge", b"0,x", "edge: invalid literal for int() with base 10: 'x'"),
+    ("edge", b"0,1,2", "edge: expected 2 comma-separated values, got 3"),
+    ("manifest", None, "feature_dim: invalid literal for int() with base 10: 'four'")])
+def test_parse_error_names_file_and_line(workspace, capsys, where, text, why):
+    # a value that does not parse exits 2 with <path>:<line>: <what>: <why>
+    _, ds = workspace
+    path = os.path.join(ds, "bag0000.bag" if where == "edge" else "manifest.txt")
+    data = open(path, "rb").read()
+    if where == "edge":  # the third edge line
+        start = data.index(b"\n", data.index(b"\nedges: ") + 1) + 1
+        start = data.index(b"\n", data.index(b"\n", start) + 1) + 1
+        data = data[:start] + text + data[data.index(b"\n", start):]
+    else:
+        start = data.index(b"feature_dim: ")
+        data = data.replace(b"feature_dim: 6\n", b"feature_dim: four\n")
+    open(path, "wb").write(data)
+    assert main(["fit", "--data", ds, "--model-out", os.path.join(ds, "m.model")]) == 2
+    line = data.count(b"\n", 0, start) + 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: {why}\n"
 
 
 def test_annotation_counts_checked(workspace, capsys):

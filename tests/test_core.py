@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,12 +8,12 @@ from hypothesis import given, strategies as st
 from wsibp import (
     Bag,
     ConfigError,
+    DatasetError,
     DimensionMismatchError,
     EdgeIndexError,
     EmptyDatasetError,
     ModelConfig,
     WeakLabels,
-    expected_pi,
     validate_dataset,
 )
 from wsibp.core import digamma
@@ -112,29 +115,48 @@ class TestValidateDataset:
             validate_dataset([bag], self.cfg)
 
 
-class TestExpectedPi:
-    def test_uniform_sticks(self):
-        np.testing.assert_allclose(
-            expected_pi(np.array([[1.0, 1.0], [1.0, 1.0]])), [0.5, 0.25])
+# each fault validate_dataset names: (exception, message for a bag "b" of 4 instances,
+# 8 feature dims, 2 + 1 annotated and 1 extra factor, and a bag with that fault)
+FAULTS = {
+    "dim": (DimensionMismatchError, "bag 'b' has feature dim 7, expected 8",
+            lambda bag: dataclasses.replace(bag, features=bag.features[:, :7])),
+    "empty": (DatasetError, "bag 'b' has no instances",
+              lambda bag: dataclasses.replace(bag, features=bag.features[:0])),
+    "nan": (DatasetError, "bag 'b' has non-finite feature values",
+            lambda bag: dataclasses.replace(bag, features=np.where(
+                np.arange(8) == 3, np.nan, bag.features).astype(np.float32))),
+    "label_shape": (DimensionMismatchError, "label vector has shape (3,), expected (4,)",
+                    lambda bag: dataclasses.replace(bag, labels=WeakLabels(np.ones(3)))),
+    "label_value": (DatasetError, "label bits must be 0 or 1",
+                    lambda bag: dataclasses.replace(bag, labels=WeakLabels(
+                        np.array([1.0, 0.5, 0.0, 1.0])))),
+    "extra_off": (DatasetError, "unannotated factor slots must have label bit 1",
+                  lambda bag: dataclasses.replace(bag, labels=WeakLabels(
+                      np.array([1.0, 1.0, 0.0, 0.0])))),
+    "edge_shape": (EdgeIndexError, "bag 'b' edge list must be (E, 2)",
+                   lambda bag: dataclasses.replace(bag, edges=np.array([[0, 1, 2]]))),
+    "edge_range": (EdgeIndexError, "bag 'b' has an edge endpoint outside [0, 4)",
+                   lambda bag: dataclasses.replace(bag, edges=np.array([[0, 1], [3, 4]]))),
+    "edge_negative": (EdgeIndexError, "bag 'b' has an edge endpoint outside [0, 4)",
+                      lambda bag: dataclasses.replace(bag, edges=np.array([[-1, 2]]))),
+    "self_edge": (EdgeIndexError, "bag 'b' contains a self-edge",
+                  lambda bag: dataclasses.replace(bag, edges=np.array([[0, 1], [2, 2]]))),
+}
 
-    def test_single_stick(self):
-        np.testing.assert_allclose(expected_pi(np.array([[3.0, 1.0]])), [0.75])
 
-    def test_repeated_halving(self):
-        np.testing.assert_allclose(
-            expected_pi(np.array([[2.0, 2.0]] * 3)), [0.5, 0.25, 0.125])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            expected_pi(np.array([[1.0, 0.0]]))
-
-    @given(st.lists(st.tuples(st.floats(0.01, 50), st.floats(0.01, 50)),
-                    min_size=1, max_size=12))
-    def test_positive_and_nonincreasing(self, rows):
-        pi = expected_pi(np.array(rows))
-        assert np.all(pi > 0)
-        assert np.all(pi <= 1)
-        assert np.all(np.diff(pi) <= 0)
+@pytest.mark.parametrize("first", sorted(FAULTS))
+@pytest.mark.parametrize("second", ["nan", "edge_range", "label_value"])
+def test_validate_names_the_first_faulty_bag(first, second):
+    # the stacked checks find a fault; the walk then raises the one the earlier
+    # faulty bag gives on its own, whatever the later bag's fault
+    cfg = ModelConfig(k_objects=2, k_attributes=1, k_extra=1)
+    good = [make_bag(4, 8, cfg, i, edges=[(0, 1), (1, 2)]) for i in ("a", "b", "c", "d")]
+    bags = [good[0], FAULTS[first][2](good[1]), FAULTS[second][2](good[2]), good[3]]
+    error, message, _ = FAULTS[first]
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        validate_dataset(bags, cfg)
+    assert caught.type is error and str(caught.value) == message
+    assert validate_dataset(good, cfg).num_bags == 4
 
 
 def eight_step_digamma(x):

@@ -12,12 +12,10 @@ from wsibp import (
     EdgeIndexError,
     ModelConfig,
     WeakLabels,
-    expected_pi,
     fit,
     fit_transductive,
     infer_test,
     sample_dataset,
-    stick_bound,
 )
 from wsibp import inference
 from wsibp.core import digamma
@@ -28,10 +26,9 @@ from wsibp.inference import (
     _sweep_bag,
     base_logits,
     factor_logit,
-    init_posterior,
+    init_group,
     mrf_messages,
     nu_gram,
-    pack_group,
     project,
     set_factor,
     sweep_terms,
@@ -57,38 +54,46 @@ def ones_bag(n, d, config, rng, edges=None):
                labels=labels, id="t")
 
 
-def group_of(*posts):
-    """The posteriors packed as one group of featureless, edgeless, all-on bags."""
-    bags = [Bag(features=np.zeros((p.nu.shape[0], 1)), edges=np.zeros((0, 2), dtype=np.int64),
-                labels=WeakLabels(np.ones(p.nu.shape[1])), id=str(i))
-            for i, p in enumerate(posts)]
-    return pack_group(bags, list(posts))
+def blank_group(k_max, *sizes, rng=None, tau=None):
+    """``init_group``'s group of featureless, edgeless, all-on bags of the given sizes;
+    ``new_group``'s tau."""
+    bags = [Bag(features=np.zeros((n, 1)), edges=np.zeros((0, 2), dtype=np.int64),
+                labels=WeakLabels(np.ones(k_max)), id=str(i)) for i, n in enumerate(sizes)]
+    return new_group(bags, cfg_k(k_max), rng, tau)
+
+
+def new_group(bags, config, rng=None, tau=None):
+    """``init_group``'s group of the bags; tau, if given, is written into every bag's
+    sticks and the stick cache is taken again."""
+    group = init_group(bags, config, np.random.default_rng(0) if rng is None else rng)
+    if tau is not None:
+        group.tau[:] = tau
+        group.cache = StickBoundCache.from_tau(group.tau)
+    return group
 
 
 # --- stick bound ------------------------------------------------------------
 
 class TestStickBound:
-    def test_single_uniform_stick_is_exact(self):
+    def test_single_uniform_stick_is_exact(self, stick_bound):
         # E[log(1 - v)] for v ~ Uniform(0, 1) is -1
         q, bound = stick_bound(np.array([[1.0, 1.0]]), 1)
         np.testing.assert_allclose(q, [1.0])
         assert abs(bound + 1.0) < 1e-6
 
     @given(st.floats(0.1, 20), st.floats(0.1, 20))
-    def test_k1_weight_always_one(self, a, b):
+    def test_k1_weight_always_one(self, stick_bound, a, b):
         q, _ = stick_bound(np.array([[a, b]]), 1)
         np.testing.assert_allclose(q, [1.0])
 
-    def test_rows_are_probability_vectors(self, rng):
+    def test_rows_are_probability_vectors(self, rng, stick_bound):
         tau = rng.uniform(0.2, 8.0, size=(6, 2))
-        cache = StickBoundCache.from_tau(tau)
         for k in range(6):
-            row = cache.q[k, : k + 1]
-            assert np.all(row >= 0)
+            row, _ = stick_bound(tau, k + 1)
+            assert row.shape == (k + 1,) and np.all(row >= 0)
             assert abs(row.sum() - 1.0) < 1e-9
-            assert np.all(cache.q[k, k + 1:] == 0.0)
 
-    def test_bound_below_monte_carlo(self, rng):
+    def test_bound_below_monte_carlo(self, rng, stick_bound):
         # bound is a lower bound on E[log(1 - prod v_t)]
         tau = rng.uniform(0.5, 4.0, size=(3, 2))
         n = 200_000
@@ -103,9 +108,9 @@ class TestStickBound:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            stick_bound(np.array([[1.0, 0.0]]), 1)
+            StickBoundCache.from_tau(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
-            stick_bound(np.array([[1.0, 1.0]]), 2)
+            StickBoundCache.from_tau(np.array([[1.0, 1.0], [-2.0, 1.0]]))
 
 
 # --- appearance update ------------------------------------------------------
@@ -114,12 +119,11 @@ class TestUpdateAppearance:
     def test_inactive_factor_reverts_to_prior(self, rng):
         config = cfg_k(2, sigma=1.0, sigma_a=1.0)
         bag = ones_bag(4, 3, config, rng)
-        post = init_posterior(4, bag.labels, config, rng)
-        post.nu[:, 1] = 0.0
+        groups = [init_group([bag], config, rng)]
+        groups[0].nu[1] = 0.0
         model = AppearanceModel(means=rng.normal(size=(2, 3)),
                                 variances=np.ones(2),
                                 vocab=["a", "b"], config=config)
-        groups = [pack_group([bag], [post])]
         update_appearance(groups, nu_gram(groups), model, config)
         np.testing.assert_allclose(model.means[1], 0.0)
         assert abs(model.variances[1] - 1.0) < 1e-12
@@ -131,11 +135,10 @@ class TestUpdateAppearance:
         bag = Bag(features=np.array([[2.0]], dtype=np.float32),
                   edges=np.zeros((0, 2), dtype=np.int64),
                   labels=WeakLabels(np.ones(1)), id="x")
-        post = init_posterior(1, bag.labels, config, rng)
-        post.nu[:] = 1.0
+        groups = [init_group([bag], config, rng)]
+        groups[0].nu[:] = 1.0
         model = AppearanceModel(means=np.zeros((1, 1)), variances=np.ones(1),
                                 vocab=["a"], config=config)
-        groups = [pack_group([bag], [post])]
         update_appearance(groups, nu_gram(groups), model, config)
         np.testing.assert_allclose(model.means, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(model.variances, [0.5], atol=1e-12)
@@ -145,13 +148,9 @@ class TestUpdateAppearance:
         ds = sample_dataset(config, 30, 20, 16, seed=4, labels=0.6)
         model = AppearanceModel(means=np.zeros((6, 16)), variances=np.ones(6),
                                 vocab=config.default_vocab(), config=config)
-        posteriors = []
-        rng = np.random.default_rng(0)
-        for bag, z in zip(ds.bags, ds.true_z):
-            post = init_posterior(bag.n_instances, bag.labels, config, rng)
-            post.nu = z.astype(np.float64)
-            posteriors.append(post)
-        groups = [pack_group(ds.bags, posteriors)]
+        groups = [init_group(ds.bags, config, np.random.default_rng(0))]
+        for post, z in zip(groups[0].posteriors, ds.true_z):
+            post.nu[:] = z
         for _ in range(5):
             update_appearance(groups, nu_gram(groups), model, config)
         for k in range(6):
@@ -164,14 +163,13 @@ class TestUpdateAppearance:
         # independent non-incremental evaluation of the coupled updates
         config = cfg_k(3, sigma=0.7, sigma_a=1.3)
         bags = [ones_bag(5, 4, config, rng), ones_bag(3, 4, config, rng)]
-        posts = [init_posterior(b.n_instances, b.labels, config, rng)
-                 for b in bags]
+        groups = [init_group(bags, config, rng)]
+        posts = groups[0].posteriors
         for p in posts:
-            p.nu = rng.uniform(0, 1, size=p.nu.shape)
+            p.nu[:] = rng.uniform(0, 1, size=p.nu.shape)
         means0 = rng.normal(size=(3, 4))
         model = AppearanceModel(means=means0.copy(), variances=np.ones(3),
                                 vocab=list("abc"), config=config)
-        groups = [pack_group(bags, posts)]
         update_appearance(groups, nu_gram(groups), model, config)
 
         phi = means0.copy()
@@ -196,26 +194,27 @@ class TestUpdateAppearance:
 class TestUpdateStick:
     def test_empty_factor(self, rng):
         config = cfg_k(1, alpha=2.0)
-        post = init_posterior(5, WeakLabels(np.ones(1)), config, rng)
-        post.nu[:] = 0.0
-        update_stick(group_of(post), config)
+        group = blank_group(1, 5, rng=rng)
+        group.nu[:] = 0.0
+        update_stick(group, config)
+        post = group.posteriors[0]
         np.testing.assert_allclose(post.tau, [[2.0, 6.0]])
 
     def test_saturated_factor(self, rng):
         config = cfg_k(1, alpha=2.0)
-        post = init_posterior(5, WeakLabels(np.ones(1)), config, rng)
-        post.nu[:] = 1.0
-        update_stick(group_of(post), config)
+        group = blank_group(1, 5, rng=rng)
+        group.nu[:] = 1.0
+        update_stick(group, config)
+        post = group.posteriors[0]
         np.testing.assert_allclose(post.tau, [[7.0, 1.0]])
 
-    def test_oracle_straight_line(self, rng):
+    def test_oracle_straight_line(self, rng, stick_bound):
         config = cfg_k(2, alpha=2.0)
-        post = init_posterior(4, WeakLabels(np.ones(2)), config, rng)
-        post.nu[:] = 0.5
-        post.tau = np.ones((2, 2))
-        cache = StickBoundCache.from_tau(post.tau)
-        q = cache.q.copy()
-        update_stick(group_of(post), config)
+        group = blank_group(2, 4, rng=rng, tau=np.ones((2, 2)))
+        group.nu[:] = 0.5
+        post = group.posteriors[0]
+        q = [stick_bound(post.tau, m + 1)[0] for m in range(2)]
+        update_stick(group, config)
 
         k_max, n_i, alpha = 2, 4, 2.0
         nu_sums = [2.0, 2.0]  # column sums of nu
@@ -234,10 +233,10 @@ class TestUpdateStick:
 
     def test_results_positive(self, rng):
         config = cfg_k(4, alpha=0.5)
-        post = init_posterior(6, WeakLabels(np.ones(4)), config, rng)
-        post.nu = rng.uniform(0, 1, size=post.nu.shape)
-        update_stick(group_of(post), config)
-        assert np.all(post.tau > 0)
+        group = blank_group(4, 6, rng=rng)
+        group.nu[:] = rng.uniform(0, 1, size=group.nu.shape)
+        update_stick(group, config)
+        assert np.all(group.tau > 0)
 
 
 def stick_triple_loop(tau, nu, alpha):
@@ -272,18 +271,20 @@ def test_closed_form_stick_update_matches_triple_loop(k_max, n_i, alpha, data):
     nu = rng.uniform(0, 1, size=(n_i, k_max))
     nu[:, rng.random(k_max) < 0.3] = 0.0  # masked factors
     nu[:, rng.random(k_max) < 0.2] = 1.0  # saturated: zero deficit
-    post = init_posterior(n_i, WeakLabels(np.ones(k_max)), cfg_k(k_max), rng)
-    post.nu, post.tau = nu, tau.copy()
-    update_stick(group_of(post), cfg_k(k_max, alpha=alpha))
-    np.testing.assert_allclose(post.tau, stick_triple_loop(tau, nu, alpha), rtol=1e-9)
+    group = blank_group(k_max, n_i, rng=rng, tau=tau)
+    group.nu[:] = nu.T
+    update_stick(group, cfg_k(k_max, alpha=alpha))
+    np.testing.assert_allclose(group.tau[0], stick_triple_loop(tau, nu, alpha), rtol=1e-9)
 
 
 # --- logits -----------------------------------------------------------------
 
-def logits_at(bag, post, model, cache, config):
-    """factor_logit for every factor at one fixed state, as columns."""
-    group = pack_group([bag], [post])
-    group.cache = StickBoundCache(*(a.reshape(1, -1) for a in dataclasses.astuple(cache)))
+def logits_at(bag, model, config, tau, nu=None):
+    """factor_logit for every factor at one fixed state (nu, if given, else the
+    group's start), as columns."""
+    group = new_group([bag], config, tau=tau)
+    if nu is not None:
+        group.nu[:] = nu.T
     coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
     base = base_logits(group, project(group, model, config), quad,
                        np.zeros_like(group.nu))
@@ -298,13 +299,10 @@ class TestComputeLogits:
         # single-factor stick bound, i.e. +1
         config = cfg_k(1, sigma=1.0)
         bag = ones_bag(3, 2, config, rng)
-        post = init_posterior(3, bag.labels, config, rng)
-        post.tau = np.array([[1.0, 1.0]])
         model = AppearanceModel(means=np.zeros((1, 2)),
                                 variances=np.full(1, 1e-12),
                                 vocab=["a"], config=config)
-        eta = logits_at(bag, post, model,
-                        StickBoundCache.from_tau(post.tau), config)
+        eta = logits_at(bag, model, config, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(eta, 1.0, atol=1e-6)
 
     def test_monotone_in_alignment(self, rng):
@@ -312,41 +310,36 @@ class TestComputeLogits:
         phi = np.array([[1.0, 2.0]])
         model = AppearanceModel(means=phi, variances=np.ones(1) * 0.1,
                                 vocab=["a"], config=config)
-        post = init_posterior(1, WeakLabels(np.ones(1)), config, rng)
-        post.nu[:] = 0.0
+        tau = np.array([[config.alpha, 1.0]])
 
         def eta_for(x):
             bag = Bag(features=np.array([x], dtype=np.float32),
                       edges=np.zeros((0, 2), dtype=np.int64),
                       labels=WeakLabels(np.ones(1)), id="m")
-            return logits_at(bag, post, model,
-                             StickBoundCache.from_tau(post.tau),
-                             config)[0, 0]
+            return logits_at(bag, model, config, tau, np.zeros((1, 1)))[0, 0]
 
         low = eta_for([0.1, 0.2])
         high = eta_for([1.0, 2.0])
         assert high > low
 
-    def test_oracle_straight_line(self, rng):
+    def test_oracle_straight_line(self, rng, stick_bound):
         config = cfg_k(3, sigma=0.8)
         bag = ones_bag(4, 5, config, rng)
-        post = init_posterior(4, bag.labels, config, rng)
-        post.nu = rng.uniform(0, 1, size=(4, 3))
-        post.tau = rng.uniform(0.5, 3.0, size=(3, 2))
+        nu = rng.uniform(0, 1, size=(4, 3))
+        tau = rng.uniform(0.5, 3.0, size=(3, 2))
         model = AppearanceModel(means=rng.normal(size=(3, 5)),
                                 variances=rng.uniform(0.1, 1.0, size=3),
                                 vocab=list("abc"), config=config)
-        cache = StickBoundCache.from_tau(post.tau)
-        eta = logits_at(bag, post, model, cache, config)
+        eta = logits_at(bag, model, config, tau, nu)
 
         x = bag.features.astype(np.float64)
         d = 5
         for j in range(4):
             for k in range(3):
-                prior = sum(float(digamma(post.tau[t, 0]) - digamma(post.tau[t, 1]))
+                prior = sum(float(digamma(tau[t, 0]) - digamma(tau[t, 1]))
                             for t in range(k + 1))
-                _, bound = stick_bound(post.tau, k + 1)
-                resid = x[j] - sum(post.nu[j, l] * model.means[l]
+                _, bound = stick_bound(tau, k + 1)
+                resid = x[j] - sum(nu[j, l] * model.means[l]
                                    for l in range(3) if l != k)
                 quad = (d * model.variances[k]
                         + model.means[k] @ model.means[k]
@@ -359,7 +352,7 @@ class TestComputeLogits:
        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
        beta=st.floats(0, 3), rho=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
+def test_sweep_logits_match_residual_form(stick_bound, k_max, d, sizes, beta, rho, seed):
     # each factor's logit as the residual form gives it, from the nu it saw:
     # factors before k already updated in this sweep, k and after not yet
     rng = np.random.default_rng(seed)
@@ -368,15 +361,15 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
                 edges=rng.integers(0, n, size=(rng.integers(0, 2 * n + 1), 2)),
                 labels=WeakLabels((rng.random(k_max) < 0.7).astype(float)), id=str(i))
             for i, n in enumerate(sizes)]
-    posts = [init_posterior(b.n_instances, b.labels, config, rng) for b in bags]
-    for p in posts:
-        p.tau = rng.uniform(0.2, 5.0, size=(k_max, 2))
+    group = init_group(bags, config, rng)
+    group.tau[:] = rng.uniform(0.2, 5.0, size=group.tau.shape)
+    group.cache = StickBoundCache.from_tau(group.tau)
+    posts = group.posteriors
     model = AppearanceModel(means=rng.normal(size=(k_max, d)),
                             variances=rng.uniform(0.1, 1.0, size=k_max),
                             vocab=config.default_vocab(), config=config)
     m = np.triu(rng.uniform(0, 1, size=(k_max, k_max)), 1)
     corr = CorrelationMatrix(m + m.T)
-    group = pack_group(bags, posts)
     before = [p.nu.copy() for p in posts]
     _sweep_bag(group, project(group, model, config), sweep_terms(model, corr, config), config,
                update_sticks=False)
@@ -401,14 +394,15 @@ def test_sweep_logits_match_residual_form(k_max, d, sizes, beta, rho, seed):
 
 # --- MRF message application ------------------------------------------------
 
-def mrf_at(eta, post, correlation, edges, config):
-    """The MRF part of every factor's logit at one fixed nu, added to eta (k_max, N):
-    the sweep's mrf_messages plus eta, then the sweep's coupling with zero appearance
-    means."""
-    n, k_max = post.nu.shape
+def mrf_at(eta, nu, correlation, edges, config):
+    """The MRF part of every factor's logit at one fixed nu (N, k_max), added to eta
+    (k_max, N): the sweep's mrf_messages plus eta, then the sweep's coupling with zero
+    appearance means."""
+    n, k_max = nu.shape
     bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
               id="mrf")
-    group = pack_group([bag], [post])
+    group = new_group([bag], config)
+    group.nu[:] = nu.T
     model = AppearanceModel(means=np.zeros((k_max, 1)), variances=np.ones(k_max),
                             vocab=config.default_vocab(), config=config)
     coupling, _ = sweep_terms(model, correlation, config)
@@ -422,29 +416,25 @@ def mrf_at(eta, post, correlation, edges, config):
 class TestApplyMrf:
     def test_zero_couplings_identity(self, rng):
         config = cfg_k(2, beta=0.0, rho=0.0)
-        post = init_posterior(3, WeakLabels(np.ones(2)), config, rng)
+        nu = rng.uniform(0.49, 0.51, size=(3, 2))
         eta = rng.normal(size=(2, 3))  # (k_max, N)
         edges = np.array([[0, 1], [1, 2]])
-        out = mrf_at(eta, post, CorrelationMatrix.zeros(2), edges, config)
+        out = mrf_at(eta, nu, CorrelationMatrix.zeros(2), edges, config)
         assert np.array_equal(out, eta)
 
     def test_two_neighbours(self, rng):
         config = cfg_k(1, beta=1.0, rho=0.0)
-        post = init_posterior(3, WeakLabels(np.ones(1)), config, rng)
-        post.nu[:] = 1.0
         eta = np.zeros((1, 3))
         edges = np.array([[0, 1], [1, 2]])
-        out = mrf_at(eta, post, CorrelationMatrix.zeros(1), edges, config)
+        out = mrf_at(eta, np.ones((3, 1)), CorrelationMatrix.zeros(1), edges, config)
         assert out[0, 1] == pytest.approx(2.0)
         assert out[0, 0] == pytest.approx(1.0)
 
     def test_factorial_message(self, rng):
         config = cfg_k(2, beta=0.0, rho=1.0)
-        post = init_posterior(1, WeakLabels(np.ones(2)), config, rng)
-        post.nu[0] = [0.0, 0.8]
         m = np.array([[0.0, 0.5], [0.5, 0.0]])
         eta = np.zeros((2, 1))
-        out = mrf_at(eta, post, CorrelationMatrix(m),
+        out = mrf_at(eta, np.array([[0.0, 0.8]]), CorrelationMatrix(m),
                      np.zeros((0, 2), dtype=np.int64), config)
         assert out[0, 0] == pytest.approx(0.4)
 
@@ -470,10 +460,9 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
             edges += data.draw(st.lists(st.sampled_from(edges), min_size=1))
         bags.append(Bag(features=np.zeros((n, 1)), edges=np.array(edges, dtype=np.int64),
                         labels=WeakLabels(np.ones(k_max)), id=str(i)))
-    posts = [init_posterior(b.n_instances, b.labels, cfg_k(k_max), rng) for b in bags]
-    for p in posts:  # spread magnitudes so that a different order changes the sums
+    group = init_group(bags, cfg_k(k_max), rng)
+    for p in group.posteriors:  # spread magnitudes so that a different order changes the sums
         p.nu[:] = rng.random(p.nu.shape) * 10.0 ** rng.integers(-12, 1, size=p.nu.shape)
-    group = pack_group(bags, posts)
 
     expected = np.zeros_like(group.nu)  # (k_max, rows)
     for bag, rows in zip(bags, group.rows):
@@ -492,34 +481,32 @@ def test_neighbour_slots_are_linear_in_edges(shape):
     edges = np.array([(0, j) for j in range(1, n)]) if shape == "star" else grid_edges(n)
     config = cfg_k(2)
     bag = ones_bag(n, 1, config, np.random.default_rng(0), edges)
-    group = pack_group([bag], [init_posterior(n, bag.labels, config, np.random.default_rng(0))])
+    group = init_group([bag], config, np.random.default_rng(0))
     held = group.nbr.size + sum(r.size + d.size for r, d in group.tail)
     assert held <= 4 * 2 * len(edges)
 
 
 # --- nu update --------------------------------------------------------------
 
-def set_all_factors(eta, labels, post):
-    """set_factor for every column of eta, in ascending factor order, on post's group."""
-    group = group_of(post)
+def set_all_factors(eta, labels):
+    """set_factor for every column of eta (N, k_max), in ascending factor order, on a
+    blank group of one bag; that bag's posterior."""
+    group = blank_group(eta.shape[1], len(eta))
     group.logits[:] = eta.T
     for k in range(eta.shape[1]):
         set_factor(group, k, labels.bits[k])
+    return group.posteriors[0]
 
 
 class TestUpdateNu:
     def test_masked_factor_exact_zero(self, rng):
         config = cfg_k(2)
         labels = WeakLabels(np.array([1.0, 0.0]))
-        post = init_posterior(3, labels, config, rng)
-        set_all_factors(rng.normal(scale=10, size=(3, 2)), labels, post)
+        post = set_all_factors(rng.normal(scale=10, size=(3, 2)), labels)
         assert np.all(post.nu[:, 1] == 0.0)
 
-    def test_sigmoid_values(self, rng):
-        config = cfg_k(1)
-        labels = WeakLabels(np.ones(1))
-        post = init_posterior(2, labels, config, rng)
-        set_all_factors(np.array([[0.0], [2.0]]), labels, post)
+    def test_sigmoid_values(self):
+        post = set_all_factors(np.array([[0.0], [2.0]]), WeakLabels(np.ones(1)))
         assert post.nu[0, 0] == pytest.approx(0.5)
         assert post.nu[1, 0] == pytest.approx(1 / (1 + np.exp(-2)))
 
@@ -531,9 +518,7 @@ class TestUpdateNu:
         # logits holding the unclipped eta
         eta = np.array([e for e, _ in rows])
         on = np.array([b for _, b in rows])
-        post = init_posterior(len(rows), WeakLabels(np.ones(2)), cfg_k(2),
-                              np.random.default_rng(0))
-        group = group_of(post)
+        group = blank_group(2, len(rows))
         group.logits[1] = eta
         set_factor(group, 1, on)
         nu = group.nu[1]
@@ -546,11 +531,7 @@ class TestUpdateNu:
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=50)
     def test_range(self, v):
-        config = cfg_k(1)
-        labels = WeakLabels(np.ones(1))
-        post = init_posterior(1, labels, config,
-                              np.random.default_rng(0))
-        set_all_factors(np.array([[v]]), labels, post)
+        post = set_all_factors(np.array([[v]]), WeakLabels(np.ones(1)))
         assert 0.0 <= post.nu[0, 0] <= 1.0
 
 
@@ -566,20 +547,16 @@ class TestUpdateCorrelation:
         corr.validate()
 
     def test_zero_nu_gives_zero_matrix(self, rng):
-        config = cfg_k(3)
-        post = init_posterior(4, WeakLabels(np.ones(3)), config, rng)
-        post.nu[:] = 0.0
-        corr = update_correlation(nu_gram([group_of(post)]))
+        group = blank_group(3, 4, rng=rng)
+        group.nu[:] = 0.0
+        corr = update_correlation(nu_gram([group]))
         assert np.all(corr.m == 0.0)
 
     def test_normalized_max_one(self, rng):
-        config = cfg_k(4)
-        posts = []
-        for _ in range(3):
-            p = init_posterior(5, WeakLabels(np.ones(4)), config, rng)
-            p.nu = rng.uniform(0, 1, size=p.nu.shape)
-            posts.append(p)
-        corr = update_correlation(nu_gram([group_of(p) for p in posts]))
+        groups = [blank_group(4, 5, rng=rng) for _ in range(3)]
+        for g in groups:
+            g.nu[:] = rng.uniform(0, 1, size=g.nu.shape)
+        corr = update_correlation(nu_gram(groups))
         corr.validate()
         assert corr.m.max() == pytest.approx(1.0)
 
@@ -629,7 +606,7 @@ class TestFit:
             assert np.all(post.tau > 0)
             assert np.all(post.nu >= 0.0) and np.all(post.nu <= 1.0)
             assert np.all(post.nu[:, bag.labels.bits == 0.0] == 0.0)
-            pi = expected_pi(post.tau)
+            pi = np.cumprod(post.tau[:, 0] / post.tau.sum(axis=1))  # E[pi_k]
             assert np.all(np.diff(pi) <= 1e-12)
 
     def test_mrf_reduction_bit_identical(self, rng):
@@ -647,12 +624,10 @@ class TestFit:
 
         def sweep(bags, correlation, **coupling):
             cfg = dataclasses.replace(config, **coupling)
-            posts = [init_posterior(b.n_instances, b.labels, cfg, np.random.default_rng(i))
-                     for i, b in enumerate(bags)]
-            group = pack_group(bags, posts)
+            group = new_group(bags, cfg)
             _sweep_bag(group, project(group, model, cfg), sweep_terms(model, correlation, cfg),
                        cfg)
-            return [getattr(p, name).tobytes() for p in posts
+            return [getattr(p, name).tobytes() for p in group.posteriors
                     for name in ("nu", "tau", "logits")]
 
         assert sweep(ds.bags, corr, rho=0.0) == sweep(ds.bags, CorrelationMatrix.zeros(5),
@@ -829,11 +804,11 @@ def test_posteriors_are_views_of_factor_major_groups(monkeypatch, small_dataset,
     # arrays: nu and logits as nu[:, rows].T, tau as one bag of the (M, k_max, 2) stack
     groups = []
 
-    def packed(*args, _fn=inference.pack_group):
+    def built(*args, _fn=inference.init_group):
         groups.append(_fn(*args))
         return groups[-1]
 
-    monkeypatch.setattr(inference, "pack_group", packed)
+    monkeypatch.setattr(inference, "init_group", built)
     config = dataclasses.replace(small_config, max_iters=2)
     result = fit(small_dataset.bags, config)
     test_post = infer_test(small_dataset.bags[0], result.model, result.correlation, config)
@@ -866,13 +841,11 @@ def test_group_sweep_matches_sweeping_each_bag(rng):
     m = rng.uniform(0, 1, size=(7, 7))
     corr = CorrelationMatrix(np.triu(m, 1) + np.triu(m, 1).T)
 
-    def posteriors():
-        return [init_posterior(b.n_instances, b.labels, config, np.random.default_rng(i))
-                for i, b in enumerate(bags)]
-
-    together, alone = posteriors(), posteriors()
-    group = pack_group(bags, together)
-    singles = [pack_group([b], [p]) for b, p in zip(bags, alone)]
+    group = new_group(bags, config)
+    singles = [new_group([b], config) for b in bags]
+    for single, start in zip(singles, group.posteriors):
+        single.nu[:] = start.nu.T
+    together, alone = group.posteriors, [g.posteriors[0] for g in singles]
     terms = sweep_terms(model, corr, config)
     for _ in range(3):
         delta = _sweep_bag(group, project(group, model, config), terms, config)
@@ -883,6 +856,28 @@ def test_group_sweep_matches_sweeping_each_bag(rng):
         for name in ("nu", "logits", "tau"):
             np.testing.assert_allclose(getattr(a, name), getattr(b, name),
                                        rtol=0, atol=1e-12)
+
+
+def test_new_group_matches_per_bag_draws():
+    # one draw over the group's rows gives each bag, in bag order, the numbers of one
+    # draw per bag: nu = (0.5 + U(-0.01, 0.01)) * bit, tau = (alpha, 1), zero logits,
+    # and each bag's row of the stick cache is the cache of its own tau
+    config = cfg_k(3, 2, k_extra=2, alpha=1.7)
+    bags = (sample_dataset(config, 3, 9, 5, seed=1, labels=0.5).bags
+            + sample_dataset(config, 2, 16, 5, seed=2, labels=0.5).bags)
+    group = init_group(bags, config, np.random.default_rng(3))
+    rng, k = np.random.default_rng(3), config.k_max
+    for m, (bag, post) in enumerate(zip(bags, group.posteriors)):
+        nu = rng.uniform(-0.01, 0.01, size=(bag.n_instances, k))
+        nu += 0.5
+        nu *= bag.labels.bits
+        tau = np.column_stack([np.full(k, config.alpha), np.ones(k)])
+        assert post.nu.tobytes() == nu.tobytes() and post.tau.tobytes() == tau.tobytes()
+        assert post.logits.tobytes() == np.zeros_like(nu).tobytes()
+        cache = StickBoundCache.from_tau(tau)
+        for name in ("w", "neg_log_terms", "prior_cumsum"):
+            assert getattr(group.cache, name)[m].tobytes() == getattr(cache, name).tobytes()
+    assert group.nu.flags.c_contiguous and group.logits.flags.c_contiguous
 
 
 @pytest.mark.parametrize("group_rows", [1, 10 ** 6])

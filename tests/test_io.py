@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -20,7 +21,6 @@ from wsibp.io import (
     load_dataset,
     load_model,
     load_posteriors,
-    load_truth,
     save_dataset,
     save_model,
     save_posteriors,
@@ -212,6 +212,37 @@ class TestPosteriorsRoundTrip:
         with pytest.raises(FormatError, match=f"bag 'b1' needs {re.escape(needs)}"):
             load_posteriors(path)
 
+    def test_first_failing_bag_named(self, tmp_path):
+        # every bag is checked at once; the message names the first bag that fails
+        # and everything it lacks, whatever later bags lack
+        ok = BagPosterior(tau=np.ones((2, 2)), nu=np.full((3, 2), 0.5),
+                          logits=np.zeros((3, 2)))
+        posts = [BagPosterior(*(a.copy() for a in (ok.tau, ok.nu, ok.logits)))
+                 for _ in range(3)]
+        posts[1].tau[0, 1], posts[1].logits[2, 0] = -1.0, np.nan
+        posts[2].nu[0, 0] = 2.0
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("ok", ok)] + [(f"b{i}", p) for i, p in enumerate(posts)], 2)
+        with pytest.raises(FormatError) as caught:
+            load_posteriors(path)
+        assert str(caught.value) == f"{path}: bag 'b1' needs tau finite and > 0, logits finite"
+
+    @pytest.mark.parametrize("good, bad, line, why", [
+        (b"num_bags: 1", b"num_bags: one", 4,
+         "num_bags: invalid literal for int() with base 10: 'one'"),
+        (b"bag: a,3", b"bag: a", 5, "bag: expected 2 comma-separated values, got 1"),
+        (b"tau: binary 32", b"tau: binary", 6,
+         "tau: invalid literal for int() with base 10: ''")])
+    def test_bad_header_names_file_and_line(self, tmp_path, good, bad, line, why):
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("a", BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5),
+                                                  np.zeros((3, 2))))], 2)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data.replace(good + b"\n", bad + b"\n", 1))
+        with pytest.raises(FormatError) as caught:
+            load_posteriors(path)
+        assert str(caught.value) == f"{path}:{line}: {why}"
+
 
 class TestWriteSegmentation:
     def test_csv_rows(self, tmp_path):
@@ -248,8 +279,9 @@ class TestTruthSidecar:
         path = str(tmp_path / "truth.json")
         save_truth(path, small_dataset.true_z, small_dataset.true_pi,
                    small_dataset.true_a, [b.id for b in small_dataset.bags])
-        back = load_truth(path)
+        with open(path, encoding="ascii") as fh:
+            back = json.load(fh)
         assert back["bag_ids"] == [b.id for b in small_dataset.bags]
         for a, b in zip(back["true_z"], small_dataset.true_z):
-            assert np.array_equal(a, b)
+            assert np.array_equal(np.array(a), b)
         np.testing.assert_allclose(back["true_a"], small_dataset.true_a)
