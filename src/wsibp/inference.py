@@ -6,8 +6,8 @@ spatial and factorial MRF messages folded into the logits), and a
 recomputation of the inter-factor correlation matrix. Bags are swept in
 groups (``BagGroup``), so each stage runs once per factor per group. ``init_group``
 builds one in a single step: one draw of ν for all its rows, stored factor-major,
-``(k_max, rows)``, as are the logits; τ = (α, 1) with one bag's stick cache for all;
-each bag's ``BagPosterior`` as views of its rows and τ; the features as one
+``(k_max, rows)``, as are the logits; τ = (α, 1) with its stick cache, taken once per
+(α, k_max); each bag's ``BagPosterior`` as views of its rows and τ; the features as one
 ``(rows, D)`` block and the neighbours as O(edges) slot lists.
 The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
 iteration and per ``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after
@@ -16,6 +16,7 @@ each sweep. ``infer_test`` sweeps a group of one.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 
@@ -71,6 +72,16 @@ class StickBoundCache:
                                prior_cumsum=prior_cumsum)
 
 
+@functools.lru_cache(maxsize=16)
+def _start_cache(alpha: float, k_max: int) -> StickBoundCache:
+    """The cache of the starting tau = (alpha, 1), (1, k_max) each, taken once per
+    (alpha, k_max) and shared, so read-only; ``init_group`` repeats it per bag."""
+    one = StickBoundCache.from_tau(np.tile([alpha, 1.0], (1, k_max, 1)))
+    for a in vars(one).values():
+        a.flags.writeable = False
+    return one
+
+
 @dataclass
 class FitResult:
     model: AppearanceModel
@@ -108,7 +119,7 @@ class BagGroup:
 def init_group(bags: list[Bag], config: ModelConfig, rng: np.random.Generator) -> BagGroup:
     """Consecutive bags as one group at its starting state: nu = 0.5 + U(-0.01, 0.01) times
     the label bit, one draw over the rows in bag order (the numbers of one draw per bag),
-    tau = (alpha, 1) with one bag's stick cache repeated, and zero logits; each bag's
+    tau = (alpha, 1) with the shared start cache repeated, and zero logits; each bag's
     posterior views its rows and tau. Slot j holds each row's j-th neighbour over the
     directed edges (each as given, then reversed): ``nbr`` the slots of a quarter of the
     rows or more, padded with the index rows, ``tail`` each later one's rows, ascending,
@@ -125,9 +136,8 @@ def init_group(bags: list[Bag], config: ModelConfig, rng: np.random.Generator) -
     nu *= bits
     logits[:] = zeros.T
     tau = np.tile([config.alpha, 1.0], (len(bags), k, 1))
-    one = StickBoundCache.from_tau(tau[:1])  # every bag's tau is the same
-    cache = StickBoundCache(*(a.repeat(len(bags), axis=0) for a in
-                              (one.w, one.neg_log_terms, one.prior_cumsum)))
+    one = _start_cache(config.alpha, k)  # every bag's tau is the same
+    cache = StickBoundCache(*(a.repeat(len(bags), axis=0) for a in vars(one).values()))
     edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
                             for b, r in zip(bags, rows)]).astype(np.intp)
     src = np.concatenate([edges[:, 0], edges[:, 1]])

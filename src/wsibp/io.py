@@ -3,7 +3,11 @@
 All files are line-oriented ``key: value`` text; large numeric payloads can
 be embedded as little-endian binary blocks announced by a ``binary <nbytes>``
 header line. Binary blocks round-trip bit-exactly; a dataset may instead store
-its features as text rows of full-precision decimal reprs.
+its features as text rows of full-precision decimal reprs. Files are read as a
+stream, each binary block straight into its array. A posteriors file (version 2;
+version 1 is rejected) holds one ``bag: <id>,<n>`` line per bag, then all tau
+``(M, K, 2)``, all nu and all logits ``(sum n, K)`` as three float64 blocks in bag
+order; each bag's arrays are views of these, checked once over all bags.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .tasks import SegmentationMap
 DATASET_MAGIC = "format: wsibp-dataset"
 MODEL_MAGIC = "format: wsibp-model"
 POSTERIORS_MAGIC = "format: wsibp-posteriors"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # of datasets and models
+POSTERIORS_VERSION = 2
 
 # fixed 20-colour palette for PPM segmentation rasters
 PALETTE = [
@@ -46,32 +51,35 @@ PALETTE = [
 
 
 class _BlockReader:
-    """Sequential reader mixing ascii header lines and raw binary blocks."""
+    """Sequential reader of an open binary file: ascii header lines and raw binary blocks."""
 
-    LITTLE_ENDIAN = {t: np.dtype(t).newbyteorder("<") for t in (np.float32, np.float64)}
-
-    def __init__(self, data: bytes, name: str):
-        self.data, self.name = data, name
-        self.pos = self.last = 0  # last: where the last line read starts
+    def __init__(self, fh, name: str):
+        self.fh, self.name, self.size = fh, name, os.fstat(fh.fileno()).st_size
+        self.lines = 0  # lines read, so the number of the last one outside binary blocks
+        self.blocks: list[np.ndarray] = []  # each adds its newline bytes + 1 to line numbers
 
     def line(self) -> str:
-        end = self.data.find(b"\n", self.pos)
-        if end < 0:
+        raw = self.fh.readline()
+        if not raw.endswith(b"\n"):
             raise FormatError(f"{self.name}: unexpected end of file")
+        self.lines += 1
         try:
-            out = self.data[self.pos:end].decode("ascii")
+            return raw[:-1].decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.name}: non-ascii header line") from exc
-        self.last, self.pos = self.pos, end + 1
-        return out
+
+    def error(self, why: str) -> FormatError:
+        """``<path>:<line>: why`` at the physical line of the last line read."""
+        line = self.lines + sum(1 + int(np.count_nonzero(b.reshape(-1).view(np.uint8) == 10))
+                                for b in self.blocks)
+        return FormatError(f"{self.name}:{line}: {why}")
 
     def parse(self, text: str, parse, what: str):
         """``parse(text)`` of the last line read; a ValueError names file, line and what."""
         try:
             return parse(text)
         except ValueError as exc:
-            line = self.data.count(b"\n", 0, self.last) + 1
-            raise FormatError(f"{self.name}:{line}: {what}: {exc}") from None
+            raise self.error(f"{what}: {exc}") from None
 
     def field(self, key: str, parse=int):
         """The value of the next line, ``key: value``, through ``parse``."""
@@ -79,44 +87,42 @@ class _BlockReader:
 
     def pairs(self, count: int) -> np.ndarray:
         """The next ``count`` lines, each ``a,b``, as (count, 2) ints, parsed in one pass;
-        only if that fails are they read again, to name the first bad line."""
-        start, lines = self.pos, [self.line() for _ in range(count)]
+        only if that fails are they parsed again, to name the first bad line."""
+        start, lines = self.lines, [self.line() for _ in range(count)]
         if all(line.count(",") == 1 for line in lines):
             with contextlib.suppress(ValueError):
                 return np.array([int(v) for line in lines for v in line.split(",")],
                                 dtype=np.int64).reshape(-1, 2)
-        self.pos, pair = start, _fields(int, int)
-        return np.array([self.parse(self.line(), pair, "edge") for _ in range(count)])
+        out, pair = [], _fields(int, int)
+        for self.lines, line in enumerate(lines, start + 1):
+            out.append(self.parse(line, pair, "edge"))
+        return np.array(out)
 
     def key(self, expect: str) -> str:
         line = self.line()
         if not line.startswith(expect + ":"):
-            raise FormatError(f"{self.name}: expected {expect!r}, got {line!r}")
+            raise self.error(f"expected {expect!r}, got {line!r}")
         return line[len(expect) + 1:].strip()
 
-    def block(self, nbytes: int) -> memoryview:
-        out = memoryview(self.data)[self.pos: self.pos + nbytes]  # not a copy
-        if len(out) != nbytes:
-            raise FormatError(f"{self.name}: truncated binary block")
-        self.pos += nbytes
-        if self.data[self.pos: self.pos + 1] != b"\n":
-            raise FormatError(f"{self.name}: missing newline after binary block")
-        self.pos += 1
-        return out
-
-    def array(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Read an array written by _write_array (binary or text rows)."""
+    def array(self, key: str, shape: tuple[int, ...], dtype, out=None) -> np.ndarray:
+        """Read an array written by _write_array (binary or text rows); a binary block
+        goes straight into ``out``, or a new aligned, writable little-endian array."""
         spec = self.key(key)
-        count = math.prod(shape) if shape else 0
         if spec.startswith("binary"):
-            nbytes = self.parse(spec, lambda s: int(s.removeprefix("binary")), key)
-            arr = np.frombuffer(self.block(nbytes), dtype=self.LITTLE_ENDIAN[dtype])
-            if arr.size != count:
-                raise FormatError(f"{self.name}: {key} block has {arr.size} values, "
-                                  f"expected {count}")
-            return arr.astype(dtype).reshape(shape)
+            nbytes = self.parse(spec, lambda s: _count(s.removeprefix("binary")), key)
+            dtype = np.dtype(dtype).newbyteorder("<")
+            if nbytes != (expect := math.prod(shape) * dtype.itemsize):
+                raise self.error(f"{key}: block has {nbytes} bytes, expected {expect}")
+            if self.size - self.fh.tell() < nbytes:
+                raise self.error(f"{key}: truncated binary block")
+            out = np.empty(shape, dtype) if out is None else out
+            self.fh.readinto(out)
+            if self.fh.read(1) != b"\n":
+                raise self.error(f"{key}: missing newline after binary block")
+            self.blocks.append(out)
+            return out
         if spec != "text":
-            raise FormatError(f"{self.name}: unknown encoding for {key}: {spec!r}")
+            raise self.error(f"{key}: unknown encoding {spec!r}")
         row = lambda s: [float(v) for v in s.split(",")] if s else []  # noqa: E731
         vals = [self.parse(self.line(), row, key) for _ in range(shape[0] if shape else 0)]
         return self.parse(vals, lambda v: np.array(v, dtype=dtype).reshape(shape), f"{key} block")
@@ -132,10 +138,33 @@ def _fields(*types):
     return parse
 
 
+def _count(text: str) -> int:
+    if (n := int(text)) < 0:
+        raise ValueError(f"{n} is negative")
+    return n
+
+
+def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
+    """The next ``count`` lines ``bag: <id>,...``, parsed through ``types``; an id named
+    before is a FormatError at its second line."""
+    seen, line = set(), _fields(str, *types)
+
+    def parse(text: str) -> tuple:
+        if (bag := line(text))[0] in seen:
+            raise ValueError(f"duplicate id {bag[0]!r}")
+        seen.add(bag[0])
+        return bag
+    return [reader.field("bag", parse) for _ in range(count)]
+
+
+def _write_lines(fh, lines: list[str]) -> None:
+    fh.write(("\n".join(lines) + "\n").encode("ascii"))
+
+
 def _write_array(fh, key: str, arr: np.ndarray, binary: bool) -> None:
     if binary:
-        payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
-        fh.write(f"{key}: binary {len(payload)}\n".encode("ascii"))
+        payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        fh.write(f"{key}: binary {payload.nbytes}\n".encode("ascii"))
         fh.write(payload)
         fh.write(b"\n")
     else:
@@ -154,12 +183,14 @@ class LoadedDataset:
     k_extra: int
 
 
-def _check_version(reader: _BlockReader, magic: str) -> None:
+def _check_version(reader: _BlockReader, magic: str, version: int = FORMAT_VERSION,
+                   redo: str = "") -> None:
     first = reader.line()
     if first != magic:
         raise FormatError(f"{reader.name}: bad magic line {first!r}")
-    if (version := reader.field("version")) != FORMAT_VERSION:
-        raise FormatError(f"{reader.name}: unknown version {version}")
+    if (found := reader.field("version")) != version:
+        raise FormatError(f"{reader.name}: unknown version {found}, this reader reads "
+                          f"version {version}{redo}")
 
 
 def save_dataset(path: str, bags: list[Bag], vocab: list[str],
@@ -169,66 +200,55 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
     if len(vocab) != k_objects + k_attributes + k_extra:
         raise VocabMismatchError("vocab length does not match factor counts")
     os.makedirs(path, exist_ok=True)
-    names = []
     for bag in bags:
-        fname = f"{bag.id}.bag"
-        names.append(fname)
-        with open(os.path.join(path, fname), "wb") as fh:
-            fh.write(f"id: {bag.id}\n".encode("ascii"))
-            fh.write(f"instances: {bag.n_instances}\n".encode("ascii"))
-            _write_array(fh, "features",
-                         np.asarray(bag.features, dtype=np.float32), binary)
+        with open(os.path.join(path, f"{bag.id}.bag"), "wb") as fh:
+            fh.write(f"id: {bag.id}\ninstances: {bag.n_instances}\n".encode("ascii"))
+            _write_array(fh, "features", np.asarray(bag.features, dtype=np.float32), binary)
             fh.write(f"edges: {len(bag.edges)}\n".encode("ascii"))
-            for a, b in bag.edges:
-                fh.write(f"{a},{b}\n".encode("ascii"))
-            annotated = [vocab[k] for k in range(k_objects + k_attributes)
-                         if bag.labels.bits[k] == 1.0]
+            fh.write("".join(f"{a},{b}\n" for a, b in bag.edges.tolist()).encode("ascii"))
+            bits = bag.labels.bits.tolist()
+            annotated = [vocab[k] for k in range(k_objects + k_attributes) if bits[k] == 1.0]
             fh.write(("labels: " + ",".join(annotated) + "\n").encode("ascii"))
-    with open(os.path.join(path, "manifest.txt"), "w", encoding="ascii") as fh:
-        fh.write(DATASET_MAGIC + "\n")
-        fh.write(f"version: {FORMAT_VERSION}\n")
-        fh.write(f"feature_dim: {bags[0].feature_dim if bags else 0}\n")
-        fh.write(f"mode: {'binary' if binary else 'text'}\n")
-        fh.write(f"k_objects: {k_objects}\n")
-        fh.write(f"k_attributes: {k_attributes}\n")
-        fh.write(f"k_extra: {k_extra}\n")
-        fh.write("vocab: " + ",".join(vocab) + "\n")
-        fh.write(f"num_bags: {len(bags)}\n")
-        for bag, fname in zip(bags, names):
-            fh.write(f"bag: {bag.id},{bag.n_instances},{fname}\n")
+    with open(os.path.join(path, "manifest.txt"), "wb") as fh:
+        _write_lines(fh, [
+            DATASET_MAGIC, f"version: {FORMAT_VERSION}",
+            f"feature_dim: {bags[0].feature_dim if bags else 0}",
+            f"mode: {'binary' if binary else 'text'}", f"k_objects: {k_objects}",
+            f"k_attributes: {k_attributes}", f"k_extra: {k_extra}", "vocab: " + ",".join(vocab),
+            f"num_bags: {len(bags)}"] + [f"bag: {b.id},{b.n_instances},{b.id}.bag" for b in bags])
 
 
 def load_dataset(path: str) -> LoadedDataset:
     manifest_path = os.path.join(path, "manifest.txt")
     with open(manifest_path, "rb") as fh:
-        reader = _BlockReader(fh.read(), manifest_path)
-    _check_version(reader, DATASET_MAGIC)
-    feature_dim = reader.field("feature_dim")
-    reader.key("mode")
-    k_objects, k_attributes, k_extra = (reader.field(key) for key in
-                                        ("k_objects", "k_attributes", "k_extra"))
-    vocab_line = reader.key("vocab")
-    vocab = vocab_line.split(",") if vocab_line else []
-    if len(vocab) != k_objects + k_attributes + k_extra:
-        raise VocabMismatchError(f"{manifest_path}: vocab length {len(vocab)} does not "
-                                 "match factor counts")
+        reader = _BlockReader(fh, manifest_path)
+        _check_version(reader, DATASET_MAGIC)
+        feature_dim = reader.field("feature_dim")
+        reader.key("mode")
+        k_objects, k_attributes, k_extra = (reader.field(key) for key in
+                                            ("k_objects", "k_attributes", "k_extra"))
+        vocab_line = reader.key("vocab")
+        vocab = vocab_line.split(",") if vocab_line else []
+        if len(vocab) != k_objects + k_attributes + k_extra:
+            raise VocabMismatchError(f"{manifest_path}: vocab length {len(vocab)} does not "
+                                     "match factor counts")
+        entries = _bag_lines(reader, reader.field("num_bags"), int, str)
     name_to_index = {name: k for k, name in enumerate(vocab)}
     k_annotated = k_objects + k_attributes
     k_max = len(vocab)
 
     bags = []
-    for _ in range(reader.field("num_bags")):
-        bag_id, n, fname = reader.field("bag", _fields(str, int, str))
+    for bag_id, n, fname in entries:
         bag_path = os.path.join(path, fname)
         with open(bag_path, "rb") as fh:
-            br = _BlockReader(fh.read(), bag_path)
-        if br.key("id") != bag_id:
-            raise FormatError(f"{bag_path}: id does not match manifest entry {bag_id!r}")
-        if br.field("instances") != n:
-            raise FormatError(f"{bag_path}: instance count mismatch with manifest")
-        feats = br.array("features", (n, feature_dim), np.float32)
-        edges = br.pairs(br.field("edges"))
-        label_line = br.key("labels")
+            br = _BlockReader(fh, bag_path)
+            if br.key("id") != bag_id:
+                raise FormatError(f"{bag_path}: id does not match manifest entry {bag_id!r}")
+            if br.field("instances") != n:
+                raise FormatError(f"{bag_path}: instance count mismatch with manifest")
+            feats = br.array("features", (n, feature_dim), np.float32)
+            edges = br.pairs(br.field("edges"))
+            label_line = br.key("labels")
         bits = (np.arange(k_max) >= k_annotated).astype(np.float64)  # extra slots on
         for name in label_line.split(",") if label_line else []:
             if name not in name_to_index:
@@ -259,20 +279,20 @@ def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix
 
 def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
     with open(path, "rb") as fh:
-        reader = _BlockReader(fh.read(), path)
-    _check_version(reader, MODEL_MAGIC)
-    feature_dim = reader.field("feature_dim")
-    types = typing.get_type_hints(ModelConfig)
-    config = ModelConfig(**{f.name: reader.field(f.name, types[f.name])
-                            for f in fields(ModelConfig)})
-    vocab_line = reader.key("vocab")
-    vocab = vocab_line.split(",") if vocab_line else []
-    k = config.k_max
-    if len(vocab) != k:
-        raise VocabMismatchError(f"{path}: vocab length {len(vocab)} != k_max {k}")
-    means = reader.array("means", (k, feature_dim), np.float64)
-    variances = reader.array("variances", (k,), np.float64)
-    m = reader.array("correlation", (k, k), np.float64)
+        reader = _BlockReader(fh, path)
+        _check_version(reader, MODEL_MAGIC)
+        feature_dim = reader.field("feature_dim")
+        types = typing.get_type_hints(ModelConfig)
+        config = ModelConfig(**{f.name: reader.field(f.name, types[f.name])
+                                for f in fields(ModelConfig)})
+        vocab_line = reader.key("vocab")
+        vocab = vocab_line.split(",") if vocab_line else []
+        k = config.k_max
+        if len(vocab) != k:
+            raise VocabMismatchError(f"{path}: vocab length {len(vocab)} != k_max {k}")
+        means = reader.array("means", (k, feature_dim), np.float64)
+        variances = reader.array("variances", (k,), np.float64)
+        m = reader.array("correlation", (k, k), np.float64)
     model = AppearanceModel(means=means, variances=variances, vocab=vocab, config=config)
     model.validate()
     corr = CorrelationMatrix(m)
@@ -283,31 +303,40 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
 def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
                     k_max: int) -> None:
     with open(path, "wb") as fh:
-        fh.write((POSTERIORS_MAGIC + "\n").encode("ascii"))
-        fh.write(f"version: {FORMAT_VERSION}\n".encode("ascii"))
-        fh.write(f"k_max: {k_max}\n".encode("ascii"))
-        fh.write(f"num_bags: {len(posteriors)}\n".encode("ascii"))
-        for bag_id, post in posteriors:
-            fh.write(f"bag: {bag_id},{post.nu.shape[0]}\n".encode("ascii"))
-            for key, arr in (("tau", post.tau), ("nu", post.nu), ("logits", post.logits)):
-                _write_array(fh, key, np.asarray(arr, dtype=np.float64), True)
+        _write_lines(fh, [POSTERIORS_MAGIC, f"version: {POSTERIORS_VERSION}", f"k_max: {k_max}",
+                          f"num_bags: {len(posteriors)}"]
+                     + [f"bag: {bag_id},{post.nu.shape[0]}" for bag_id, post in posteriors])
+        for key in ("tau", "nu", "logits"):
+            arrays = [getattr(post, key) for _, post in posteriors]
+            fh.write(f"{key}: binary {8 * sum(a.size for a in arrays)}\n".encode("ascii"))
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+            fh.write(b"\n")
 
 
 def load_posteriors(path: str) -> list[tuple[str, BagPosterior]]:
     with open(path, "rb") as fh:
-        reader = _BlockReader(fh.read(), path)
-    _check_version(reader, POSTERIORS_MAGIC)
-    k_max, num_bags = reader.field("k_max"), reader.field("num_bags")
-    out = []
-    for _ in range(num_bags):
-        bag_id, n = reader.field("bag", _fields(str, int))
-        tau = reader.array("tau", (k_max, 2), np.float64)
-        nu = reader.array("nu", (n, k_max), np.float64)
-        logits = reader.array("logits", (n, k_max), np.float64)
-        if bad := _lacks(tau, nu, logits):
-            raise FormatError(f"{path}: bag {bag_id!r} needs {', '.join(bad)}")
-        out.append((bag_id, BagPosterior(tau=tau, nu=nu, logits=logits)))
-    return out
+        reader = _BlockReader(fh, path)
+        _check_version(reader, POSTERIORS_MAGIC, POSTERIORS_VERSION,
+                       "; re-run infer or fit --posteriors-out to write it again")
+        k_max, num_bags = reader.field("k_max", _count), reader.field("num_bags", _count)
+        bags = _bag_lines(reader, num_bags, _count)
+        rows = sum(n for _, n in bags)
+        shapes = {"tau": (num_bags, k_max, 2), "nu": (rows, k_max), "logits": (rows, k_max)}
+        at = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
+        if 8 * at[-1] > reader.size:  # checked before the allocation
+            raise reader.error(f"bag: the blocks need {8 * at[-1]} bytes, the file has {reader.size}")
+        # one allocation: glibc reuses it when freed, where three were trimmed and faulted in
+        buf = np.empty(at[-1], "<f8")
+        tau, nu, logits = (reader.array(key, shape, np.float64, buf[a:b].reshape(shape))
+                           for (key, shape), a, b in zip(shapes.items(), at, at[1:]))
+    ends = np.cumsum([n for _, n in bags]).tolist()
+    posts = [(bag_id, BagPosterior(tau=t, nu=nu[end - n:end], logits=logits[end - n:end]))
+             for (bag_id, n), t, end in zip(bags, tau, ends)]
+    if _lacks(tau, nu, logits):  # walk the bags only to name the first that fails
+        bag_id, bad = next((i, bad) for i, p in posts if (bad := _lacks(p.tau, p.nu, p.logits)))
+        raise FormatError(f"{path}: bag {bag_id!r} needs {', '.join(bad)}")
+    return posts
 
 
 def _lacks(tau: np.ndarray, nu: np.ndarray, logits: np.ndarray) -> list[str]:

@@ -323,3 +323,41 @@ def test_segment_k_extra_mismatch_exit_2(workspace, capsys):
                  "--model", model, "--out-dir", str(tmp / "segs"),
                  "--k-extra", "3"]) == 2
     assert "--k-extra 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["manifest", "posteriors"])
+def test_duplicate_bag_id_exit_2(workspace, capsys, kind):
+    # a second bag of the same id would overwrite the first's segment/<id>.csv
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "train.post")
+    assert main(["fit", "--data", ds, "--model-out", model,
+                 "--posteriors-out", post] + HYPER) == 0
+    if kind == "manifest":
+        path = os.path.join(ds, "manifest.txt")
+        data = open(path, "rb").read()
+        lines = data.split(b"\n")
+        line = lines.index(b"bag: bag0001,12,bag0001.bag") + 1
+        lines[line - 1] = b"bag: bag0000,12,bag0000.bag"
+        open(path, "wb").write(b"\n".join(lines))
+        argv = ["fit", "--data", ds, "--model-out", str(tmp / "again.model")]
+    else:
+        pairs = load_posteriors(post)
+        path = str(tmp / "dup.post")
+        save_posteriors(path, pairs + pairs[:1], pairs[0][1].nu.shape[1])
+        line = 5 + len(pairs)  # the header's 4 lines, then one line per bag
+        argv = ["segment", "--posteriors", path, "--model", model,
+                "--out-dir", str(tmp / "segs")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: bag: duplicate id 'bag0000'\n"
+
+
+def test_version_1_posteriors_exit_2(workspace, capsys):
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "old.post")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    with open(post, "wb") as fh:
+        fh.write(b"format: wsibp-posteriors\nversion: 1\nk_max: 4\nnum_bags: 1\nbag: b0,1\n")
+    assert main(["annotate", "--posteriors", post, "--model", model,
+                 "--out", str(tmp / "ann.json")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown version 1" in err and "re-run infer or fit --posteriors-out" in err

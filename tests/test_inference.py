@@ -23,6 +23,7 @@ from wsibp.generative import grid_edges
 from wsibp.io import save_dataset
 from wsibp.inference import (
     StickBoundCache,
+    _start_cache,
     _sweep_bag,
     base_logits,
     factor_logit,
@@ -878,6 +879,24 @@ def test_new_group_matches_per_bag_draws():
         for name in ("w", "neg_log_terms", "prior_cumsum"):
             assert getattr(group.cache, name)[m].tobytes() == getattr(cache, name).tobytes()
     assert group.nu.flags.c_contiguous and group.logits.flags.c_contiguous
+
+
+def test_start_cache_is_shared_read_only_and_copied_per_group():
+    # the cache of tau = (alpha, 1) is taken once per (alpha, k_max); every group gets
+    # its own writable copy, so a group's stick stage cannot write into the shared one
+    config = cfg_k(3, 2, k_extra=2, alpha=1.3)
+    shared = _start_cache(config.alpha, config.k_max)
+    assert _start_cache(config.alpha, config.k_max) is shared
+    bags = sample_dataset(config, 2, 9, 5, seed=1, labels=0.5).bags
+    for group in (init_group(bags, config, np.random.default_rng(0)),
+                  init_group(bags[:1], config, np.random.default_rng(0))):
+        for name in ("w", "neg_log_terms", "prior_cumsum"):
+            ours, theirs = getattr(group.cache, name), getattr(shared, name)
+            assert not theirs.flags.writeable and ours.flags.writeable
+            assert not np.shares_memory(ours, theirs)
+            with pytest.raises(ValueError, match="read-only"):
+                theirs[0, 0] = 0.0
+            ours[0, 0] = 0.0  # a group's own copy is writable
 
 
 @pytest.mark.parametrize("group_rows", [1, 10 ** 6])

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from wsibp import (
     AppearanceModel,
+    Bag,
     BagPosterior,
     CorrelationMatrix,
     FormatError,
     ModelConfig,
     VocabMismatchError,
+    WeakLabels,
     fit,
     infer_test,
     sample_dataset,
@@ -94,6 +96,94 @@ class TestDatasetRoundTrip:
         save_dataset(path, ds.bags, cfg.default_vocab(), 1, 0, 0)
         loaded = load_dataset(path)
         assert loaded.bags[0].feature_dim == 1024
+
+
+def _save_dataset_per_line(path, bags, vocab, k_objects, k_attributes, k_extra, binary):
+    """The dataset writer as one write per line, the reference for save_dataset's bytes."""
+    os.makedirs(path, exist_ok=True)
+    for bag in bags:
+        with open(os.path.join(path, f"{bag.id}.bag"), "wb") as fh:
+            fh.write(f"id: {bag.id}\n".encode("ascii"))
+            fh.write(f"instances: {bag.n_instances}\n".encode("ascii"))
+            feats = np.asarray(bag.features, dtype="<f4")
+            if binary:
+                fh.write(f"features: binary {feats.nbytes}\n".encode("ascii"))
+                fh.write(feats.tobytes() + b"\n")
+            else:
+                fh.write(b"features: text\n")
+                for row in feats:
+                    fh.write((",".join(repr(float(v)) for v in row) + "\n").encode("ascii"))
+            fh.write(f"edges: {len(bag.edges)}\n".encode("ascii"))
+            for a, b in bag.edges:
+                fh.write(f"{a},{b}\n".encode("ascii"))
+            annotated = [vocab[k] for k in range(k_objects + k_attributes)
+                         if bag.labels.bits[k] == 1.0]
+            fh.write(("labels: " + ",".join(annotated) + "\n").encode("ascii"))
+    with open(os.path.join(path, "manifest.txt"), "w", encoding="ascii") as fh:
+        fh.write("format: wsibp-dataset\nversion: 1\n")
+        fh.write(f"feature_dim: {bags[0].feature_dim}\n")
+        fh.write(f"mode: {'binary' if binary else 'text'}\n")
+        fh.write(f"k_objects: {k_objects}\nk_attributes: {k_attributes}\nk_extra: {k_extra}\n")
+        fh.write("vocab: " + ",".join(vocab) + "\n")
+        fh.write(f"num_bags: {len(bags)}\n")
+        for bag in bags:
+            fh.write(f"bag: {bag.id},{bag.n_instances},{bag.id}.bag\n")
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_save_dataset_bytes_match_per_line_writer(tmp_path, small_dataset, small_config,
+                                                  binary):
+    cfg = small_config
+    args = (small_dataset.bags, cfg.default_vocab(), cfg.k_objects, cfg.k_attributes,
+            cfg.k_extra, binary)
+    ours, ref = str(tmp_path / "ours"), str(tmp_path / "ref")
+    save_dataset(ours, *args)
+    _save_dataset_per_line(ref, *args)
+    assert sorted(os.listdir(ours)) == sorted(os.listdir(ref))
+    assert any(len(b.edges) for b in small_dataset.bags)
+    for name in os.listdir(ref):
+        assert open(os.path.join(ours, name), "rb").read() == \
+            open(os.path.join(ref, name), "rb").read(), name
+
+
+@st.composite
+def datasets(draw):
+    """Bags of 1-5 instances with any finite float32 features, edges between distinct
+    instances and any annotated label bits, and the factor counts."""
+    k_objects, k_attributes, k_extra = (draw(st.integers(0, 2)) for _ in range(3))
+    k_max, dim = k_objects + k_attributes + k_extra, draw(st.integers(1, 3))
+    bags = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 5))
+        feats = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                              min_size=n * dim, max_size=n * dim))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda e: e[0] != e[1]), max_size=6))
+        bits = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k_max - k_extra,
+                             max_size=k_max - k_extra)) + [1.0] * k_extra
+        bags.append(Bag(features=np.array(feats, dtype=np.float32).reshape(n, dim),
+                        edges=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                        labels=WeakLabels(np.array(bits)), id=f"b{i}"))
+    return bags, (k_objects, k_attributes, k_extra)
+
+
+@given(data=datasets(), binary=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_dataset_round_trip_property(tmp_path_factory, data, binary):
+    # text rows hold each float32 as the repr of its float64, so both modes are exact
+    bags, counts = data
+    vocab = [f"f{k}" for k in range(sum(counts))]
+    path = str(tmp_path_factory.mktemp("ds"))
+    save_dataset(path, bags, vocab, *counts, binary=binary)
+    loaded = load_dataset(path)
+    assert (loaded.vocab, (loaded.k_objects, loaded.k_attributes, loaded.k_extra)) == \
+        (vocab, counts)
+    assert [b.id for b in loaded.bags] == [b.id for b in bags]
+    for orig, back in zip(bags, loaded.bags):
+        assert back.features.dtype == np.float32
+        assert back.features.tobytes() == orig.features.tobytes()
+        assert back.edges.shape == orig.edges.shape and np.array_equal(back.edges, orig.edges)
+        assert back.labels.bits.tobytes() == orig.labels.bits.tobytes()
 
 
 class TestModelRoundTrip:
@@ -230,10 +320,25 @@ class TestPosteriorsRoundTrip:
     @pytest.mark.parametrize("good, bad, line, why", [
         (b"num_bags: 1", b"num_bags: one", 4,
          "num_bags: invalid literal for int() with base 10: 'one'"),
+        (b"k_max: 2", b"k_max: -2", 3, "k_max: -2 is negative"),
         (b"bag: a,3", b"bag: a", 5, "bag: expected 2 comma-separated values, got 1"),
+        (b"bag: a,3", b"bag: a,-3", 5, "bag: -3 is negative"),
+        (b"bag: a,3", b"bag: a,3000000000000", 5,
+         "bag: the blocks need 96000000000032 bytes, the file has 256"),
         (b"tau: binary 32", b"tau: binary", 6,
-         "tau: invalid literal for int() with base 10: ''")])
+         "tau: invalid literal for int() with base 10: ''"),
+        (b"tau: binary 32", b"tau: binary 40", 6, "tau: block has 40 bytes, expected 32"),
+        (b"nu: binary 48", b"nu: binary x", 8,
+         "nu: invalid literal for int() with base 10: ' x'"),
+        (b"nu: binary 48", b"nu: binary 40", 8, "nu: block has 40 bytes, expected 48"),
+        (b"logits: binary 48", b"logits: text 48", 10,
+         "logits: unknown encoding 'text 48'"),
+        (b"logits: binary 48", b"nu: binary 48", 10, "expected 'logits', got 'nu: binary 48'"),
+        (b"logits: binary 48", b"logits: binary 56", 10,
+         "logits: block has 56 bytes, expected 48")])
     def test_bad_header_names_file_and_line(self, tmp_path, good, bad, line, why):
+        # the line is the physical line: tau's block holds no newline byte and ends
+        # with one, so the nu header is line 8 and the logits header line 10
         path = str(tmp_path / "p.post")
         save_posteriors(path, [("a", BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5),
                                                   np.zeros((3, 2))))], 2)
@@ -242,6 +347,86 @@ class TestPosteriorsRoundTrip:
         with pytest.raises(FormatError) as caught:
             load_posteriors(path)
         assert str(caught.value) == f"{path}:{line}: {why}"
+
+    def test_block_newline_bytes_count_as_lines(self, tmp_path):
+        # every byte of this tau is a newline: 32 more lines before the nu header
+        tau = np.frombuffer(b"\n" * 32, dtype="<f8").reshape(2, 2)
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("a", BagPosterior(tau, np.full((3, 2), 0.5),
+                                                  np.zeros((3, 2))))], 2)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data.replace(b"nu: binary 48\n", b"nu: binary 8\n"))
+        with pytest.raises(FormatError) as caught:
+            load_posteriors(path)
+        assert str(caught.value) == f"{path}:{8 + 32}: nu: block has 8 bytes, expected 48"
+
+    @pytest.mark.parametrize("cut, why", [(2, "logits: truncated binary block"),
+                                          (1, "logits: missing newline after binary block")])
+    def test_short_file_names_the_block(self, tmp_path, cut, why):
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("a", BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5),
+                                                  np.zeros((3, 2))))], 2)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:-cut])
+        with pytest.raises(FormatError) as caught:
+            load_posteriors(path)
+        assert str(caught.value) == f"{path}:10: {why}"
+
+    def test_duplicate_id_names_its_line(self, tmp_path):
+        post = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("a", post), ("b", post), ("a", post)], 2)
+        with pytest.raises(FormatError) as caught:
+            load_posteriors(path)
+        assert str(caught.value) == f"{path}:7: bag: duplicate id 'a'"
+
+    def test_version_1_names_its_version(self, tmp_path):
+        path = tmp_path / "p.post"
+        path.write_bytes(b"format: wsibp-posteriors\nversion: 1\nk_max: 2\nnum_bags: 0\n")
+        with pytest.raises(FormatError, match="unknown version 1, this reader reads version 2; "
+                                              "re-run infer or fit --posteriors-out"):
+            load_posteriors(str(path))
+
+
+@st.composite
+def posterior_sets(draw):
+    """0-4 bags of 0-5 instances with distinct ids, k_max 1-4, and values that pass the
+    loader's checks: tau in (0, inf), nu in [0, 1], finite logits."""
+    k = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.text("abcxyz019_-.", min_size=1, max_size=6), max_size=4,
+                        unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    posts = []
+    for bag_id in ids:
+        n = draw(st.integers(0, 5))
+        tau, nu, logits = (np.array(draw(st.lists(values, min_size=size, max_size=size)))
+                           .reshape(shape) for values, size, shape in (
+            (st.floats(0.0, exclude_min=True, allow_infinity=False), 2 * k, (k, 2)),
+            (st.floats(0.0, 1.0), n * k, (n, k)), (finite, n * k, (n, k))))
+        posts.append((bag_id, BagPosterior(tau=tau, nu=nu, logits=logits)))
+    return posts, k
+
+
+@given(data=posterior_sets())
+@settings(max_examples=80, deadline=None)
+def test_posteriors_round_trip_property(tmp_path_factory, data):
+    posts, k = data
+    path = str(tmp_path_factory.mktemp("post") / "p.post")
+    save_posteriors(path, posts, k)
+    loaded = load_posteriors(path)
+    assert [i for i, _ in loaded] == [i for i, _ in posts]
+    for (_, p), (_, q) in zip(posts, loaded):
+        for name in ("tau", "nu", "logits"):
+            a, b = getattr(p, name), getattr(q, name)
+            assert b.shape == a.shape and b.tobytes() == a.tobytes()
+            assert b.flags.aligned and b.flags.writeable
+    rows = sum(p.nu.shape[0] for _, p in posts)
+    head = ["format: wsibp-posteriors", "version: 2", f"k_max: {k}", f"num_bags: {len(posts)}"]
+    head += [f"bag: {i},{p.nu.shape[0]}" for i, p in posts]
+    head += [f"{key}: binary {8 * size}" for key, size in (
+        ("tau", 2 * k * len(posts)), ("nu", rows * k), ("logits", rows * k))]
+    header = sum(len(line) + 1 for line in head)
+    assert os.path.getsize(path) == header + 8 * (2 * len(posts) * k + 2 * rows * k) + 3
 
 
 class TestWriteSegmentation:
