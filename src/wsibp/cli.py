@@ -178,10 +178,10 @@ def _cmd_fit(args) -> int:
                            [(b.id, p) for b, p in zip(loaded.bags, result.posteriors)],
                            config.k_max)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="ascii") as fh:
-            fh.write("iteration,mean_abs_delta_nu,seconds\n")
-            for i, (delta, secs) in enumerate(result.trace):
-                fh.write(f"{i},{delta!r},{secs!r}\n")
+        with io.overwrite(args.trace_out) as fh:
+            fh.write(("iteration,mean_abs_delta_nu,seconds\n" + "".join(
+                f"{i},{delta!r},{secs!r}\n" for i, (delta, secs) in enumerate(result.trace))
+            ).encode("ascii"))
     delta = result.trace[-1][0]
     print(f"fit: {len(result.trace)} iterations, final mean |delta nu| = {delta:.3g}")
     return 0
@@ -198,15 +198,23 @@ def _cmd_infer(args) -> int:
     return 0
 
 
+def _write_entries(path: str, key: str, entries: list) -> None:
+    """``{key: entries}`` as JSON, one entry per line. json.dumps without indent takes
+    the C encoder; json.dump, or any indent, takes the pure-Python one."""
+    with io.overwrite(path) as fh:
+        fh.write(("{%s: [\n%s\n]}\n" % (json.dumps(key), ",\n".join(map(json.dumps, entries))))
+                 .encode("ascii"))
+
+
 def _cmd_annotate(args) -> int:
     model, _ = io.load_model(args.model)
     config = model.config
     posts = _load_posteriors(args.posteriors, config.k_max)
-    out = {"bags": []}
+    lo, hi = config.k_objects, config.k_annotated
+    entries = []
     for bag_id, post in posts:
         anns = tasks.free_annotation(post, config, args.top_objects, args.top_attrs)
-        lo, hi = config.k_objects, config.k_annotated
-        out["bags"].append({
+        entries.append({
             "bag": bag_id,
             "annotations": [
                 {
@@ -220,8 +228,7 @@ def _cmd_annotate(args) -> int:
                 for a in anns
             ],
         })
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(out, fh, indent=1)
+    _write_entries(args.out, "bags", entries)
     print(f"annotated {len(posts)} bags -> {args.out}")
     return 0
 
@@ -233,13 +240,11 @@ def _cmd_query(args) -> int:
     obj = _factor_index(args.object, model.vocab)
     attrs = [_factor_index(t, model.vocab) for t in args.attrs.split(",") if t.strip()]
     ranked = tasks.rank_query(posts, config, obj, attrs)
-    payload = {"queries": [{
+    _write_entries(args.out, "queries", [{
         "object": obj,
         "attributes": attrs,
         "ranking": [[bag_id, j, score] for bag_id, j, score in ranked],
-    }]}
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1)
+    }])
     print(f"ranked {len(ranked)} bags -> {args.out}")
     return 0
 
@@ -335,17 +340,36 @@ def _eval_query(pred: dict, truth: dict) -> None:
         print(f"skipped queries with empty relevance: {len(skipped)}")
 
 
-def _eval_segmentation(pred_dir: str, truth: dict) -> None:
+def _label_column(path: str) -> np.ndarray:
+    """The ``label_index`` column of a segment CSV, read in one read. Each cell must be
+    a label: a non-negative integer, below 10**18 so that it fits int64."""
+    with open(path, encoding="ascii") as fh:
+        header, *rows = fh.read().splitlines() or [""]
+    names = header.split(",")
+    if "label_index" not in names:
+        raise FormatError(f"{path}:1: no label_index column")
+    c = names.index("label_index")
+    cells = [(row.split(",", c + 1) + [""] * c)[c] for row in rows]
+    for line, cell in enumerate(cells, 2):
+        if not (cell.isdigit() and len(cell) < 19):
+            raise FormatError(f"{path}:{line}: label_index: expected a non-negative "
+                              f"integer, got {cell!r}")
+    return np.array(list(map(int, cells)), dtype=np.int64)
+
+
+def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: str) -> None:
     pred_maps, truth_maps, pixels = {}, {}, {}
     for bid, entry in truth["bags"].items():
-        truth_maps[bid] = np.array(entry["labels"], dtype=np.int64)
+        labels = entry.get("labels") if isinstance(entry, dict) else None
+        labels = np.array(labels) if isinstance(labels, list) else np.array(None)
+        if labels.size and (labels.dtype.kind != "i" or labels.min() < 0):
+            line = truth_text.count("\n", 0, max(truth_text.find(json.dumps(bid)), 0)) + 1
+            raise FormatError(f"{truth_path}:{line}: bag {bid!r}: labels must be a list "
+                              "of non-negative integers")
+        truth_maps[bid] = labels.astype(np.int64)
         if "pixels" in entry:
             pixels[bid] = np.array(entry["pixels"], dtype=np.float64)
-        path = os.path.join(pred_dir, f"{bid}.csv")
-        with open(path, encoding="ascii") as fh:
-            rows = list(csv.DictReader(fh))
-        pred_maps[bid] = np.array([int(r["label_index"]) for r in rows],
-                                  dtype=np.int64)
+        pred_maps[bid] = _label_column(os.path.join(pred_dir, f"{bid}.csv"))
     scores = metrics.segmentation_metrics(
         pred_maps, truth_maps, pixels if pixels else None)
     print(f"mean IOU: {scores.mean_iou:.4f}")
@@ -357,12 +381,13 @@ def _eval_segmentation(pred_dir: str, truth: dict) -> None:
 
 def _cmd_eval(args) -> int:
     with open(args.truth, encoding="ascii") as fh:
-        truth = json.load(fh)
+        truth_text = fh.read()
+    truth = json.loads(truth_text)
     key = "queries" if args.task == "query" else "bags"
     if not isinstance(truth, dict) or key not in truth:
         raise FormatError(f"{args.truth}: {args.task} truth needs a {key!r} key")
     if args.task == "segmentation":
-        _eval_segmentation(args.pred, truth)
+        _eval_segmentation(args.pred, truth, args.truth, truth_text)
         return 0
     with open(args.pred, encoding="ascii") as fh:
         pred = json.load(fh)

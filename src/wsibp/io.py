@@ -63,8 +63,11 @@ class _BlockReader:
         if not raw.endswith(b"\n"):
             raise FormatError(f"{self.name}: unexpected end of file")
         self.lines += 1
+        return self.decode(raw[:-1])
+
+    def decode(self, raw: bytes) -> str:
         try:
-            return raw[:-1].decode("ascii")
+            return raw.decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.name}: non-ascii header line") from exc
 
@@ -86,16 +89,23 @@ class _BlockReader:
         return self.parse(self.key(key), parse, key)
 
     def pairs(self, count: int) -> np.ndarray:
-        """The next ``count`` lines, each ``a,b``, as (count, 2) ints, parsed in one pass;
-        only if that fails are they parsed again, to name the first bad line."""
-        start, lines = self.lines, [self.line() for _ in range(count)]
-        if all(line.count(",") == 1 for line in lines):
+        """The next ``count`` lines, each ``a,b``, as (count, 2) ints, read in one read and
+        parsed in one pass; only if that fails are they parsed again, to name the first bad
+        line. The file is left at the line after them."""
+        pos, rest = self.fh.tell(), self.fh.read()
+        *lines, tail = rest.split(b"\n", count)
+        if len(lines) < count:
+            raise FormatError(f"{self.name}: unexpected end of file")
+        self.fh.seek(pos + len(rest) - len(tail))
+        start = self.lines
+        self.lines += count
+        if all(line.count(b",") == 1 for line in lines):
             with contextlib.suppress(ValueError):
-                return np.array([int(v) for line in lines for v in line.split(",")],
+                return np.array([int(v) for line in lines for v in line.split(b",")],
                                 dtype=np.int64).reshape(-1, 2)
         out, pair = [], _fields(int, int)
         for self.lines, line in enumerate(lines, start + 1):
-            out.append(self.parse(line, pair, "edge"))
+            out.append(self.parse(self.decode(line), pair, "edge"))
         return np.array(out)
 
     def key(self, expect: str) -> str:
@@ -157,6 +167,20 @@ def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
     return [reader.field("bag", parse) for _ in range(count)]
 
 
+@contextlib.contextmanager
+def overwrite(path: str):
+    """``path`` opened for binary writing over its old bytes, cut after the last byte
+    written when the block exits. Opening with truncation would free the old file's
+    blocks only to allocate them again, which on a file system that discards freed
+    blocks costs more than writing a small file; a file written again at its old
+    size frees nothing."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def _write_lines(fh, lines: list[str]) -> None:
     fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -201,7 +225,7 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
         raise VocabMismatchError("vocab length does not match factor counts")
     os.makedirs(path, exist_ok=True)
     for bag in bags:
-        with open(os.path.join(path, f"{bag.id}.bag"), "wb") as fh:
+        with overwrite(os.path.join(path, f"{bag.id}.bag")) as fh:
             fh.write(f"id: {bag.id}\ninstances: {bag.n_instances}\n".encode("ascii"))
             _write_array(fh, "features", np.asarray(bag.features, dtype=np.float32), binary)
             fh.write(f"edges: {len(bag.edges)}\n".encode("ascii"))
@@ -209,7 +233,7 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
             bits = bag.labels.bits.tolist()
             annotated = [vocab[k] for k in range(k_objects + k_attributes) if bits[k] == 1.0]
             fh.write(("labels: " + ",".join(annotated) + "\n").encode("ascii"))
-    with open(os.path.join(path, "manifest.txt"), "wb") as fh:
+    with overwrite(os.path.join(path, "manifest.txt")) as fh:
         _write_lines(fh, [
             DATASET_MAGIC, f"version: {FORMAT_VERSION}",
             f"feature_dim: {bags[0].feature_dim if bags else 0}",
@@ -265,7 +289,7 @@ def load_dataset(path: str) -> LoadedDataset:
 def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix) -> None:
     """Versioned container: config snapshot (every ModelConfig field, in declared
     order), vocab, then means, variances and M as binary blocks."""
-    with open(path, "wb") as fh:
+    with overwrite(path) as fh:
         fh.write((MODEL_MAGIC + "\n").encode("ascii"))
         fh.write(f"version: {FORMAT_VERSION}\n".encode("ascii"))
         fh.write(f"feature_dim: {model.feature_dim}\n".encode("ascii"))
@@ -302,7 +326,7 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
 
 def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
                     k_max: int) -> None:
-    with open(path, "wb") as fh:
+    with overwrite(path) as fh:
         _write_lines(fh, [POSTERIORS_MAGIC, f"version: {POSTERIORS_VERSION}", f"k_max: {k_max}",
                           f"num_bags: {len(posteriors)}"]
                      + [f"bag: {bag_id},{post.nu.shape[0]}" for bag_id, post in posteriors])
@@ -353,24 +377,20 @@ def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
                        raster: np.ndarray | None = None) -> None:
     """Per-instance label CSV, plus an optional paletted P3 raster image at
     ``path + ".ppm"``."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("instance,label_index,label_name,score\n")
-        for j, (k, s) in enumerate(zip(seg.labels, seg.scores)):
-            fh.write(f"{j},{int(k)},{vocab[int(k)]},{float(s)!r}\n")
+    rows = "".join(f"{j},{k},{vocab[k]},{s!r}\n"
+                   for j, (k, s) in enumerate(zip(seg.labels.tolist(), seg.scores.tolist())))
+    with overwrite(path) as fh:
+        fh.write(("instance,label_index,label_name,score\n" + rows).encode("ascii"))
     if raster is None:
         return
     raster = np.asarray(raster)
     if raster.min() < 0 or raster.max() >= len(seg.labels):
         raise DatasetError("raster references an unknown instance id")
     h, w = raster.shape
-    with open(path + ".ppm", "w", encoding="ascii") as fh:
-        fh.write(f"P3\n{w} {h}\n255\n")
-        for row in raster:
-            parts = []
-            for inst in row:
-                r, g, b = PALETTE[int(seg.labels[int(inst)]) % len(PALETTE)]
-                parts.append(f"{r} {g} {b}")
-            fh.write(" ".join(parts) + "\n")
+    colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
+    with overwrite(path + ".ppm") as fh:
+        _write_lines(fh, [f"P3\n{w} {h}\n255"]
+                     + [" ".join(colours[i] for i in row) for row in raster.tolist()])
 
 
 def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],
@@ -382,5 +402,5 @@ def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],
         "true_pi": [p.tolist() for p in true_pi],
         "true_a": true_a.tolist(),
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
+    with overwrite(path) as fh:
+        fh.write(json.dumps(payload).encode("ascii"))  # json.dump takes the Python encoder

@@ -121,41 +121,39 @@ def segmentation_metrics(pred: dict[str, np.ndarray],
     """Pixel-weighted IOU / accuracy over per-instance label maps.
 
     ``pixel_counts`` lifts superpixel labels to pixel-level metrics; when
-    omitted every instance counts as one pixel.
+    omitted every instance counts as one pixel. All bags are scored at once:
+    one bincount each gives every class's intersection, predicted and true size.
     """
-    inter: dict[int, float] = {}
-    pred_sz: dict[int, float] = {}
-    truth_sz: dict[int, float] = {}
-    correct = total = 0.0
-    for bag_id, t_lab in truth.items():
-        p_lab = np.asarray(pred[bag_id])
-        t_lab = np.asarray(t_lab)
-        if p_lab.shape != t_lab.shape:
-            raise WsibpError(f"segmentation shape mismatch for bag {bag_id!r}")
-        w = (np.ones(t_lab.size) if pixel_counts is None
-             else np.asarray(pixel_counts[bag_id], dtype=np.float64))
-        if w.shape != t_lab.shape or np.any(w <= 0):
-            raise WsibpError(f"invalid pixel counts for bag {bag_id!r}")
-        match = p_lab == t_lab
-        correct += w[match].sum()
-        total += w.sum()
-        for c in np.unique(np.concatenate([p_lab, t_lab])):
-            pc = p_lab == c
-            tc = t_lab == c
-            inter[c] = inter.get(c, 0.0) + w[pc & tc].sum()
-            pred_sz[c] = pred_sz.get(c, 0.0) + w[pc].sum()
-            truth_sz[c] = truth_sz.get(c, 0.0) + w[tc].sum()
-    present = sorted(c for c, s in truth_sz.items() if s > 0)
-    if not present:
+    ids = list(truth)
+    t_lab = [np.asarray(truth[b]) for b in ids]
+    p_lab = [np.asarray(pred[b]) for b in ids]
+    w_lab = (None if pixel_counts is None
+             else [np.asarray(pixel_counts[b], dtype=np.float64) for b in ids])
+    shapes = [t.shape for t in t_lab]
+    w = (np.ones(sum(t.size for t in t_lab)) if w_lab is None
+         else np.concatenate([x.ravel() for x in w_lab] + [np.empty(0)]))
+    if [p.shape for p in p_lab] != shapes or w_lab is not None and (
+            [x.shape for x in w_lab] != shapes or (w <= 0).any()):
+        for bag_id, p, t, x in zip(ids, p_lab, t_lab, w_lab or t_lab):  # name the first bad
+            if p.shape != t.shape:
+                raise WsibpError(f"segmentation shape mismatch for bag {bag_id!r}")
+            if w_lab is not None and (x.shape != t.shape or np.any(x <= 0)):
+                raise WsibpError(f"invalid pixel counts for bag {bag_id!r}")
+    if not (n := w.size):
         raise WsibpError("truth contains no labelled instances")
-    ious = {
-        int(c): inter[c] / (pred_sz[c] + truth_sz[c] - inter[c])
-        for c in present
-    }
-    per_class = float(np.mean([inter[c] / truth_sz[c] for c in present]))
+    classes, inv = np.unique(np.concatenate([x.ravel() for x in p_lab + t_lab]),
+                             return_inverse=True)
+    p_idx, t_idx = inv[:n], inv[n:]
+    match = p_idx == t_idx
+    inter = np.bincount(p_idx[match], w[match], classes.size)
+    pred_sz = np.bincount(p_idx, w, classes.size)
+    truth_sz = np.bincount(t_idx, w, classes.size)
+    present = truth_sz > 0
+    inter, pred_sz, truth_sz = inter[present], pred_sz[present], truth_sz[present]
+    iou = inter / (pred_sz + truth_sz - inter)
     return SegmentationScores(
-        mean_iou=float(np.mean(list(ious.values()))),
-        per_pixel_accuracy=correct / total,
-        per_class_accuracy=per_class,
-        class_iou=ious,
+        mean_iou=float(np.mean(iou)),
+        per_pixel_accuracy=float(w[match].sum() / w.sum()),
+        per_class_accuracy=float(np.mean(inter / truth_sz)),
+        class_iou={int(c): v for c, v in zip(classes[present].tolist(), iou.tolist())},
     )

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from wsibp import BagPosterior
+from wsibp import BagPosterior, tasks
 from wsibp.cli import main
-from wsibp.io import load_dataset, load_posteriors, save_dataset, save_posteriors
+from wsibp.io import load_dataset, load_model, load_posteriors, save_dataset, save_posteriors
 
 
 SYNTH = ["synth", "--num-bags", "8", "--instances", "12", "--feature-dim", "6",
@@ -361,3 +361,101 @@ def test_version_1_posteriors_exit_2(workspace, capsys):
                  "--out", str(tmp / "ann.json")]) == 2
     err = capsys.readouterr().err
     assert "unknown version 1" in err and "re-run infer or fit --posteriors-out" in err
+
+
+@pytest.fixture
+def inferred(workspace):
+    """A fitted model and the test posteriors of the workspace dataset."""
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "t.post")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    assert main(["infer", "--data", ds, "--model", model, "--out", post]) == 0
+    return tmp, model, post
+
+
+def _entries(path, key):
+    """The entries of an annotate or query file, checked to be one per line."""
+    lines = open(path, encoding="ascii").read().splitlines()
+    assert lines[0] == f'{{"{key}": [' and lines[-1] == "]}"
+    entries = [json.loads(line.removesuffix(",")) for line in lines[1:-1]]
+    assert json.load(open(path, encoding="ascii")) == {key: entries}
+    return entries
+
+
+def test_annotate_and_query_files_hold_the_task_results(inferred, capsys):
+    tmp, model_path, post = inferred
+    model, _ = load_model(model_path)
+    config, posts = model.config, load_posteriors(post)
+    ann, q = str(tmp / "ann.json"), str(tmp / "q.json")
+    assert main(["annotate", "--posteriors", post, "--model", model_path, "--out", ann,
+                 "--top-objects", "2", "--top-attrs", "2"]) == 0
+    entries = _entries(ann, "bags")
+    assert [e["bag"] for e in entries] == [bag_id for bag_id, _ in posts]
+    for entry, (_, p) in zip(entries, posts):
+        want = tasks.free_annotation(p, config, 2, 2)
+        assert entry["annotations"] == [{
+            "object": a.object, "object_name": model.vocab[a.object],
+            "object_score": a.object_score, "instance": a.object_instance,
+            "attributes": [[k, s] for k, s in a.attributes],
+            "attribute_scores": p.nu[a.object_instance, 2:4].tolist()} for a in want]
+    assert main(["query", "--posteriors", post, "--model", model_path,
+                 "--object", "obj1", "--attrs", "att0,3", "--out", q]) == 0
+    [entry] = _entries(q, "queries")
+    assert entry == {"object": 1, "attributes": [2, 3], "ranking": [
+        list(row) for row in tasks.rank_query(posts, config, 1, [2, 3])]}
+
+    # eval reads both: truth taken from the predictions scores 1
+    top = {e["bag"]: e["annotations"][0] for e in entries}
+    truth = tmp / "truth.json"
+    truth.write_text(json.dumps({"k_objects": 2, "bags": {
+        b: {"object": a["object"], "attributes": [a["attributes"][0][0]]}
+        for b, a in top.items()}}))
+    capsys.readouterr()
+    assert main(["eval", "--task", "annotation", "--pred", ann, "--truth", str(truth),
+                 "--t", "1"]) == 0
+    assert "AP@1: 1.0000" in capsys.readouterr().out
+    truth.write_text(json.dumps({"queries": [{"object": 1, "attributes": [2, 3],
+                                              "relevant": [entry["ranking"][0][0]]}]}))
+    assert main(["eval", "--task", "query", "--pred", q, "--truth", str(truth)]) == 0
+    assert "MAR: 1.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where, value, why", [
+    ("pred", "-1", "label_index: expected a non-negative integer, got '-1'"),
+    ("pred", "1.5", "label_index: expected a non-negative integer, got '1.5'"),
+    ("pred", "", "label_index: expected a non-negative integer, got ''"),
+    ("pred", None, "no label_index column"),
+    ("truth", -1, "bag 'bag0003': labels must be a list of non-negative integers"),
+    ("truth", 1.5, "bag 'bag0003': labels must be a list of non-negative integers"),
+    ("truth", "1", "bag 'bag0003': labels must be a list of non-negative integers"),
+    ("truth", None, "bag 'bag0003': labels must be a list of non-negative integers")])
+def test_eval_segmentation_rejects_bad_labels(inferred, capsys, where, value, why):
+    tmp, model, post = inferred
+    segs = tmp / "segs"
+    assert main(["segment", "--posteriors", post, "--model", model,
+                 "--out-dir", str(segs)]) == 0
+    labels = {p.stem: [int(line.split(",")[1]) for line in p.read_text().splitlines()[1:]]
+              for p in segs.glob("*.csv")}
+    bags = {b: {"labels": v} for b, v in sorted(labels.items())}
+    if where == "truth":
+        if value is None:
+            del bags["bag0003"]["labels"]
+        else:
+            bags["bag0003"]["labels"][4] = value
+    truth, text = tmp / "truth.json", json.dumps({"bags": bags}, indent=1)
+    truth.write_text(text)
+    path, line = truth, next(i for i, row in enumerate(text.splitlines(), 1)
+                             if row.lstrip().startswith('"bag0003": '))
+    if where == "pred":
+        path, line = segs / "bag0003.csv", 6  # the header, then the fifth instance
+        rows = [r.split(",") for r in path.read_text().splitlines()]
+        if value is None:
+            rows[0][1] = "label"
+        else:
+            rows[line - 1][1] = value
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        line = 1 if value is None else line
+    capsys.readouterr()
+    assert main(["eval", "--task", "segmentation", "--pred", str(segs),
+                 "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {why}\n"

@@ -20,9 +20,11 @@ from wsibp import (
     sample_dataset,
 )
 from wsibp.io import (
+    PALETTE,
     load_dataset,
     load_model,
     load_posteriors,
+    overwrite,
     save_dataset,
     save_model,
     save_posteriors,
@@ -440,6 +442,21 @@ class TestWriteSegmentation:
         assert len(lines) == 4
         assert lines[1].startswith("0,0,cat,")
 
+    def test_bytes_match_per_row_writer_over_a_longer_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        seg = SegmentationMap(labels=rng.integers(0, 3, 30), scores=rng.random(30))
+        vocab, raster = ["a", "b", "c"], rng.integers(0, 30, (4, 5))
+        path = tmp_path / "seg.csv"
+        path.write_bytes(b"x" * 5000)  # an older, longer file: none of it may remain
+        (tmp_path / "seg.csv.ppm").write_bytes(b"x" * 5000)
+        write_segmentation(str(path), seg, vocab, raster=raster)
+        rows = "".join(f"{j},{int(k)},{vocab[int(k)]},{float(s)!r}\n"
+                       for j, (k, s) in enumerate(zip(seg.labels, seg.scores)))
+        assert path.read_text() == "instance,label_index,label_name,score\n" + rows
+        colour = lambda i: "%d %d %d" % PALETTE[int(seg.labels[i]) % len(PALETTE)]  # noqa: E731
+        assert (tmp_path / "seg.csv.ppm").read_text() == "P3\n5 4\n255\n" + "".join(
+            " ".join(colour(i) for i in row) + "\n" for row in raster)
+
     def test_ppm_raster(self, tmp_path):
         seg = SegmentationMap(labels=np.array([0, 1]),
                               scores=np.array([1.0, 1.0]))
@@ -470,3 +487,31 @@ class TestTruthSidecar:
         for a, b in zip(back["true_z"], small_dataset.true_z):
             assert np.array_equal(np.array(a), b)
         np.testing.assert_allclose(back["true_a"], small_dataset.true_a)
+
+
+class TestOverwrite:
+    def test_cuts_the_old_tail(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"0123456789")
+        with overwrite(str(path)) as fh:
+            fh.write(b"ab")
+        assert path.read_bytes() == b"ab"
+
+    def test_failed_write_leaves_only_what_was_written(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"0123456789")
+        with pytest.raises(RuntimeError), overwrite(str(path)) as fh:
+            fh.write(b"ab")
+            raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"ab"
+
+
+def test_edges_cut_short_is_end_of_file(tmp_path, small_dataset, small_config):
+    c = small_config
+    save_dataset(str(tmp_path), small_dataset.bags[:1], c.default_vocab(), c.k_objects,
+                 c.k_attributes, c.k_extra)
+    path = tmp_path / f"{small_dataset.bags[0].id}.bag"
+    data = path.read_bytes()
+    path.write_bytes(data[:data.index(b"\nlabels: ") - 2])  # inside the last edge line
+    with pytest.raises(FormatError, match=re.escape(f"{path}: unexpected end of file")):
+        load_dataset(str(tmp_path))

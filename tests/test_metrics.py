@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wsibp import WsibpError
 from wsibp.metrics import (
@@ -10,6 +10,7 @@ from wsibp.metrics import (
     average_recall,
     map_pr,
     mar_query,
+    SegmentationScores,
     segmentation_metrics,
 )
 
@@ -213,6 +214,105 @@ class TestSegmentationMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(WsibpError):
             segmentation_metrics({"b": np.array([0])}, {"b": np.array([0, 1])})
+
+
+def segmentation_loop(pred, truth, pixel_counts=None) -> SegmentationScores:
+    """The per-bag, per-class loop that ``segmentation_metrics`` replaced, kept as
+    its oracle."""
+    inter, pred_sz, truth_sz = {}, {}, {}
+    correct = total = 0.0
+    for bag_id, t_lab in truth.items():
+        p_lab = np.asarray(pred[bag_id])
+        t_lab = np.asarray(t_lab)
+        if p_lab.shape != t_lab.shape:
+            raise WsibpError(f"segmentation shape mismatch for bag {bag_id!r}")
+        w = (np.ones(t_lab.size) if pixel_counts is None
+             else np.asarray(pixel_counts[bag_id], dtype=np.float64))
+        if w.shape != t_lab.shape or np.any(w <= 0):
+            raise WsibpError(f"invalid pixel counts for bag {bag_id!r}")
+        match = p_lab == t_lab
+        correct += w[match].sum()
+        total += w.sum()
+        for c in np.unique(np.concatenate([p_lab, t_lab])):
+            pc, tc = p_lab == c, t_lab == c
+            inter[c] = inter.get(c, 0.0) + w[pc & tc].sum()
+            pred_sz[c] = pred_sz.get(c, 0.0) + w[pc].sum()
+            truth_sz[c] = truth_sz.get(c, 0.0) + w[tc].sum()
+    present = sorted(c for c, s in truth_sz.items() if s > 0)
+    if not present:
+        raise WsibpError("truth contains no labelled instances")
+    ious = {int(c): inter[c] / (pred_sz[c] + truth_sz[c] - inter[c]) for c in present}
+    return SegmentationScores(
+        mean_iou=float(np.mean(list(ious.values()))),
+        per_pixel_accuracy=correct / total,
+        per_class_accuracy=float(np.mean([inter[c] / truth_sz[c] for c in present])),
+        class_iou=ious)
+
+
+@st.composite
+def label_maps(draw, weighted: bool):
+    """Predicted and true label maps over 1-6 bags of 0-12 instances, labels from -1
+    to 4, and positive pixel weights (None when unweighted)."""
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    labels = st.integers(-1, 4)
+    pred, truth, pixels = {}, {}, {}
+    for b, n in enumerate(sizes):
+        pred[f"b{b}"] = np.array(draw(st.lists(labels, min_size=n, max_size=n)), dtype=np.int64)
+        truth[f"b{b}"] = np.array(draw(st.lists(labels, min_size=n, max_size=n)), dtype=np.int64)
+        pixels[f"b{b}"] = np.array(draw(st.lists(
+            st.floats(0.01, 500.0), min_size=n, max_size=n)), dtype=np.float64)
+    return pred, truth, pixels if weighted else None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WsibpError as exc:
+        return str(exc)
+
+
+class TestSegmentationMetricsAgainstLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(label_maps(weighted=False))
+    def test_unit_weights_equal(self, maps):
+        # sums of unit weights are exact integers in any order
+        assert _outcome(segmentation_metrics, *maps) == _outcome(segmentation_loop, *maps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(label_maps(weighted=True))
+    def test_pixel_weights_within_1e12(self, maps):
+        got, want = _outcome(segmentation_metrics, *maps), _outcome(segmentation_loop, *maps)
+        if isinstance(want, str):  # no labelled instance: the same error
+            assert got == want
+            return
+        assert got.class_iou.keys() == want.class_iou.keys()
+        for name in ("mean_iou", "per_pixel_accuracy", "per_class_accuracy"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-12)
+        for c, v in want.class_iou.items():
+            assert got.class_iou[c] == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(label_maps(weighted=True), st.integers(0, 5), st.sampled_from(
+        ["shape", "zero", "negative", "weight shape"]))
+    def test_bad_bag_named(self, maps, which, fault):
+        pred, truth, pixels = maps
+        bag = sorted(truth)[which % len(truth)]
+        if fault == "shape":
+            pred[bag] = np.append(pred[bag], 0)
+        elif fault == "weight shape":
+            pixels[bag] = np.append(pixels[bag], 1.0)
+        elif truth[bag].size:
+            pixels[bag][-1] = 0.0 if fault == "zero" else -2.0
+        else:
+            return
+        want = _outcome(segmentation_loop, pred, truth, pixels)
+        assert isinstance(want, str) and repr(bag) in want
+        assert _outcome(segmentation_metrics, pred, truth, pixels) == want
+
+    @pytest.mark.parametrize("truth", [{}, {"b": np.array([], dtype=np.int64)}])
+    def test_empty_truth_raises(self, truth):
+        with pytest.raises(WsibpError, match="no labelled instances"):
+            segmentation_metrics({b: v.copy() for b, v in truth.items()}, truth)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=20))
