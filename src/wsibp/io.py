@@ -63,11 +63,8 @@ class _BlockReader:
         if not raw.endswith(b"\n"):
             raise FormatError(f"{self.name}: unexpected end of file")
         self.lines += 1
-        return self.decode(raw[:-1])
-
-    def decode(self, raw: bytes) -> str:
         try:
-            return raw.decode("ascii")
+            return raw[:-1].decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.name}: non-ascii header line") from exc
 
@@ -97,15 +94,14 @@ class _BlockReader:
         if len(lines) < count:
             raise FormatError(f"{self.name}: unexpected end of file")
         self.fh.seek(pos + len(rest) - len(tail))
-        start = self.lines
-        self.lines += count
+        start, self.lines = self.lines, self.lines + count
         if all(line.count(b",") == 1 for line in lines):
-            with contextlib.suppress(ValueError):
+            with contextlib.suppress(ValueError, OverflowError):
                 return np.array([int(v) for line in lines for v in line.split(b",")],
                                 dtype=np.int64).reshape(-1, 2)
-        out, pair = [], _fields(int, int)
+        out, pair = [], _fields(_int64, _int64)
         for self.lines, line in enumerate(lines, start + 1):
-            out.append(self.parse(self.decode(line), pair, "edge"))
+            out.append(self.parse(line.decode("ascii", "replace"), pair, "edge"))
         return np.array(out)
 
     def key(self, expect: str) -> str:
@@ -148,6 +144,12 @@ def _fields(*types):
     return parse
 
 
+def _int64(text: str) -> int:
+    if not -2**63 <= (n := int(text)) < 2**63:
+        raise ValueError(f"{n} does not fit int64")
+    return n
+
+
 def _count(text: str) -> int:
     if (n := int(text)) < 0:
         raise ValueError(f"{n} is negative")
@@ -170,10 +172,8 @@ def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
 @contextlib.contextmanager
 def overwrite(path: str):
     """``path`` opened for binary writing over its old bytes, cut after the last byte
-    written when the block exits. Opening with truncation would free the old file's
-    blocks only to allocate them again, which on a file system that discards freed
-    blocks costs more than writing a small file; a file written again at its old
-    size frees nothing."""
+    written on exit. Truncating on open frees blocks only to allocate them again, which
+    costs more than writing a small file where freed blocks are discarded."""
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         try:
             yield fh
