@@ -211,6 +211,7 @@ def test_infer_invalid_bag_exit_2(workspace, corrupt):
     ("edge", b"0,x", "edge: invalid literal for int() with base 10: 'x'"),
     ("edge", b"0,1,2", "edge: expected 2 comma-separated values, got 3"),
     ("edge", b"0,99999999999999999999", "edge: 99999999999999999999 does not fit int64"),
+    ("edge", b"0,\xc3\xa9", "edge: invalid literal for int() with base 10: '\ufffd\ufffd'"),
     ("manifest", None, "feature_dim: invalid literal for int() with base 10: 'four'")])
 def test_parse_error_names_file_and_line(workspace, capsys, where, text, why):
     # a value that does not parse exits 2 with <path>:<line>: <what>: <why>
