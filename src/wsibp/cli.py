@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 import typing
 
@@ -178,10 +179,10 @@ def _cmd_fit(args) -> int:
                            [(b.id, p) for b, p in zip(loaded.bags, result.posteriors)],
                            config.k_max)
     if args.trace_out:
-        with io.overwrite(args.trace_out) as fh:
-            fh.write(("iteration,mean_abs_delta_nu,seconds\n" + "".join(
-                f"{i},{delta!r},{secs!r}\n" for i, (delta, secs) in enumerate(result.trace))
-            ).encode("ascii"))
+        with open(args.trace_out, "w", encoding="ascii") as fh:
+            fh.write("iteration,mean_abs_delta_nu,seconds\n")
+            for i, (delta, secs) in enumerate(result.trace):
+                fh.write(f"{i},{delta!r},{secs!r}\n")
     delta = result.trace[-1][0]
     print(f"fit: {len(result.trace)} iterations, final mean |delta nu| = {delta:.3g}")
     return 0
@@ -201,9 +202,8 @@ def _cmd_infer(args) -> int:
 def _write_entries(path: str, key: str, entries: list) -> None:
     """``{key: entries}`` as JSON, one entry per line. json.dumps without indent takes
     the C encoder; json.dump, or any indent, takes the pure-Python one."""
-    with io.overwrite(path) as fh:
-        fh.write(("{%s: [\n%s\n]}\n" % (json.dumps(key), ",\n".join(map(json.dumps, entries))))
-                 .encode("ascii"))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("{%s: [\n%s\n]}\n" % (json.dumps(key), ",\n".join(map(json.dumps, entries))))
 
 
 def _cmd_annotate(args) -> int:
@@ -341,20 +341,22 @@ def _eval_query(pred: dict, truth: dict) -> None:
 
 
 def _label_column(path: str) -> np.ndarray:
-    """The ``label_index`` column of a segment CSV, read in one read. Each cell must be
-    a label: a non-negative integer, below 10**18 so that it fits int64."""
+    """The ``label_index`` column of a segment CSV, read in one read; blank lines are
+    skipped. Each cell must be a label: a non-negative integer, below 10**18 so that it
+    fits int64."""
     with open(path, encoding="ascii") as fh:
         header, *rows = fh.read().splitlines() or [""]
-    names = header.split(",")
+    names = [name.strip() for name in header.split(",")]
     if "label_index" not in names:
         raise FormatError(f"{path}:1: no label_index column")
     c = names.index("label_index")
-    cells = [(row.split(",", c + 1) + [""] * c)[c] for row in rows]
-    for line, cell in enumerate(cells, 2):
+    cells = [(line, (row.split(",", c + 1) + [""] * c)[c].strip())
+             for line, row in enumerate(rows, 2) if row.strip()]
+    for line, cell in cells:
         if not (cell.isdigit() and len(cell) < 19):
             raise FormatError(f"{path}:{line}: label_index: expected a non-negative "
                               f"integer, got {cell!r}")
-    return np.array(list(map(int, cells)), dtype=np.int64)
+    return np.array([int(cell) for _, cell in cells], dtype=np.int64)
 
 
 def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: str) -> None:
@@ -363,7 +365,9 @@ def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: 
         labels = entry.get("labels") if isinstance(entry, dict) else None
         labels = np.array(labels) if isinstance(labels, list) else np.array(None)
         if labels.size and (labels.dtype.kind != "i" or labels.min() < 0):
-            line = truth_text.count("\n", 0, max(truth_text.find(json.dumps(bid)), 0)) + 1
+            key = re.compile(re.escape(json.dumps(bid)) + r"\s*:")
+            at = key.search(truth_text, max(truth_text.find('"bags"'), 0))
+            line = truth_text.count("\n", 0, at.start() if at else 0) + 1
             raise FormatError(f"{truth_path}:{line}: bag {bid!r}: labels must be a list "
                               "of non-negative integers")
         truth_maps[bid] = labels.astype(np.int64)

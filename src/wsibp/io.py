@@ -169,18 +169,6 @@ def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
     return [reader.field("bag", parse) for _ in range(count)]
 
 
-@contextlib.contextmanager
-def overwrite(path: str):
-    """``path`` opened for binary writing over its old bytes, cut after the last byte
-    written on exit. Truncating on open frees blocks only to allocate them again, which
-    costs more than writing a small file where freed blocks are discarded."""
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        try:
-            yield fh
-        finally:
-            fh.truncate()
-
-
 def _write_lines(fh, lines: list[str]) -> None:
     fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -225,7 +213,7 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
         raise VocabMismatchError("vocab length does not match factor counts")
     os.makedirs(path, exist_ok=True)
     for bag in bags:
-        with overwrite(os.path.join(path, f"{bag.id}.bag")) as fh:
+        with open(os.path.join(path, f"{bag.id}.bag"), "wb") as fh:
             fh.write(f"id: {bag.id}\ninstances: {bag.n_instances}\n".encode("ascii"))
             _write_array(fh, "features", np.asarray(bag.features, dtype=np.float32), binary)
             fh.write(f"edges: {len(bag.edges)}\n".encode("ascii"))
@@ -233,7 +221,7 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
             bits = bag.labels.bits.tolist()
             annotated = [vocab[k] for k in range(k_objects + k_attributes) if bits[k] == 1.0]
             fh.write(("labels: " + ",".join(annotated) + "\n").encode("ascii"))
-    with overwrite(os.path.join(path, "manifest.txt")) as fh:
+    with open(os.path.join(path, "manifest.txt"), "wb") as fh:
         _write_lines(fh, [
             DATASET_MAGIC, f"version: {FORMAT_VERSION}",
             f"feature_dim: {bags[0].feature_dim if bags else 0}",
@@ -289,7 +277,7 @@ def load_dataset(path: str) -> LoadedDataset:
 def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix) -> None:
     """Versioned container: config snapshot (every ModelConfig field, in declared
     order), vocab, then means, variances and M as binary blocks."""
-    with overwrite(path) as fh:
+    with open(path, "wb") as fh:
         fh.write((MODEL_MAGIC + "\n").encode("ascii"))
         fh.write(f"version: {FORMAT_VERSION}\n".encode("ascii"))
         fh.write(f"feature_dim: {model.feature_dim}\n".encode("ascii"))
@@ -326,7 +314,7 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
 
 def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
                     k_max: int) -> None:
-    with overwrite(path) as fh:
+    with open(path, "wb") as fh:
         _write_lines(fh, [POSTERIORS_MAGIC, f"version: {POSTERIORS_VERSION}", f"k_max: {k_max}",
                           f"num_bags: {len(posteriors)}"]
                      + [f"bag: {bag_id},{post.nu.shape[0]}" for bag_id, post in posteriors])
@@ -379,8 +367,8 @@ def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
     ``path + ".ppm"``."""
     rows = "".join(f"{j},{k},{vocab[k]},{s!r}\n"
                    for j, (k, s) in enumerate(zip(seg.labels.tolist(), seg.scores.tolist())))
-    with overwrite(path) as fh:
-        fh.write(("instance,label_index,label_name,score\n" + rows).encode("ascii"))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("instance,label_index,label_name,score\n" + rows)
     if raster is None:
         return
     raster = np.asarray(raster)
@@ -388,7 +376,7 @@ def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
         raise DatasetError("raster references an unknown instance id")
     h, w = raster.shape
     colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
-    with overwrite(path + ".ppm") as fh:
+    with open(path + ".ppm", "wb") as fh:
         _write_lines(fh, [f"P3\n{w} {h}\n255"]
                      + [" ".join(colours[i] for i in row) for row in raster.tolist()])
 
@@ -402,5 +390,5 @@ def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],
         "true_pi": [p.tolist() for p in true_pi],
         "true_a": true_a.tolist(),
     }
-    with overwrite(path) as fh:
-        fh.write(json.dumps(payload).encode("ascii"))  # json.dump takes the Python encoder
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(payload))  # json.dump takes the pure-Python encoder

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -461,3 +463,75 @@ def test_eval_segmentation_rejects_bad_labels(inferred, capsys, where, value, wh
     assert main(["eval", "--task", "segmentation", "--pred", str(segs),
                  "--truth", str(truth)]) == 2
     assert capsys.readouterr().err == f"error: {path}:{line}: {why}\n"
+
+
+def _segment_truth(tmp, model, post):
+    """``segment``'s output directory and a truth dict that repeats its labels."""
+    segs = tmp / "segs"
+    assert main(["segment", "--posteriors", post, "--model", model,
+                 "--out-dir", str(segs)]) == 0
+    labels = {p.stem: [int(line.split(",")[1]) for line in p.read_text().splitlines()[1:]]
+              for p in segs.glob("*.csv")}
+    return segs, {b: {"labels": v} for b, v in sorted(labels.items())}
+
+
+def test_eval_segmentation_reads_blank_lines_and_padded_cells(inferred, capsys):
+    # as csv.DictReader did: blank lines are skipped and cells may be padded
+    tmp, model, post = inferred
+    segs, bags = _segment_truth(tmp, model, post)
+    truth = tmp / "truth.json"
+    truth.write_text(json.dumps({"bags": bags}))
+    args = ["eval", "--task", "segmentation", "--pred", str(segs), "--truth", str(truth)]
+    capsys.readouterr()
+    assert main(args) == 0
+    want = capsys.readouterr().out
+    for path in segs.glob("*.csv"):
+        rows = [r.split(",") for r in path.read_text().splitlines()]
+        path.write_text("\n".join(",".join([r[0], f" {r[1]} "] + r[2:]) for r in rows)
+                        + "\n\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_eval_segmentation_names_the_line_of_the_bag_key(inferred, capsys):
+    # the id also appears earlier as a value; the error names the line of its key
+    tmp, model, post = inferred
+    segs, bags = _segment_truth(tmp, model, post)
+    bags["bag0000"]["note"] = "bag0003"
+    bags["bag0003"]["labels"][0] = -1
+    truth, text = tmp / "truth.json", json.dumps({"bags": bags}, indent=1)
+    truth.write_text(text)
+    line = next(i for i, row in enumerate(text.splitlines(), 1)
+                if row.lstrip().startswith('"bag0003": '))
+    capsys.readouterr()
+    assert main(["eval", "--task", "segmentation", "--pred", str(segs),
+                 "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err == (f"error: {truth}:{line}: bag 'bag0003': labels "
+                                       "must be a list of non-negative integers\n")
+
+
+@pytest.mark.parametrize("command", ["annotate", "query", "fit"])
+def test_outputs_can_be_written_to_a_pipe(inferred, workspace, command):
+    # a pipe cannot seek, so a writer must not seek or truncate (``--out /dev/stdout``)
+    tmp, model, post = inferred
+    fifo = tmp / "fifo"
+    os.mkfifo(fifo)
+    data = []
+    reader = threading.Thread(target=lambda: data.append(fifo.read_bytes()))
+    reader.start()
+    args = {"annotate": ["annotate", "--posteriors", post, "--model", model, "--out"],
+            "query": ["query", "--posteriors", post, "--model", model,
+                      "--object", "obj1", "--attrs", "att0", "--out"],
+            "fit": ["fit", "--data", workspace[1], "--model-out", str(tmp / "m2.model")]
+            + HYPER + ["--trace-out"]}[command]
+    try:
+        assert main(args + [str(fifo)]) == 0
+    finally:
+        with contextlib.suppress(OSError):  # let the reader go if nothing opened the pipe
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join()
+    text = data[0].decode("ascii")
+    if command == "fit":
+        assert text.startswith("iteration,mean_abs_delta_nu,seconds\n")
+    else:
+        assert json.loads(text)

@@ -24,7 +24,6 @@ from wsibp.io import (
     load_dataset,
     load_model,
     load_posteriors,
-    overwrite,
     save_dataset,
     save_model,
     save_posteriors,
@@ -487,23 +486,6 @@ class TestTruthSidecar:
         for a, b in zip(back["true_z"], small_dataset.true_z):
             assert np.array_equal(np.array(a), b)
         np.testing.assert_allclose(back["true_a"], small_dataset.true_a)
-
-
-class TestOverwrite:
-    def test_cuts_the_old_tail(self, tmp_path):
-        path = tmp_path / "f"
-        path.write_bytes(b"0123456789")
-        with overwrite(str(path)) as fh:
-            fh.write(b"ab")
-        assert path.read_bytes() == b"ab"
-
-    def test_failed_write_leaves_only_what_was_written(self, tmp_path):
-        path = tmp_path / "f"
-        path.write_bytes(b"0123456789")
-        with pytest.raises(RuntimeError), overwrite(str(path)) as fh:
-            fh.write(b"ab")
-            raise RuntimeError("interrupted")
-        assert path.read_bytes() == b"ab"
 
 
 def test_edges_cut_short_is_end_of_file(tmp_path, small_dataset, small_config):
