@@ -45,9 +45,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+class _Unparsed:
+    """Stands in for the parser of a command that is not being run and drops its
+    flags: building all seven parsers costs more than parsing one command."""
+
+    def add_argument(self, *args, **kwargs) -> None:
+        pass
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser, names=tuple(_HYPER)) -> None:
     """One flag per field in ``names``, typed as ModelConfig declares it. Each
     defaults to None, so a flag not given leaves ModelConfig's default."""
+    if isinstance(p, _Unparsed):
+        return
     types = typing.get_type_hints(ModelConfig)
     for name in names:
         p.add_argument("--" + name.replace("_", "-"), type=types[name], help=_HYPER[name])
@@ -62,11 +72,15 @@ def _config(args, **fixed) -> ModelConfig:
     return ModelConfig(**{**_given(args), **fixed})
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``wsibp`` parser; given a ``command``, the parser of that command alone."""
     parser = _Parser(prog="wsibp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="sample a synthetic dataset with ground truth")
+    def add(name: str, help: str):
+        return sub.add_parser(name, help=help) if command in (None, name) else _Unparsed()
+
+    p = add("synth", help="sample a synthetic dataset with ground truth")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--num-bags", type=int, default=50)
     p.add_argument("--instances", type=int, default=20)
@@ -80,26 +94,26 @@ def build_parser() -> _Parser:
                    help="write features as decimal text instead of binary")
     _add_hyper_flags(p, _SYNTH_HYPER)
 
-    p = sub.add_parser("fit", help="train on a dataset directory")
+    p = add("fit", help="train on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--posteriors-out", help="also write training-bag posteriors")
     p.add_argument("--trace-out", help="write per-iteration delta/time CSV")
     _add_hyper_flags(p)
 
-    p = sub.add_parser("infer", help="test-time inference with a trained model")
+    p = add("infer", help="test-time inference with a trained model")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="posteriors file")
 
-    p = sub.add_parser("annotate", help="rank objects and attributes per bag")
+    p = add("annotate", help="rank objects and attributes per bag")
     p.add_argument("--posteriors", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--top-objects", type=int, default=1)
     p.add_argument("--top-attrs", type=int, default=2)
 
-    p = sub.add_parser("query", help="rank bags for an object(+attribute) conjunction")
+    p = add("query", help="rank bags for an object(+attribute) conjunction")
     p.add_argument("--posteriors", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--object", required=True, help="object factor name or index")
@@ -107,7 +121,7 @@ def build_parser() -> _Parser:
                    help="comma-separated attribute names or indices")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("segment", help="label instances with object factors")
+    p = add("segment", help="label instances with object factors")
     p.add_argument("--posteriors", help="posteriors from infer")
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
@@ -119,7 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--raster-bag", help="bag id the raster applies to")
     _add_hyper_flags(p)  # each given flag overrides the model's for the refit
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
+    p = add("eval", help="score predictions against ground truth")
     p.add_argument("--task", required=True,
                    choices=("annotation", "query", "segmentation"))
     p.add_argument("--pred", required=True)
@@ -415,7 +429,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

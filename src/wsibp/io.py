@@ -97,12 +97,12 @@ class _BlockReader:
         start, self.lines = self.lines, self.lines + count
         if all(line.count(b",") == 1 for line in lines):
             with contextlib.suppress(ValueError, OverflowError):
-                return np.array([int(v) for line in lines for v in line.split(b",")],
+                return np.array(list(map(int, b",".join(lines).split(b","))),
                                 dtype=np.int64).reshape(-1, 2)
         out, pair = [], _fields(_int64, _int64)
         for self.lines, line in enumerate(lines, start + 1):
             out.append(self.parse(line.decode("ascii", "replace"), pair, "edge"))
-        return np.array(out)
+        return np.array(out, dtype=np.int64).reshape(-1, 2)
 
     def key(self, expect: str) -> str:
         line = self.line()
@@ -157,8 +157,20 @@ def _count(text: str) -> int:
 
 
 def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
-    """The next ``count`` lines ``bag: <id>,...``, parsed through ``types``; an id named
-    before is a FormatError at its second line."""
+    """The next ``count`` lines ``bag: <id>,...``, parsed through ``types`` in one pass;
+    only if that fails are they read again one by one, to name the first bad line. An id
+    named before is a FormatError at its second line."""
+    pos, raw = reader.fh.tell(), b"".join([reader.fh.readline() for _ in range(count)])
+    with contextlib.suppress(ValueError):  # a UnicodeDecodeError is a ValueError
+        *lines, end = raw.decode("ascii").split("\n")
+        cells = [line[4:].strip().split(",") for line in lines]
+        if (not end and len(lines) == count and all(line[:4] == "bag:" for line in lines)
+                and all(len(c) == len(types) + 1 for c in cells)):
+            bags = [(c[0], *(t(v) for t, v in zip(types, c[1:]))) for c in cells]
+            if len({bag[0] for bag in bags}) == count:
+                reader.lines += count
+                return bags
+    reader.fh.seek(pos)
     seen, line = set(), _fields(str, *types)
 
     def parse(text: str) -> tuple:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wsibp import BagPosterior, tasks
-from wsibp.cli import main
+from wsibp.cli import build_parser, main
 from wsibp.io import load_dataset, load_model, load_posteriors, save_dataset, save_posteriors
 
 
@@ -535,3 +535,15 @@ def test_outputs_can_be_written_to_a_pipe(inferred, workspace, command):
         assert text.startswith("iteration,mean_abs_delta_nu,seconds\n")
     else:
         assert json.loads(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "d", "--num-bags", "3", "--seed", "4"],
+    ["fit", "--data", "d", "--model-out", "m", "--beta", "0.5"],
+    ["infer", "--data", "d", "--model", "m", "--out", "p"],
+    ["annotate", "--posteriors", "p", "--model", "m", "--out", "a", "--top-attrs", "3"],
+    ["query", "--posteriors", "p", "--model", "m", "--object", "obj0", "--out", "q"],
+    ["segment", "--posteriors", "p", "--model", "m", "--out-dir", "s", "--rho", "0.2"],
+    ["eval", "--task", "query", "--pred", "q", "--truth", "t"]])
+def test_one_command_parser_parses_as_the_whole_parser(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
