@@ -8,7 +8,6 @@ from .core import (
     ConfigError,
     CorrelationMatrix,
     DatasetError,
-    DatasetHandle,
     DimensionMismatchError,
     EdgeIndexError,
     EmptyDatasetError,
@@ -35,7 +34,6 @@ __all__ = [
     "ConfigError",
     "CorrelationMatrix",
     "DatasetError",
-    "DatasetHandle",
     "DimensionMismatchError",
     "EdgeIndexError",
     "EmptyDatasetError",

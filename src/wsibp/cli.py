@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data/format error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -17,7 +16,7 @@ import typing
 import numpy as np
 
 from . import generative, inference, io, metrics, tasks
-from .core import ConfigError, DimensionMismatchError, FormatError, ModelConfig, WsibpError
+from .core import ConfigError, DatasetError, FormatError, ModelConfig, WsibpError
 
 
 class UsageError(Exception):
@@ -30,7 +29,7 @@ _HYPER = {
     "sigma_a": "appearance prior std (sigma_A)",
     "sigma": "observation noise std (sigma)",
     "k_extra": "unannotated/background factor slots (K_bg); fit takes the "
-               "dataset's and segment the model's by default",
+               "dataset's and rejects any other value",
     "seed": "random seed",
     "beta": "spatial MRF coupling (beta)",
     "rho": "factorial MRF weight (rho)",
@@ -45,19 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-class _Unparsed:
-    """Stands in for the parser of a command that is not being run and drops its
-    flags: building all seven parsers costs more than parsing one command."""
-
-    def add_argument(self, *args, **kwargs) -> None:
-        pass
-
-
 def _add_hyper_flags(p: argparse.ArgumentParser, names=tuple(_HYPER)) -> None:
     """One flag per field in ``names``, typed as ModelConfig declares it. Each
     defaults to None, so a flag not given leaves ModelConfig's default."""
-    if isinstance(p, _Unparsed):
-        return
     types = typing.get_type_hints(ModelConfig)
     for name in names:
         p.add_argument("--" + name.replace("_", "-"), type=types[name], help=_HYPER[name])
@@ -73,14 +62,17 @@ def _config(args, **fixed) -> ModelConfig:
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The ``wsibp`` parser; given a ``command``, the parser of that command alone."""
+    """The ``wsibp`` parser; given a ``command``, the parser of that command alone, as
+    building all seven costs more than parsing one command."""
     parser = _Parser(prog="wsibp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_flags, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=summary))
+    return parser
 
-    def add(name: str, help: str):
-        return sub.add_parser(name, help=help) if command in (None, name) else _Unparsed()
 
-    p = add("synth", help="sample a synthetic dataset with ground truth")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--num-bags", type=int, default=50)
     p.add_argument("--instances", type=int, default=20)
@@ -94,26 +86,30 @@ def build_parser(command: str | None = None) -> _Parser:
                    help="write features as decimal text instead of binary")
     _add_hyper_flags(p, _SYNTH_HYPER)
 
-    p = add("fit", help="train on a dataset directory")
+
+def _fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--posteriors-out", help="also write training-bag posteriors")
     p.add_argument("--trace-out", help="write per-iteration delta/time CSV")
     _add_hyper_flags(p)
 
-    p = add("infer", help="test-time inference with a trained model")
+
+def _infer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="posteriors file")
 
-    p = add("annotate", help="rank objects and attributes per bag")
+
+def _annotate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--posteriors", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--top-objects", type=int, default=1)
     p.add_argument("--top-attrs", type=int, default=2)
 
-    p = add("query", help="rank bags for an object(+attribute) conjunction")
+
+def _query_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--posteriors", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--object", required=True, help="object factor name or index")
@@ -121,7 +117,8 @@ def build_parser(command: str | None = None) -> _Parser:
                    help="comma-separated attribute names or indices")
     p.add_argument("--out", required=True)
 
-    p = add("segment", help="label instances with object factors")
+
+def _segment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--posteriors", help="posteriors from infer")
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
@@ -131,16 +128,17 @@ def build_parser(command: str | None = None) -> _Parser:
     p.add_argument("--data", help="test dataset (transductive mode)")
     p.add_argument("--raster", help="CSV raster of pixel -> instance ids")
     p.add_argument("--raster-bag", help="bag id the raster applies to")
-    _add_hyper_flags(p)  # each given flag overrides the model's for the refit
+    # each given flag overrides the model's for the refit; k_extra is the model's
+    _add_hyper_flags(p, [name for name in _HYPER if name != "k_extra"])
 
-    p = add("eval", help="score predictions against ground truth")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", required=True,
                    choices=("annotation", "query", "segmentation"))
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--t", default="2,5,8",
                    help="comma-separated t values for AP@t")
-    return parser
 
 
 def _factor_index(token: str, vocab: list[str]) -> int:
@@ -151,17 +149,6 @@ def _factor_index(token: str, vocab: list[str]) -> int:
         return int(token)
     except ValueError:
         raise WsibpError(f"unknown factor {token!r}") from None
-
-
-def _load_posteriors(path: str, k_max: int) -> list:
-    """Posteriors from ``path``, checked to have the model's k_max factors."""
-    posts = io.load_posteriors(path)
-    for bag_id, post in posts:
-        if post.tau.shape[0] != k_max or post.nu.shape[1] != k_max:
-            raise DimensionMismatchError(
-                f"posteriors of bag {bag_id!r} have {post.nu.shape[1]} factors, "
-                f"the model has k_max {k_max}")
-    return posts
 
 
 def _cmd_synth(args) -> int:
@@ -223,7 +210,7 @@ def _write_entries(path: str, key: str, entries: list) -> None:
 def _cmd_annotate(args) -> int:
     model, _ = io.load_model(args.model)
     config = model.config
-    posts = _load_posteriors(args.posteriors, config.k_max)
+    posts = io.load_posteriors(args.posteriors, config.k_max)
     lo, hi = config.k_objects, config.k_annotated
     entries = []
     for bag_id, post in posts:
@@ -250,7 +237,7 @@ def _cmd_annotate(args) -> int:
 def _cmd_query(args) -> int:
     model, _ = io.load_model(args.model)
     config = model.config
-    posts = _load_posteriors(args.posteriors, config.k_max)
+    posts = io.load_posteriors(args.posteriors, config.k_max)
     obj = _factor_index(args.object, model.vocab)
     attrs = [_factor_index(t, model.vocab) for t in args.attrs.split(",") if t.strip()]
     ranked = tasks.rank_query(posts, config, obj, attrs)
@@ -264,18 +251,18 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    if (args.raster is None) != (args.raster_bag is None):
+        raise UsageError("--raster and --raster-bag must be given together")
     model, corr = io.load_model(args.model)
     config = model.config
     given = _given(args)
     if given and not args.transductive:
         raise ConfigError(f"--{', --'.join(given).replace('_', '-')}: hyperparameter "
                           "flags only apply to segment --transductive")
+    raster = None if args.raster is None else io.read_raster(args.raster)
     if args.transductive:
         if not (args.train_data and args.data):
             raise UsageError("segment --transductive needs --train-data and --data")
-        if given.get("k_extra", config.k_extra) != config.k_extra:
-            raise ConfigError(f"--k-extra {args.k_extra} does not match the "
-                              f"model's k_extra {config.k_extra}")
         config = dataclasses.replace(config, **given)
         train = io.load_dataset(args.train_data)
         test = io.load_dataset(args.data)
@@ -285,14 +272,12 @@ def _cmd_segment(args) -> int:
     else:
         if not args.posteriors:
             raise UsageError("segment needs --posteriors (or --transductive)")
-        posts = _load_posteriors(args.posteriors, config.k_max)
+        posts = io.load_posteriors(args.posteriors, config.k_max)
+    if raster is not None:
+        if (post := dict(posts).get(args.raster_bag)) is None:
+            raise DatasetError(f"--raster-bag {args.raster_bag!r}: no such bag")
+        io.check_raster(raster, post.nu.shape[0])
     os.makedirs(args.out_dir, exist_ok=True)
-    raster = None
-    if args.raster:
-        with open(args.raster, encoding="ascii") as fh:
-            raster = np.array([[int(v) for v in row] for row in csv.reader(fh)])
-        if not args.raster_bag:
-            raise UsageError("--raster requires --raster-bag")
     for bag_id, post in posts:
         seg = tasks.segment(post, config)
         out = os.path.join(args.out_dir, f"{bag_id}.csv")
@@ -417,14 +402,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# name -> (help, the function adding its flags, its handler)
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "fit": _cmd_fit,
-    "infer": _cmd_infer,
-    "annotate": _cmd_annotate,
-    "query": _cmd_query,
-    "segment": _cmd_segment,
-    "eval": _cmd_eval,
+    "synth": ("sample a synthetic dataset with ground truth", _synth_flags, _cmd_synth),
+    "fit": ("train on a dataset directory", _fit_flags, _cmd_fit),
+    "infer": ("test-time inference with a trained model", _infer_flags, _cmd_infer),
+    "annotate": ("rank objects and attributes per bag", _annotate_flags, _cmd_annotate),
+    "query": ("rank bags for an object(+attribute) conjunction", _query_flags, _cmd_query),
+    "segment": ("label instances with object factors", _segment_flags, _cmd_segment),
+    "eval": ("score predictions against ground truth", _eval_flags, _cmd_eval),
 }
 
 
@@ -433,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -204,25 +204,19 @@ class CorrelationMatrix:
         return CorrelationMatrix(np.zeros((k_max, k_max)))
 
 
-@dataclass(frozen=True)
-class DatasetHandle:
-    """Validated dataset summary: bag count, feature dim, truncation level."""
-
-    num_bags: int
-    feature_dim: int
-    k_max: int
-
-
-def validate_dataset(bags: list[Bag], config: ModelConfig) -> DatasetHandle:
-    """Check shape consistency across bags and return a summary handle. A dataset that
-    fails the checks over all bags at once is walked, to raise its first bag's fault."""
+def validate_dataset(bags: list[Bag], config: ModelConfig, dim: int | None = None) -> int:
+    """Check every bag and return the feature dim they share: ``dim`` (a model's), or
+    by default the first bag's. Each bag needs that dim, at least one instance, finite
+    features, label bits that ``config`` accepts and edges in range without self-edges;
+    there must be at least one bag. A dataset that fails the checks over all bags at
+    once is walked, to raise its first bag's fault."""
     if not bags:
         raise EmptyDatasetError("dataset contains no bags")
-    dim = bags[0].feature_dim
+    dim = bags[0].feature_dim if dim is None else dim
     if len(bags) == 1 or not _all_valid(bags, dim, config):  # one bag is cheaper walked
         for bag in bags:
             _validate_bag(bag, dim, config)
-    return DatasetHandle(num_bags=len(bags), feature_dim=dim, k_max=config.k_max)
+    return dim
 
 
 def _all_valid(bags: list[Bag], dim: int, config: ModelConfig) -> bool:

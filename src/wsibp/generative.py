@@ -23,20 +23,15 @@ class SyntheticDataset:
 
 
 def grid_edges(n: int) -> np.ndarray:
-    """4-neighbour grid adjacency over n instances laid out row-major."""
+    """4-neighbour grid adjacency over n instances laid out row-major: per instance, the
+    edge to its right neighbour, then the one to the neighbour below, where they exist."""
     if n <= 0:
         raise DatasetError("need at least one instance")
     width = int(np.ceil(np.sqrt(n)))
-    edges = []
-    for j in range(n):
-        r, c = divmod(j, width)
-        right = j + 1
-        down = j + width
-        if c + 1 < width and right < n:
-            edges.append((j, right))
-        if down < n:
-            edges.append((j, down))
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    j = np.arange(n, dtype=np.int64)
+    pairs = np.stack([np.stack([j, j + 1], axis=1), np.stack([j, j + width], axis=1)], axis=1)
+    keep = np.stack([(j % width + 1 < width) & (j + 1 < n), j + width < n], axis=1)
+    return pairs[keep]
 
 
 def _emit_features(z: np.ndarray, a: np.ndarray, sigma: float,

@@ -56,10 +56,9 @@ class StickBoundCache:
     def from_tau(tau: np.ndarray) -> "StickBoundCache":
         """The cache of tau (..., k_max, 2): one ``digamma`` call over the stacked
         (3, ..., k_max) arguments tau_1, tau_2, tau_1 + tau_2, then cumulative sums
-        along the factor axis, with w built in place in psi(tau_2)'s row."""
+        along the factor axis, with w built in place in psi(tau_2)'s row. ``digamma``
+        raises ValueError unless every tau is > 0."""
         tau = np.asarray(tau, dtype=np.float64)
-        if np.any(tau <= 0):
-            raise ValueError("stick parameters must be > 0")
         t1, t2 = tau[..., 0], tau[..., 1]
         d1, d2, d12 = digamma(np.array([t1, t2, t1 + t2]))
         prior_cumsum = np.cumsum(d1 - d2, axis=-1)
@@ -329,11 +328,11 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
     Consecutive bags make groups of at most ``GROUP_ROWS`` instances (a larger bag is a
     group of its own); the returned posteriors are views of the groups' arrays.
     """
-    handle = validate_dataset(bags, config)
+    dim = validate_dataset(bags, config)
     if vocab is None:
         vocab = config.default_vocab()
     rng = np.random.default_rng(config.seed)
-    model = init_model(config, handle.feature_dim, vocab, rng)
+    model = init_model(config, dim, vocab, rng)
     groups = [init_group(run, config, rng) for run in _group_bags(bags)]
     gram = nu_gram(groups)
     bits = np.array([b.labels.bits for b in bags])
@@ -364,9 +363,7 @@ def infer_test(bag: Bag, model: AppearanceModel,
     projection are taken once, before the first sweep.
     """
     open_bag = replace(bag, labels=WeakLabels(np.ones(config.k_max)))
-    if validate_dataset([open_bag], config).feature_dim != model.feature_dim:
-        raise DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
-                                     f"model expects {model.feature_dim}")
+    validate_dataset([open_bag], config, model.feature_dim)
     group = init_group([open_bag], config, np.random.default_rng(config.seed))
     proj, terms = project(group, model, config), sweep_terms(model, correlation, config)
     for _ in range(config.max_iters):

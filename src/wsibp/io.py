@@ -338,15 +338,20 @@ def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
             fh.write(b"\n")
 
 
-def load_posteriors(path: str) -> list[tuple[str, BagPosterior]]:
+def load_posteriors(path: str, k_max: int | None = None) -> list[tuple[str, BagPosterior]]:
+    """The posteriors of a file, by bag id. Every bag's tau and nu take their width from
+    the file's one ``k_max:`` line, so a given ``k_max`` (the model's) is checked there."""
     with open(path, "rb") as fh:
         reader = _BlockReader(fh, path)
         _check_version(reader, POSTERIORS_MAGIC, POSTERIORS_VERSION,
                        "; re-run infer or fit --posteriors-out to write it again")
-        k_max, num_bags = reader.field("k_max", _count), reader.field("num_bags", _count)
+        width = reader.field("k_max", _count)
+        if k_max not in (None, width):
+            raise reader.error(f"k_max: the file has {width} factors, the model has {k_max}")
+        num_bags = reader.field("num_bags", _count)
         bags = _bag_lines(reader, num_bags, _count)
         rows = sum(n for _, n in bags)
-        shapes = {"tau": (num_bags, k_max, 2), "nu": (rows, k_max), "logits": (rows, k_max)}
+        shapes = {"tau": (num_bags, width, 2), "nu": (rows, width), "logits": (rows, width)}
         at = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
         if 8 * at[-1] > reader.size:  # checked before the allocation
             raise reader.error(f"bag: the blocks need {8 * at[-1]} bytes, the file has {reader.size}")
@@ -373,6 +378,32 @@ def _lacks(tau: np.ndarray, nu: np.ndarray, logits: np.ndarray) -> list[str]:
     ) if not ok]
 
 
+def read_raster(path: str) -> np.ndarray:
+    """A raster CSV, pixel -> instance id: rows of non-negative integers, all of one
+    length, at least one; blank lines are skipped. A fault is a FormatError at its line."""
+    with open(path, encoding="ascii", errors="replace") as fh:
+        rows = [(line, row.split(",")) for line, row in enumerate(fh.read().splitlines(), 1)
+                if row.strip()]
+    if not rows:
+        raise FormatError(f"{path}:1: a raster needs at least one row")
+    width = len(rows[0][1])
+    for line, cells in rows:
+        if len(cells) != width:
+            raise FormatError(f"{path}:{line}: {len(cells)} cells, the first row has {width}")
+        for cell in map(str.strip, cells):
+            if not (cell.isdigit() and len(cell) < 19):  # below 10**18, so it fits int64
+                raise FormatError(f"{path}:{line}: expected a non-negative integer "
+                                  f"instance id, got {cell!r}")
+    return np.array([[int(c) for c in cells] for _, cells in rows], dtype=np.int64)
+
+
+def check_raster(raster: np.ndarray, n_instances: int) -> None:
+    """Every cell of ``raster`` must be an instance id of the bag, in [0, n_instances)."""
+    if raster.min() < 0 or raster.max() >= n_instances:
+        raise DatasetError(f"raster references an unknown instance id: the bag has "
+                           f"{n_instances} instances")
+
+
 def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
                        raster: np.ndarray | None = None) -> None:
     """Per-instance label CSV, plus an optional paletted P3 raster image at
@@ -384,8 +415,7 @@ def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
     if raster is None:
         return
     raster = np.asarray(raster)
-    if raster.min() < 0 or raster.max() >= len(seg.labels):
-        raise DatasetError("raster references an unknown instance id")
+    check_raster(raster, len(seg.labels))
     h, w = raster.shape
     colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
     with open(path + ".ppm", "wb") as fh:

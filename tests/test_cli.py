@@ -145,8 +145,8 @@ def test_transductive_segment(workspace):
     segs = str(tmp / "tsegs")
     assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
     assert main(["segment", "--transductive", "--train-data", ds,
-                 "--data", ds, "--model", model, "--out-dir", segs]
-                + HYPER) == 0
+                 "--data", ds, "--model", model, "--out-dir", segs,
+                 "--sigma", "0.1", "--max-iters", "60"]) == 0
     assert len(os.listdir(segs)) == 8
 
 
@@ -266,7 +266,7 @@ def test_fit_k_extra_mismatch_exit_2(workspace, capsys):
 @pytest.mark.parametrize("argv", [["annotate", "--out"],
                                   ["query", "--object", "obj0", "--out"],
                                   ["segment", "--out-dir"]])
-def test_posteriors_must_match_model(workspace, argv):
+def test_posteriors_must_match_model(workspace, capsys, argv):
     tmp, ds = workspace
     model = str(tmp / "m.model")
     assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
@@ -274,8 +274,11 @@ def test_posteriors_must_match_model(workspace, argv):
                         logits=np.zeros((12, 8)))
     post = str(tmp / "wide.post")
     save_posteriors(post, [("b0", wide)], 8)
+    capsys.readouterr()
     assert main(argv + [str(tmp / "out"), "--posteriors", post,
                         "--model", model]) == 2
+    assert capsys.readouterr().err == (f"error: {post}:3: k_max: the file has 8 factors, "
+                                       "the model has 4\n")
 
 
 def test_out_of_range_posteriors_exit_2(workspace, capsys):
@@ -319,14 +322,77 @@ def test_segment_hyper_flag_needs_transductive(workspace, capsys):
     assert "--transductive" in capsys.readouterr().err
 
 
-def test_segment_k_extra_mismatch_exit_2(workspace, capsys):
-    tmp, ds = workspace  # the model has k_extra = 0
-    model = str(tmp / "m.model")
-    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
-    assert main(["segment", "--transductive", "--train-data", ds, "--data", ds,
-                 "--model", model, "--out-dir", str(tmp / "segs"),
-                 "--k-extra", "3"]) == 2
-    assert "--k-extra 3" in capsys.readouterr().err
+def test_segment_has_no_k_extra_flag(capsys):
+    # the model fixes k_extra, so segment has no flag for it
+    assert main(["segment", "--posteriors", "p", "--model", "m", "--out-dir", "s",
+                 "--k-extra", "0"]) == 1
+    assert "unrecognized arguments: --k-extra 0" in capsys.readouterr().err
+
+
+@pytest.fixture
+def raster_run(workspace, capsys):
+    """A fitted model, its training posteriors and a segment command taking a raster
+    file written from the given text; the command returns its exit code and stderr."""
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "train.post")
+    assert main(["fit", "--data", ds, "--model-out", model,
+                 "--posteriors-out", post] + HYPER) == 0
+    segs, raster = tmp / "segs", tmp / "raster.csv"
+
+    def run(text, *flags):
+        raster.write_text(text)
+        capsys.readouterr()
+        code = main(["segment", "--posteriors", post, "--model", model,
+                     "--out-dir", str(segs), *flags])
+        return code, capsys.readouterr().err
+    return run, str(raster), segs
+
+
+def test_segment_raster_writes_the_bag_image(raster_run):
+    run, raster, segs = raster_run
+    assert run("0,1\n\n2,11\n", "--raster", raster, "--raster-bag", "bag0002")[0] == 0
+    assert sorted(p.name for p in segs.iterdir() if p.suffix == ".ppm") == ["bag0002.csv.ppm"]
+    assert (segs / "bag0002.csv.ppm").read_text().startswith("P3\n2 2\n255\n")
+
+
+@pytest.mark.parametrize("flag", ["--raster", "--raster-bag"])
+def test_segment_raster_flags_go_together(raster_run, flag):
+    # a usage error, found before any file is read: the raster file does not exist
+    run, raster, segs = raster_run
+    code, err = run("0\n", flag, raster + ".missing")
+    assert code == 1 and "--raster and --raster-bag must be given together" in err
+    assert not segs.exists()
+
+
+def test_segment_unknown_raster_bag_exit_2(raster_run):
+    run, raster, segs = raster_run
+    code, err = run("0,1\n", "--raster", raster, "--raster-bag", "nosuchbag")
+    assert code == 2 and "--raster-bag 'nosuchbag': no such bag" in err
+    assert not segs.exists()
+
+
+def test_segment_raster_id_out_of_range_writes_nothing(raster_run):
+    run, raster, segs = raster_run  # each bag has 12 instances
+    code, err = run("0,1\n12,3\n", "--raster", raster, "--raster-bag", "bag0002")
+    assert code == 2 and "unknown instance id: the bag has 12 instances" in err
+    assert not segs.exists()
+
+
+@pytest.mark.parametrize("text, line, why", [
+    ("", 1, "a raster needs at least one row"),
+    ("\n \n", 1, "a raster needs at least one row"),
+    ("0,1\n2\n", 2, "1 cells, the first row has 2"),
+    ("0,1\n\n2,x\n", 3, "expected a non-negative integer instance id, got 'x'"),
+    ("0,-1\n", 1, "expected a non-negative integer instance id, got '-1'"),
+    ("0,1.0\n", 1, "expected a non-negative integer instance id, got '1.0'"),
+    ("0,99999999999999999999\n", 1, "expected a non-negative integer instance id, "
+                                     "got '99999999999999999999'"),
+])
+def test_segment_malformed_raster_names_its_line(raster_run, text, line, why):
+    run, raster, segs = raster_run
+    code, err = run(text, "--raster", raster, "--raster-bag", "bag0002")
+    assert code == 2 and f"error: {raster}:{line}: {why}" in err
+    assert not segs.exists()
 
 
 @pytest.mark.parametrize("kind", ["manifest", "posteriors"])

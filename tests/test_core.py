@@ -90,10 +90,10 @@ class TestValidateDataset:
 
     def test_valid_dataset_handle(self):
         bags = [make_bag(5, 16, self.cfg, "a"), make_bag(7, 16, self.cfg, "b")]
-        handle = validate_dataset(bags, self.cfg)
-        assert handle.num_bags == 2
-        assert handle.feature_dim == 16
-        assert handle.k_max == 4
+        assert validate_dataset(bags, self.cfg) == 16
+        assert validate_dataset(bags, self.cfg, 16) == 16
+        with pytest.raises(DimensionMismatchError, match="bag 'a' has feature dim 16, expected 15"):
+            validate_dataset(bags, self.cfg, 15)
 
     def test_dimension_mismatch_names_bag(self):
         bags = [make_bag(5, 16, self.cfg, "good"), make_bag(5, 15, self.cfg, "bad")]
@@ -156,7 +156,7 @@ def test_validate_names_the_first_faulty_bag(first, second):
     with pytest.raises(error, match=re.escape(message)) as caught:
         validate_dataset(bags, cfg)
     assert caught.type is error and str(caught.value) == message
-    assert validate_dataset(good, cfg).num_bags == 4
+    assert validate_dataset(good, cfg) == 8
 
 
 def eight_step_digamma(x):

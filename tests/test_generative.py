@@ -86,6 +86,25 @@ def test_grid_edges_non_square():
     assert len(edges) > 0
 
 
+def loop_grid_edges(n):
+    """Per instance j of a row-major grid ceil(sqrt(n)) wide: (j, right), then (j, down)."""
+    width = int(np.ceil(np.sqrt(n)))
+    edges = []
+    for j in range(n):
+        if j % width + 1 < width and j + 1 < n:
+            edges.append((j, j + 1))
+        if j + width < n:
+            edges.append((j, j + width))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def test_grid_edges_match_the_loop():
+    for n in [*range(1, 201), 4096]:
+        edges, expect = grid_edges(n), loop_grid_edges(n)
+        assert edges.dtype == expect.dtype and edges.shape == expect.shape, n
+        assert np.array_equal(edges, expect), n
+
+
 class TestPlantCorrelation:
     def setup_method(self):
         self.cfg = ModelConfig(k_objects=3, k_attributes=3, k_extra=0,

@@ -9,6 +9,7 @@ from wsibp import (
     Bag,
     CorrelationMatrix,
     DatasetError,
+    DimensionMismatchError,
     EdgeIndexError,
     ModelConfig,
     WeakLabels,
@@ -706,11 +707,12 @@ class TestInferTest:
 
     def test_dimension_mismatch(self, rng):
         config = cfg_k(2, sigma=0.2)
-        model = AppearanceModel(means=np.zeros((2, 5)), variances=np.ones(2),
+        model = AppearanceModel(means=np.zeros((2, 4)), variances=np.ones(2),
                                 vocab=["a", "b"], config=config)
-        bag = ones_bag(3, 4, config, rng)
-        with pytest.raises(Exception, match="dim"):
+        bag = dataclasses.replace(ones_bag(3, 5, config, rng), id="w")
+        with pytest.raises(DimensionMismatchError) as caught:
             infer_test(bag, model, CorrelationMatrix.zeros(2), config)
+        assert str(caught.value) == "bag 'w' has feature dim 5, expected 4"
 
     @pytest.mark.parametrize("corrupt, error", [("edge", EdgeIndexError),
                                                 ("nan", DatasetError)])
