@@ -23,7 +23,6 @@ from .inference import (
     FitResult,
     StickBoundCache,
     fit,
-    fit_transductive,
     infer_test,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "WeakLabels",
     "WsibpError",
     "fit",
-    "fit_transductive",
     "infer_test",
     "plant_correlation",
     "sample_dataset",

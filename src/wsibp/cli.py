@@ -16,7 +16,8 @@ import typing
 import numpy as np
 
 from . import generative, inference, io, metrics, tasks
-from .core import ConfigError, DatasetError, FormatError, ModelConfig, WsibpError
+from .core import (ConfigError, DatasetError, FormatError, ModelConfig, VocabMismatchError,
+                   WeakLabels, WsibpError)
 
 
 class UsageError(Exception):
@@ -52,13 +53,10 @@ def _add_hyper_flags(p: argparse.ArgumentParser, names=tuple(_HYPER)) -> None:
         p.add_argument("--" + name.replace("_", "-"), type=types[name], help=_HYPER[name])
 
 
-def _given(args) -> dict:
-    """The hyperparameter flags given on the command line, by field name."""
-    return {k: v for k, v in vars(args).items() if k in _HYPER and v is not None}
-
-
 def _config(args, **fixed) -> ModelConfig:
-    return ModelConfig(**{**_given(args), **fixed})
+    """The hyperparameter flags given on the command line, then ``fixed``."""
+    given = {k: v for k, v in vars(args).items() if k in _HYPER and v is not None}
+    return ModelConfig(**{**given, **fixed})
 
 
 def build_parser(command: str | None = None) -> _Parser:
@@ -99,6 +97,8 @@ def _infer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="posteriors file")
+    p.add_argument("--train-data", help="refit over this training set and the --data "
+                   "bags, every label of these on (transductive)")
 
 
 def _annotate_flags(p: argparse.ArgumentParser) -> None:
@@ -119,17 +119,11 @@ def _query_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _segment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--posteriors", help="posteriors from infer")
+    p.add_argument("--posteriors", required=True, help="posteriors from infer")
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--transductive", action="store_true",
-                   help="refit appearance jointly over train and test bags")
-    p.add_argument("--train-data", help="training dataset (transductive mode)")
-    p.add_argument("--data", help="test dataset (transductive mode)")
     p.add_argument("--raster", help="CSV raster of pixel -> instance ids")
     p.add_argument("--raster-bag", help="bag id the raster applies to")
-    # each given flag overrides the model's for the refit; k_extra is the model's
-    _add_hyper_flags(p, [name for name in _HYPER if name != "k_extra"])
 
 
 def _eval_flags(p: argparse.ArgumentParser) -> None:
@@ -193,9 +187,20 @@ def _cmd_infer(args) -> int:
     loaded = io.load_dataset(args.data)
     model, corr = io.load_model(args.model)
     config = model.config
-    posts = [(bag.id, inference.infer_test(bag, model, corr, config))
-             for bag in loaded.bags]
-    io.save_posteriors(args.out, posts, config.k_max)
+    if args.train_data is None:
+        posts = [inference.infer_test(bag, model, corr, config) for bag in loaded.bags]
+    else:  # labels are read by name, so the training set must name factors as the model
+        train = io.load_dataset(args.train_data)
+        if (train.vocab, train.k_objects, train.k_attributes) != \
+                (model.vocab, config.k_objects, config.k_attributes):
+            raise VocabMismatchError(f"{args.train_data}: the dataset's vocab and factor "
+                                     "counts are not the model's")
+        ones = WeakLabels(np.ones(config.k_max))
+        test = [dataclasses.replace(bag, labels=ones) for bag in loaded.bags]
+        result = inference.fit(train.bags + test, config, vocab=model.vocab)
+        posts = result.posteriors[len(train.bags):]
+    io.save_posteriors(args.out, [(b.id, p) for b, p in zip(loaded.bags, posts)],
+                       config.k_max)
     print(f"inferred posteriors for {len(posts)} bags -> {args.out}")
     return 0
 
@@ -253,36 +258,18 @@ def _cmd_query(args) -> int:
 def _cmd_segment(args) -> int:
     if (args.raster is None) != (args.raster_bag is None):
         raise UsageError("--raster and --raster-bag must be given together")
-    model, corr = io.load_model(args.model)
-    config = model.config
-    given = _given(args)
-    if given and not args.transductive:
-        raise ConfigError(f"--{', --'.join(given).replace('_', '-')}: hyperparameter "
-                          "flags only apply to segment --transductive")
+    model, _ = io.load_model(args.model)
     raster = None if args.raster is None else io.read_raster(args.raster)
-    if args.transductive:
-        if not (args.train_data and args.data):
-            raise UsageError("segment --transductive needs --train-data and --data")
-        config = dataclasses.replace(config, **given)
-        train = io.load_dataset(args.train_data)
-        test = io.load_dataset(args.data)
-        _, test_posts, _ = inference.fit_transductive(
-            train.bags, test.bags, config, vocab=model.vocab)
-        posts = [(b.id, p) for b, p in zip(test.bags, test_posts)]
-    else:
-        if not args.posteriors:
-            raise UsageError("segment needs --posteriors (or --transductive)")
-        posts = io.load_posteriors(args.posteriors, config.k_max)
-    if raster is not None:
-        if (post := dict(posts).get(args.raster_bag)) is None:
+    posts = io.load_posteriors(args.posteriors, model.config.k_max)
+    if raster is not None:  # the raster bag first: a raster it rejects writes nothing
+        ids = [bag_id for bag_id, _ in posts]
+        if args.raster_bag not in ids:
             raise DatasetError(f"--raster-bag {args.raster_bag!r}: no such bag")
-        io.check_raster(raster, post.nu.shape[0])
-    os.makedirs(args.out_dir, exist_ok=True)
-    for bag_id, post in posts:
-        seg = tasks.segment(post, config)
-        out = os.path.join(args.out_dir, f"{bag_id}.csv")
-        use_raster = raster if args.raster_bag == bag_id else None
-        io.write_segmentation(out, seg, model.vocab, raster=use_raster)
+        posts.insert(0, posts.pop(ids.index(args.raster_bag)))
+    for n, (bag_id, post) in enumerate(posts):
+        io.write_segmentation(os.path.join(args.out_dir, f"{bag_id}.csv"),
+                              tasks.segment(post, model.config), model.vocab,
+                              raster=raster if n == 0 else None)
     print(f"segmented {len(posts)} bags -> {args.out_dir}")
     return 0
 
@@ -339,25 +326,6 @@ def _eval_query(pred: dict, truth: dict) -> None:
         print(f"skipped queries with empty relevance: {len(skipped)}")
 
 
-def _label_column(path: str) -> np.ndarray:
-    """The ``label_index`` column of a segment CSV, read in one read; blank lines are
-    skipped. Each cell must be a label: a non-negative integer, below 10**18 so that it
-    fits int64."""
-    with open(path, encoding="ascii") as fh:
-        header, *rows = fh.read().splitlines() or [""]
-    names = [name.strip() for name in header.split(",")]
-    if "label_index" not in names:
-        raise FormatError(f"{path}:1: no label_index column")
-    c = names.index("label_index")
-    cells = [(line, (row.split(",", c + 1) + [""] * c)[c].strip())
-             for line, row in enumerate(rows, 2) if row.strip()]
-    for line, cell in cells:
-        if not (cell.isdigit() and len(cell) < 19):
-            raise FormatError(f"{path}:{line}: label_index: expected a non-negative "
-                              f"integer, got {cell!r}")
-    return np.array([int(cell) for _, cell in cells], dtype=np.int64)
-
-
 def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: str) -> None:
     pred_maps, truth_maps, pixels = {}, {}, {}
     for bid, entry in truth["bags"].items():
@@ -372,7 +340,7 @@ def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: 
         truth_maps[bid] = labels.astype(np.int64)
         if "pixels" in entry:
             pixels[bid] = np.array(entry["pixels"], dtype=np.float64)
-        pred_maps[bid] = _label_column(os.path.join(pred_dir, f"{bid}.csv"))
+        pred_maps[bid] = io.read_segmentation_labels(os.path.join(pred_dir, f"{bid}.csv"))
     scores = metrics.segmentation_metrics(
         pred_maps, truth_maps, pixels if pixels else None)
     print(f"mean IOU: {scores.mean_iou:.4f}")

@@ -27,7 +27,6 @@ from .core import (
     Bag,
     BagPosterior,
     CorrelationMatrix,
-    DimensionMismatchError,
     ModelConfig,
     WeakLabels,
     digamma,
@@ -371,20 +370,3 @@ def infer_test(bag: Bag, model: AppearanceModel,
         if delta < config.tol:
             break
     return group.posteriors[0]
-
-
-def fit_transductive(
-    train_bags: list[Bag],
-    test_bags: list[Bag],
-    config: ModelConfig,
-    test_labels: list[WeakLabels] | None = None,
-    vocab: list[str] | None = None,
-) -> tuple[AppearanceModel, list[BagPosterior], FitResult]:
-    """Joint fit over train + test bags; test labels default to all-ones."""
-    if test_labels is None:
-        test_labels = [WeakLabels(np.ones(config.k_max)) for _ in test_bags]
-    if len(test_labels) != len(test_bags):
-        raise DimensionMismatchError("one label vector required per test bag")
-    relabeled = [replace(b, labels=lab) for b, lab in zip(test_bags, test_labels)]
-    result = fit(train_bags + relabeled, config, vocab=vocab)
-    return result.model, result.posteriors[len(train_bags):], result

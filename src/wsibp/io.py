@@ -156,22 +156,30 @@ def _count(text: str) -> int:
     return n
 
 
+def _name(text: str) -> str:
+    """A bag id or file name, which names a file in its directory: not empty, ``.`` or
+    ``..``, and without ``/`` or ``\\``."""
+    if text in ("", ".", "..") or "/" in text or "\\" in text:
+        raise ValueError(f"{text!r} is not a plain file name")
+    return text
+
+
 def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
-    """The next ``count`` lines ``bag: <id>,...``, parsed through ``types`` in one pass;
-    only if that fails are they read again one by one, to name the first bad line. An id
-    named before is a FormatError at its second line."""
+    """The next ``count`` lines ``bag: <id>,...``, the id through ``_name`` and the rest
+    through ``types``, in one pass; only if that fails are they read again one by one, to
+    name the first bad line. An id named before is a FormatError at its second line."""
     pos, raw = reader.fh.tell(), b"".join([reader.fh.readline() for _ in range(count)])
     with contextlib.suppress(ValueError):  # a UnicodeDecodeError is a ValueError
         *lines, end = raw.decode("ascii").split("\n")
         cells = [line[4:].strip().split(",") for line in lines]
         if (not end and len(lines) == count and all(line[:4] == "bag:" for line in lines)
                 and all(len(c) == len(types) + 1 for c in cells)):
-            bags = [(c[0], *(t(v) for t, v in zip(types, c[1:]))) for c in cells]
+            bags = [(_name(c[0]), *(t(v) for t, v in zip(types, c[1:]))) for c in cells]
             if len({bag[0] for bag in bags}) == count:
                 reader.lines += count
                 return bags
     reader.fh.seek(pos)
-    seen, line = set(), _fields(str, *types)
+    seen, line = set(), _fields(_name, *types)
 
     def parse(text: str) -> tuple:
         if (bag := line(text))[0] in seen:
@@ -256,7 +264,7 @@ def load_dataset(path: str) -> LoadedDataset:
         if len(vocab) != k_objects + k_attributes + k_extra:
             raise VocabMismatchError(f"{manifest_path}: vocab length {len(vocab)} does not "
                                      "match factor counts")
-        entries = _bag_lines(reader, reader.field("num_bags"), int, str)
+        entries = _bag_lines(reader, reader.field("num_bags"), int, _name)
     name_to_index = {name: k for k, name in enumerate(vocab)}
     k_annotated = k_objects + k_attributes
     k_max = len(vocab)
@@ -378,6 +386,15 @@ def _lacks(tau: np.ndarray, nu: np.ndarray, logits: np.ndarray) -> list[str]:
     ) if not ok]
 
 
+def _uints(path: str, cells: list[tuple[int, str]], what: str) -> list[int]:
+    """Each ``(line, cell)`` as an int. A cell must be a non-negative integer below 10**18,
+    so that it fits int64; another is a FormatError at its line: ``what, got <cell>``."""
+    for line, cell in cells:
+        if not (cell.isdigit() and len(cell) < 19):
+            raise FormatError(f"{path}:{line}: {what}, got {cell!r}")
+    return [int(cell) for _, cell in cells]
+
+
 def read_raster(path: str) -> np.ndarray:
     """A raster CSV, pixel -> instance id: rows of non-negative integers, all of one
     length, at least one; blank lines are skipped. A fault is a FormatError at its line."""
@@ -390,37 +407,48 @@ def read_raster(path: str) -> np.ndarray:
     for line, cells in rows:
         if len(cells) != width:
             raise FormatError(f"{path}:{line}: {len(cells)} cells, the first row has {width}")
-        for cell in map(str.strip, cells):
-            if not (cell.isdigit() and len(cell) < 19):  # below 10**18, so it fits int64
-                raise FormatError(f"{path}:{line}: expected a non-negative integer "
-                                  f"instance id, got {cell!r}")
-    return np.array([[int(c) for c in cells] for _, cells in rows], dtype=np.int64)
-
-
-def check_raster(raster: np.ndarray, n_instances: int) -> None:
-    """Every cell of ``raster`` must be an instance id of the bag, in [0, n_instances)."""
-    if raster.min() < 0 or raster.max() >= n_instances:
-        raise DatasetError(f"raster references an unknown instance id: the bag has "
-                           f"{n_instances} instances")
+    ids = _uints(path, [(line, cell.strip()) for line, cells in rows for cell in cells],
+                 "expected a non-negative integer instance id")
+    return np.array(ids, dtype=np.int64).reshape(len(rows), width)
 
 
 def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
                        raster: np.ndarray | None = None) -> None:
     """Per-instance label CSV, plus an optional paletted P3 raster image at
-    ``path + ".ppm"``."""
+    ``path + ".ppm"``, in the CSV's directory, made if missing. Every raster cell must be
+    an instance id of the bag; that is checked before anything is made."""
+    if raster is not None:
+        raster = np.asarray(raster)
+        if raster.min() < 0 or raster.max() >= len(seg.labels):
+            raise DatasetError(f"raster references an unknown instance id: the bag has "
+                               f"{len(seg.labels)} instances")
     rows = "".join(f"{j},{k},{vocab[k]},{s!r}\n"
                    for j, (k, s) in enumerate(zip(seg.labels.tolist(), seg.scores.tolist())))
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("instance,label_index,label_name,score\n" + rows)
     if raster is None:
         return
-    raster = np.asarray(raster)
-    check_raster(raster, len(seg.labels))
     h, w = raster.shape
     colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
     with open(path + ".ppm", "wb") as fh:
         _write_lines(fh, [f"P3\n{w} {h}\n255"]
                      + [" ".join(colours[i] for i in row) for row in raster.tolist()])
+
+
+def read_segmentation_labels(path: str) -> np.ndarray:
+    """The ``label_index`` column of a ``write_segmentation`` CSV, read in one read; blank
+    lines are skipped and cells may be padded with spaces."""
+    with open(path, encoding="ascii") as fh:
+        header, *rows = fh.read().splitlines() or [""]
+    names = [name.strip() for name in header.split(",")]
+    if "label_index" not in names:
+        raise FormatError(f"{path}:1: no label_index column")
+    c = names.index("label_index")
+    cells = [(line, (row.split(",", c + 1) + [""] * c)[c].strip())
+             for line, row in enumerate(rows, 2) if row.strip()]
+    return np.array(_uints(path, cells, "label_index: expected a non-negative integer"),
+                    dtype=np.int64)
 
 
 def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],

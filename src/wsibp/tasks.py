@@ -67,18 +67,12 @@ def free_annotation(post: BagPosterior, config: ModelConfig,
 
 
 def annotate_given_object(post: BagPosterior, config: ModelConfig,
-                          object_k: int, top_attributes: int = 2,
-                          instance_mask: np.ndarray | None = None) -> Annotation:
+                          object_k: int, top_attributes: int = 2) -> Annotation:
     """Attributes for a named object, located at its highest-probability
-    instance (optionally restricted to a provided instance subset)."""
+    instance."""
     if not 0 <= object_k < config.k_objects:
         raise WsibpError(f"object index {object_k} outside [0, {config.k_objects})")
-    col = post.nu[:, object_k]
-    if instance_mask is not None:
-        masked = np.full_like(col, -np.inf)
-        masked[instance_mask] = col[instance_mask]
-        col = masked
-    j_star = int(np.argmax(col))  # np.argmax takes the lowest index on ties
+    j_star = int(np.argmax(post.nu[:, object_k]))  # np.argmax takes the lowest index on ties
     return Annotation(
         object=object_k,
         object_score=float(post.nu[:, object_k].mean()),

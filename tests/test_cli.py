@@ -7,9 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from wsibp import BagPosterior, tasks
+from wsibp import BagPosterior, WeakLabels, fit, tasks
 from wsibp.cli import build_parser, main
-from wsibp.io import load_dataset, load_model, load_posteriors, save_dataset, save_posteriors
+from wsibp.io import (load_dataset, load_model, load_posteriors, save_dataset, save_posteriors,
+                      write_segmentation)
 
 
 SYNTH = ["synth", "--num-bags", "8", "--instances", "12", "--feature-dim", "6",
@@ -140,14 +141,28 @@ def test_eval_truth_without_task_key_exit_2(workspace, capsys):
 
 
 def test_transductive_segment(workspace):
+    # infer --train-data, then segment: the segments of fit(train + test, all labels on)
     tmp, ds = workspace
-    model = str(tmp / "m.model")
-    segs = str(tmp / "tsegs")
-    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
-    assert main(["segment", "--transductive", "--train-data", ds,
-                 "--data", ds, "--model", model, "--out-dir", segs,
-                 "--sigma", "0.1", "--max-iters", "60"]) == 0
-    assert len(os.listdir(segs)) == 8
+    test_ds, model, post = str(tmp / "test"), str(tmp / "m.model"), str(tmp / "t.post")
+    assert main(SYNTH + ["--num-bags", "5", "--seed", "9", "--out", test_ds]) == 0
+    assert main(["fit", "--data", ds, "--model-out", model, "--beta", "1", "--rho", "0.1"]
+                + HYPER) == 0
+    assert main(["infer", "--data", test_ds, "--model", model, "--out", post,
+                 "--train-data", ds]) == 0
+    segs = tmp / "segs"
+    assert main(["segment", "--posteriors", post, "--model", model,
+                 "--out-dir", str(segs)]) == 0
+
+    m, _ = load_model(model)
+    train, test = load_dataset(ds).bags, load_dataset(test_ds).bags
+    ones = WeakLabels(np.ones(m.config.k_max))
+    result = fit(train + [dataclasses.replace(b, labels=ones) for b in test], m.config,
+                 vocab=m.vocab)
+    assert sorted(os.listdir(segs)) == sorted(f"{b.id}.csv" for b in test)
+    for bag, p in zip(test, result.posteriors[len(train):]):
+        want = tmp / "want.csv"
+        write_segmentation(str(want), tasks.segment(p, m.config), m.vocab)
+        assert (segs / f"{bag.id}.csv").read_bytes() == want.read_bytes()
 
 
 def test_usage_error_exit_1(capsys):
@@ -298,28 +313,54 @@ def test_out_of_range_posteriors_exit_2(workspace, capsys):
             assert f"bag {bag_id!r} needs nu in [0, 1]" in capsys.readouterr().err
 
 
-def test_transductive_segment_honours_max_iters(workspace):
+def test_transductive_infer_honours_the_models_max_iters(workspace):
+    # the refit takes the model's config, so models fit with other caps refit differently
     tmp, ds = workspace
-    model = str(tmp / "m.model")
-    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
     outputs = []
     for iters in ("1", "60"):
-        segs = tmp / f"segs{iters}"
-        assert main(["segment", "--transductive", "--train-data", ds, "--data", ds,
-                     "--model", model, "--out-dir", str(segs), "--tol", "0",
-                     "--max-iters", iters]) == 0
-        outputs.append([(segs / f).read_bytes() for f in sorted(os.listdir(segs))])
+        model, post = str(tmp / f"m{iters}.model"), tmp / f"t{iters}.post"
+        assert main(["fit", "--data", ds, "--model-out", model, "--sigma", "0.1",
+                     "--k-extra", "0", "--tol", "0", "--max-iters", iters]) == 0
+        assert main(["infer", "--data", ds, "--model", model, "--out", str(post),
+                     "--train-data", ds]) == 0
+        outputs.append(post.read_bytes())
     assert outputs[0] != outputs[1]
 
 
-def test_segment_hyper_flag_needs_transductive(workspace, capsys):
+def test_transductive_infer_needs_the_models_vocab(workspace, capsys):
+    # labels are read by name: a training set that names its factors otherwise exits 2
     tmp, ds = workspace
-    model, post = str(tmp / "m.model"), str(tmp / "train.post")
-    assert main(["fit", "--data", ds, "--model-out", model,
-                 "--posteriors-out", post] + HYPER) == 0
+    other, model = str(tmp / "other"), str(tmp / "m.model")
+    assert main(SYNTH + ["--k-objects", "3", "--k-attributes", "1", "--out", other]) == 0
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    capsys.readouterr()
+    assert main(["infer", "--data", ds, "--model", model, "--out", str(tmp / "t.post"),
+                 "--train-data", other]) == 2
+    assert capsys.readouterr().err == (f"error: {other}: the dataset's vocab and factor "
+                                       "counts are not the model's\n")
+    assert not (tmp / "t.post").exists()
+
+
+@pytest.mark.parametrize("flags", [["--transductive"], ["--sigma", "0.3"]])
+def test_segment_takes_no_refit_flags(capsys, flags):
+    # the transductive refit is infer --train-data; segment only reads posteriors
+    assert main(["segment", "--posteriors", "p", "--model", "m", "--out-dir", "s",
+                 *flags]) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+def test_segment_bag_id_cannot_leave_the_out_dir(workspace, capsys):
+    tmp, ds = workspace
+    model, post = str(tmp / "m.model"), str(tmp / "t.post")
+    assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
+    p = BagPosterior(tau=np.ones((4, 2)), nu=np.full((12, 4), 0.5), logits=np.zeros((12, 4)))
+    save_posteriors(post, [("../escaped", p)], 4)
+    capsys.readouterr()
     assert main(["segment", "--posteriors", post, "--model", model,
-                 "--out-dir", str(tmp / "segs"), "--sigma", "0.3"]) == 2
-    assert "--transductive" in capsys.readouterr().err
+                 "--out-dir", str(tmp / "out" / "segs")]) == 2
+    assert capsys.readouterr().err == (f"error: {post}:5: bag: '../escaped' is not a plain "
+                                       "file name\n")
+    assert not (tmp / "out").exists()
 
 
 def test_segment_has_no_k_extra_flag(capsys):
@@ -609,7 +650,9 @@ def test_outputs_can_be_written_to_a_pipe(inferred, workspace, command):
     ["infer", "--data", "d", "--model", "m", "--out", "p"],
     ["annotate", "--posteriors", "p", "--model", "m", "--out", "a", "--top-attrs", "3"],
     ["query", "--posteriors", "p", "--model", "m", "--object", "obj0", "--out", "q"],
-    ["segment", "--posteriors", "p", "--model", "m", "--out-dir", "s", "--rho", "0.2"],
-    ["eval", "--task", "query", "--pred", "q", "--truth", "t"]])
+    ["infer", "--data", "d", "--model", "m", "--out", "p", "--train-data", "t"],
+    ["eval", "--task", "query", "--pred", "q", "--truth", "t"],
+    ["segment", "--posteriors", "p", "--model", "m", "--out-dir", "s",
+     "--raster", "r", "--raster-bag", "b"]])
 def test_one_command_parser_parses_as_the_whole_parser(argv):
     assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)

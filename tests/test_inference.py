@@ -14,7 +14,6 @@ from wsibp import (
     ModelConfig,
     WeakLabels,
     fit,
-    fit_transductive,
     infer_test,
     sample_dataset,
 )
@@ -728,11 +727,7 @@ class TestInferTest:
 
 
 class TestFitTransductive:
-    def test_empty_test_set_reduces_to_fit(self, small_dataset, small_config):
-        plain = fit(small_dataset.bags, small_config)
-        model, posts, _ = fit_transductive(small_dataset.bags, [], small_config)
-        assert posts == []
-        assert np.array_equal(model.means, plain.model.means)
+    """A transductive fit is ``fit(train + test)``, the test bags relabelled."""
 
     def test_true_labels_beat_blind_inference(self):
         diffs = []
@@ -745,8 +740,7 @@ class TestFitTransductive:
             result = fit(train, config)
             blind = [infer_test(b, result.model, result.correlation, config)
                      for b in test]
-            _, trans, _ = fit_transductive(
-                train, test, config, test_labels=[b.labels for b in test])
+            trans = fit(train + test, config).posteriors[20:]
 
             def hamming(posts):
                 c = t = 0
@@ -758,16 +752,6 @@ class TestFitTransductive:
 
             diffs.append(hamming(trans) - hamming(blind))
         assert np.mean(diffs) >= 0.0
-
-    def test_all_ones_source_is_default(self, small_dataset, small_config):
-        train = small_dataset.bags[:8]
-        test = small_dataset.bags[8:]
-        _, posts_default, _ = fit_transductive(train, test, small_config)
-        ones = [WeakLabels(np.ones(small_config.k_max)) for _ in test]
-        _, posts_named, _ = fit_transductive(train, test, small_config,
-                                             test_labels=ones)
-        for a, b in zip(posts_default, posts_named):
-            assert np.array_equal(a.nu, b.nu)
 
 
 # --- kernel wiring ----------------------------------------------------------

@@ -71,6 +71,27 @@ class TestDatasetRoundTrip:
         with pytest.raises(VocabMismatchError, match="nosuchfactor"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("entry, why", [
+        ("../escaped,{n},b.bag", "'../escaped' is not a plain file name"),
+        ("..,{n},b.bag", "'..' is not a plain file name"),
+        ("b,{n},../b.bag", "'../b.bag' is not a plain file name"),
+        ("b,{n},sub\\b.bag", "'sub\\\\b.bag' is not a plain file name"),
+        ("b,{n},", "'' is not a plain file name")])
+    def test_entry_outside_the_directory_names_its_line(self, tmp_path, small_dataset,
+                                                        small_config, entry, why):
+        # an id or a file name must name a file in the dataset directory
+        cfg, bags = small_config, small_dataset.bags[:2]
+        path = str(tmp_path / "ds")
+        save_dataset(path, bags, cfg.default_vocab(), cfg.k_objects, cfg.k_attributes,
+                     cfg.k_extra)
+        manifest = os.path.join(path, "manifest.txt")
+        lines = open(manifest, encoding="ascii").read().splitlines()
+        lines[10] = "bag: " + entry.format(n=bags[1].n_instances)
+        open(manifest, "w", encoding="ascii").write("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == f"{manifest}:11: bag: {why}"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "ds"
         path.mkdir()
@@ -381,6 +402,16 @@ class TestPosteriorsRoundTrip:
             load_posteriors(path)
         assert str(caught.value) == f"{path}:7: bag: duplicate id 'a'"
 
+    @pytest.mark.parametrize("bag_id", ["../escaped", "", ".", "..", "a/b", "a\\b"])
+    def test_id_that_is_not_a_plain_file_name_names_its_line(self, tmp_path, bag_id):
+        # segment writes <out-dir>/<id>.csv, so an id must name a file in that directory
+        post = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
+        path = str(tmp_path / "p.post")
+        save_posteriors(path, [("a", post), (bag_id, post)], 2)
+        with pytest.raises(FormatError) as caught:
+            load_posteriors(path)
+        assert str(caught.value) == f"{path}:6: bag: {bag_id!r} is not a plain file name"
+
     def test_version_1_names_its_version(self, tmp_path):
         path = tmp_path / "p.post"
         path.write_bytes(b"format: wsibp-posteriors\nversion: 1\nk_max: 2\nnum_bags: 0\n")
@@ -392,10 +423,11 @@ class TestPosteriorsRoundTrip:
 @st.composite
 def posterior_sets(draw):
     """0-4 bags of 0-5 instances with distinct ids, k_max 1-4, and values that pass the
-    loader's checks: tau in (0, inf), nu in [0, 1], finite logits."""
+    loader's checks: ids that are plain file names, tau in (0, inf), nu in [0, 1], finite
+    logits."""
     k = draw(st.integers(1, 4))
-    ids = draw(st.lists(st.text("abcxyz019_-.", min_size=1, max_size=6), max_size=4,
-                        unique=True))
+    names = st.text("abcxyz019_-.", min_size=1, max_size=6).filter(lambda i: i not in (".", ".."))
+    ids = draw(st.lists(names, max_size=4, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     posts = []
     for bag_id in ids:

@@ -103,14 +103,6 @@ class TestAnnotateGivenObject:
         assert len(ann.attributes) == 2
         assert all(s <= 1e-6 for _, s in ann.attributes)
 
-    def test_instance_mask_restricts_argmax(self):
-        nu = np.zeros((4, 4))
-        nu[:, 0] = [0.9, 0.1, 0.8, 0.2]
-        mask = np.array([False, True, True, True])
-        ann = annotate_given_object(posterior(nu), CFG, 0, 0,
-                                    instance_mask=mask)
-        assert ann.object_instance == 2
-
     def test_invalid_object_rejected(self):
         with pytest.raises(WsibpError):
             annotate_given_object(posterior(np.ones((2, 4))), CFG, 2, 1)
