@@ -71,7 +71,7 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def _synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", required=True, help="output dataset directory")
+    p.add_argument("--out", required=True, help="output dataset file (and <out>.truth.json)")
     p.add_argument("--num-bags", type=int, default=50)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--feature-dim", type=int, default=16)
@@ -81,7 +81,7 @@ def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-grid", action="store_true",
                    help="omit the 4-neighbour grid adjacency")
     p.add_argument("--text", action="store_true",
-                   help="write features as decimal text instead of binary")
+                   help="write every block as decimal text rows instead of binary")
     _add_hyper_flags(p, _SYNTH_HYPER)
 
 
@@ -154,7 +154,7 @@ def _cmd_synth(args) -> int:
     vocab = config.default_vocab()
     io.save_dataset(args.out, ds.bags, vocab, config.k_objects,
                     config.k_attributes, config.k_extra, binary=not args.text)
-    io.save_truth(os.path.join(args.out, "truth.json"), ds.true_z,
+    io.save_truth(args.out + ".truth.json", ds.true_z,
                   ds.true_pi, ds.true_a, [b.id for b in ds.bags])
     print(f"wrote {len(ds.bags)} bags to {args.out}")
     return 0
@@ -189,7 +189,7 @@ def _cmd_infer(args) -> int:
     config = model.config
     if args.train_data is None:
         posts = [inference.infer_test(bag, model, corr, config) for bag in loaded.bags]
-    else:  # labels are read by name, so the training set must name factors as the model
+    else:  # a label bit stands for the factor at its position, so the vocabs must agree
         train = io.load_dataset(args.train_data)
         if (train.vocab, train.k_objects, train.k_attributes) != \
                 (model.vocab, config.k_objects, config.k_attributes):
@@ -274,25 +274,37 @@ def _cmd_segment(args) -> int:
     return 0
 
 
-def _eval_annotation(pred: dict, truth: dict, t_values: list[int]) -> None:
-    truth_bags = {bid: metrics.BagTruth(object=int(v["object"]),
-                                        attributes=set(v["attributes"]))
-                  for bid, v in truth["bags"].items()}
+def _values(entry, keys: str, path: str, what: str) -> list:
+    """``entry[key]`` for each of ``keys``; a missing key is a FormatError naming it and what."""
+    for key in keys.split():
+        if not isinstance(entry, dict) or key not in entry:
+            raise FormatError(f"{path}: {what} needs a {key!r} key")
+    return [entry[key] for key in keys.split()]
+
+
+def _eval_annotation(args, pred: dict, truth: dict) -> None:
+    t_values = [int(v) for v in args.t.split(",") if v.strip()]
+    truth_bags = {}
+    for bid, v in truth["bags"].items():
+        obj, attrs = _values(v, "object attributes", args.truth, f"bag {bid!r}")
+        truth_bags[bid] = metrics.BagTruth(object=int(obj), attributes=set(attrs))
     k_objects = int(truth.get("k_objects", 0))
     predictions = {}
     scores_rows, row_ids = [], []
-    for entry in pred["bags"]:
-        if not entry["annotations"]:
-            raise WsibpError(f"bag {entry['bag']!r} has no annotations")
-        ann = entry["annotations"][0]
-        attrs_ranked = [int(k) for k, _ in ann["attributes"]]
-        predictions[entry["bag"]] = (int(ann["object"]), attrs_ranked)
+    for n, entry in enumerate(_values(pred, "bags", args.pred, "annotation prediction")[0]):
+        bid, annotations = _values(entry, "bag annotations", args.pred, f"bag entry {n}")
+        if bid not in truth_bags:
+            raise FormatError(f"{args.truth}: no truth for bag {bid!r} of {args.pred}")
+        if not annotations:
+            raise WsibpError(f"bag {bid!r} has no annotations")
+        ann = annotations[0]
+        obj, attrs = _values(ann, "object attributes", args.pred, f"bag {bid!r}")
+        predictions[bid] = (int(obj), [int(k) for k, _ in attrs])
         if "attribute_scores" in ann:
             scores_rows.append(ann["attribute_scores"])
-            row_ids.append(entry["bag"])
+            row_ids.append(bid)
     for t in t_values:
-        score = metrics.ap_at_t(predictions, truth_bags, t)
-        print(f"AP@{t}: {score:.4f}")
+        print(f"AP@{t}: {metrics.ap_at_t(predictions, truth_bags, t):.4f}")
     if scores_rows:
         # attribute_scores vectors cover the attribute block, whose absolute
         # factor indices start at k_objects
@@ -311,15 +323,14 @@ def _eval_annotation(pred: dict, truth: dict, t_values: list[int]) -> None:
             print(f"mAP: skipped ({exc})")
 
 
-def _eval_query(pred: dict, truth: dict) -> None:
-    rankings = {}
-    for entry in pred["queries"]:
-        key = (entry["object"], tuple(entry["attributes"]))
-        rankings[key] = [row[0] for row in entry["ranking"]]
-    relevance = {}
-    for entry in truth["queries"]:
-        key = (entry["object"], tuple(entry["attributes"]))
-        relevance[key] = set(entry["relevant"])
+def _eval_query(args, pred: dict, truth: dict) -> None:
+    rankings, relevance = {}, {}
+    for n, entry in enumerate(_values(pred, "queries", args.pred, "query prediction")[0]):
+        obj, attrs, ranking = _values(entry, "object attributes ranking", args.pred, f"query {n}")
+        rankings[(obj, tuple(attrs))] = [row[0] for row in ranking]
+    for n, entry in enumerate(truth["queries"]):
+        obj, attrs, ids = _values(entry, "object attributes relevant", args.truth, f"query {n}")
+        relevance[(obj, tuple(attrs))] = set(ids)
     mar, skipped = metrics.mar_query(rankings, relevance)
     print(f"MAR: {mar:.4f}")
     if skipped:
@@ -351,29 +362,28 @@ def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: 
 
 
 def _cmd_eval(args) -> int:
+    if args.task == "annotation" and not args.t.replace(",", "").strip():
+        raise UsageError("--t needs at least one value")
     with open(args.truth, encoding="ascii") as fh:
         truth_text = fh.read()
     truth = json.loads(truth_text)
-    key = "queries" if args.task == "query" else "bags"
-    if not isinstance(truth, dict) or key not in truth:
-        raise FormatError(f"{args.truth}: {args.task} truth needs a {key!r} key")
+    _values(truth, "queries" if args.task == "query" else "bags", args.truth, f"{args.task} truth")
     if args.task == "segmentation":
         _eval_segmentation(args.pred, truth, args.truth, truth_text)
         return 0
     with open(args.pred, encoding="ascii") as fh:
         pred = json.load(fh)
     if args.task == "annotation":
-        t_values = [int(v) for v in args.t.split(",") if v.strip()]
-        _eval_annotation(pred, truth, t_values)
+        _eval_annotation(args, pred, truth)
     else:
-        _eval_query(pred, truth)
+        _eval_query(args, pred, truth)
     return 0
 
 
 # name -> (help, the function adding its flags, its handler)
 _COMMANDS = {
     "synth": ("sample a synthetic dataset with ground truth", _synth_flags, _cmd_synth),
-    "fit": ("train on a dataset directory", _fit_flags, _cmd_fit),
+    "fit": ("train on a dataset file", _fit_flags, _cmd_fit),
     "infer": ("test-time inference with a trained model", _infer_flags, _cmd_infer),
     "annotate": ("rank objects and attributes per bag", _annotate_flags, _cmd_annotate),
     "query": ("rank bags for an object(+attribute) conjunction", _query_flags, _cmd_query),

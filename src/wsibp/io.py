@@ -1,18 +1,21 @@
 """Versioned on-disk formats for datasets, models, posteriors and results.
 
-All files are line-oriented ``key: value`` text; large numeric payloads can
-be embedded as little-endian binary blocks announced by a ``binary <nbytes>``
-header line. Binary blocks round-trip bit-exactly; a dataset may instead store
-its features as text rows of full-precision decimal reprs. Files are read as a
-stream, each binary block straight into its array. A posteriors file (version 2;
-version 1 is rejected) holds one ``bag: <id>,<n>`` line per bag, then all tau
-``(M, K, 2)``, all nu and all logits ``(sum n, K)`` as three float64 blocks in bag
-order; each bag's arrays are views of these, checked once over all bags.
+A file is a line-oriented ascii ``key: value`` header, then blocks. A block holds one
+kind of value for all bags, in bag order, as ``<key>: binary <nbytes>`` little-endian
+bytes (bit-exact round trips) or ``<key>: text`` rows of comma-separated decimals;
+``_write_array`` writes every block. Files are read as a stream, each binary block
+straight into its array, and each bag's arrays are views of the blocks. A dataset file
+(version 2; a version-1 directory is rejected) has one ``bag: <id>,<n>,<n_edges>`` line
+per bag, then ``features`` (sum n x D float32), ``edges`` (sum n_edges x 2 int64) and
+``labels`` (bags x annotated factors, 0/1 uint8). A posteriors file (version 2) has one
+``bag: <id>,<n>`` line per bag, then ``tau`` (M x K x 2), ``nu`` and ``logits`` (sum n
+x K), all float64 and checked once over all bags.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -27,6 +30,7 @@ from .core import (
     BagPosterior,
     CorrelationMatrix,
     DatasetError,
+    DimensionMismatchError,
     FormatError,
     ModelConfig,
     VocabMismatchError,
@@ -37,7 +41,8 @@ from .tasks import SegmentationMap
 DATASET_MAGIC = "format: wsibp-dataset"
 MODEL_MAGIC = "format: wsibp-model"
 POSTERIORS_MAGIC = "format: wsibp-posteriors"
-FORMAT_VERSION = 1  # of datasets and models
+FORMAT_VERSION = 1  # of models
+DATASET_VERSION = 2
 POSTERIORS_VERSION = 2
 
 # fixed 20-colour palette for PPM segmentation rasters
@@ -51,7 +56,7 @@ PALETTE = [
 
 
 class _BlockReader:
-    """Sequential reader of an open binary file: ascii header lines and raw binary blocks."""
+    """Sequential reader of an open binary file: ascii lines, and blocks of either kind."""
 
     def __init__(self, fh, name: str):
         self.fh, self.name, self.size = fh, name, os.fstat(fh.fileno()).st_size
@@ -66,7 +71,7 @@ class _BlockReader:
         try:
             return raw[:-1].decode("ascii")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.name}: non-ascii header line") from exc
+            raise self.error("non-ascii line") from exc
 
     def error(self, why: str) -> FormatError:
         """``<path>:<line>: why`` at the physical line of the last line read."""
@@ -75,34 +80,16 @@ class _BlockReader:
         return FormatError(f"{self.name}:{line}: {why}")
 
     def parse(self, text: str, parse, what: str):
-        """``parse(text)`` of the last line read; a ValueError names file, line and what."""
+        """``parse(text)`` of the last line read; a ValueError or OverflowError (a value
+        that a dtype cannot hold) names file, line and what."""
         try:
             return parse(text)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise self.error(f"{what}: {exc}") from None
 
     def field(self, key: str, parse=int):
         """The value of the next line, ``key: value``, through ``parse``."""
         return self.parse(self.key(key), parse, key)
-
-    def pairs(self, count: int) -> np.ndarray:
-        """The next ``count`` lines, each ``a,b``, as (count, 2) ints, read in one read and
-        parsed in one pass; only if that fails are they parsed again, to name the first bad
-        line. The file is left at the line after them."""
-        pos, rest = self.fh.tell(), self.fh.read()
-        *lines, tail = rest.split(b"\n", count)
-        if len(lines) < count:
-            raise FormatError(f"{self.name}: unexpected end of file")
-        self.fh.seek(pos + len(rest) - len(tail))
-        start, self.lines = self.lines, self.lines + count
-        if all(line.count(b",") == 1 for line in lines):
-            with contextlib.suppress(ValueError, OverflowError):
-                return np.array(list(map(int, b",".join(lines).split(b","))),
-                                dtype=np.int64).reshape(-1, 2)
-        out, pair = [], _fields(_int64, _int64)
-        for self.lines, line in enumerate(lines, start + 1):
-            out.append(self.parse(line.decode("ascii", "replace"), pair, "edge"))
-        return np.array(out, dtype=np.int64).reshape(-1, 2)
 
     def key(self, expect: str) -> str:
         line = self.line()
@@ -111,12 +98,12 @@ class _BlockReader:
         return line[len(expect) + 1:].strip()
 
     def array(self, key: str, shape: tuple[int, ...], dtype, out=None) -> np.ndarray:
-        """Read an array written by _write_array (binary or text rows); a binary block
-        goes straight into ``out``, or a new aligned, writable little-endian array."""
-        spec = self.key(key)
+        """Read a block written by _write_array: a binary block goes straight into ``out``,
+        or a new aligned, writable little-endian array; text rows hold ``shape[1:]`` cells
+        each, floats for a float dtype and int64s otherwise."""
+        spec, dtype = self.key(key), np.dtype(dtype).newbyteorder("<")
         if spec.startswith("binary"):
             nbytes = self.parse(spec, lambda s: _count(s.removeprefix("binary")), key)
-            dtype = np.dtype(dtype).newbyteorder("<")
             if nbytes != (expect := math.prod(shape) * dtype.itemsize):
                 raise self.error(f"{key}: block has {nbytes} bytes, expected {expect}")
             if self.size - self.fh.tell() < nbytes:
@@ -129,15 +116,15 @@ class _BlockReader:
             return out
         if spec != "text":
             raise self.error(f"{key}: unknown encoding {spec!r}")
-        row = lambda s: [float(v) for v in s.split(",")] if s else []  # noqa: E731
-        vals = [self.parse(self.line(), row, key) for _ in range(shape[0] if shape else 0)]
+        row = _fields(*[float if dtype.kind == "f" else _int64] * math.prod(shape[1:]))
+        vals = [self.parse(self.line(), row, key) for _ in range(shape[0])]
         return self.parse(vals, lambda v: np.array(v, dtype=dtype).reshape(shape), f"{key} block")
 
 
 def _fields(*types):
     """A parser of a line of comma-separated values, one per type."""
     def parse(line: str) -> tuple:
-        parts = line.split(",")
+        parts = line.split(",") if line else []
         if len(parts) != len(types):
             raise ValueError(f"expected {len(types)} comma-separated values, got {len(parts)}")
         return tuple(t(v) for t, v in zip(types, parts))
@@ -157,11 +144,28 @@ def _count(text: str) -> int:
 
 
 def _name(text: str) -> str:
-    """A bag id or file name, which names a file in its directory: not empty, ``.`` or
-    ``..``, and without ``/`` or ``\\``."""
+    """A bag id, which names a file in a directory: not empty, ``.`` or ``..``, and
+    without ``/`` or ``\\``."""
     if text in ("", ".", "..") or "/" in text or "\\" in text:
         raise ValueError(f"{text!r} is not a plain file name")
     return text
+
+
+def _new_name(seen: set):
+    """``_name`` of a text not in ``seen``, which it joins; a repeat is a ValueError."""
+    def name(text: str) -> str:
+        if _name(text) in seen:
+            raise ValueError(f"duplicate id {text!r}")
+        seen.add(text)
+        return text
+    return name
+
+
+def _check_ids(ids: list[str]) -> None:
+    """The ValueError of ``_bag_lines`` for an id it rejects, for a writer to raise first."""
+    name = _new_name(set())
+    for bag_id in ids:
+        name(bag_id)
 
 
 def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
@@ -179,31 +183,28 @@ def _bag_lines(reader: _BlockReader, count: int, *types) -> list[tuple]:
                 reader.lines += count
                 return bags
     reader.fh.seek(pos)
-    seen, line = set(), _fields(_name, *types)
-
-    def parse(text: str) -> tuple:
-        if (bag := line(text))[0] in seen:
-            raise ValueError(f"duplicate id {bag[0]!r}")
-        seen.add(bag[0])
-        return bag
-    return [reader.field("bag", parse) for _ in range(count)]
+    line = _fields(_new_name(set()), *types)
+    return [reader.field("bag", line) for _ in range(count)]
 
 
 def _write_lines(fh, lines: list[str]) -> None:
     fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _write_array(fh, key: str, arr: np.ndarray, binary: bool) -> None:
+def _write_array(fh, key: str, parts: list[np.ndarray], dtype, binary: bool) -> None:
+    """The arrays ``parts``, in order, as one block of ``dtype``: little-endian bytes, or
+    text rows of the cells under each leading index, as the reprs of Python numbers."""
+    dtype = np.dtype(dtype).newbyteorder("<")
     if binary:
-        payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        fh.write(f"{key}: binary {payload.nbytes}\n".encode("ascii"))
-        fh.write(payload)
+        fh.write(f"{key}: binary {dtype.itemsize * sum(p.size for p in parts)}\n".encode("ascii"))
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype=dtype))
         fh.write(b"\n")
-    else:
-        fh.write(f"{key}: text\n".encode("ascii"))
-        rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(-1, 1)
-        for row in rows:
-            fh.write((",".join(repr(float(v)) for v in row) + "\n").encode("ascii"))
+        return
+    fh.write(f"{key}: text\n".encode("ascii"))
+    for part in parts:
+        rows = np.asarray(part, dtype).reshape(len(part), math.prod(np.shape(part)[1:]))
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode("ascii"))
 
 
 @dataclass
@@ -228,68 +229,53 @@ def _check_version(reader: _BlockReader, magic: str, version: int = FORMAT_VERSI
 def save_dataset(path: str, bags: list[Bag], vocab: list[str],
                  k_objects: int, k_attributes: int, k_extra: int,
                  binary: bool = True) -> None:
-    """Write a dataset directory: manifest.txt plus one .bag file per bag."""
+    """Write a dataset file: the header, one ``bag: <id>,<n>,<n_edges>`` line per bag,
+    then the features, edges and annotated label bits of all bags, one block each. Ids
+    that ``load_dataset`` rejects and label bits other than 0 and 1 raise first."""
     if len(vocab) != k_objects + k_attributes + k_extra:
         raise VocabMismatchError("vocab length does not match factor counts")
-    os.makedirs(path, exist_ok=True)
-    for bag in bags:
-        with open(os.path.join(path, f"{bag.id}.bag"), "wb") as fh:
-            fh.write(f"id: {bag.id}\ninstances: {bag.n_instances}\n".encode("ascii"))
-            _write_array(fh, "features", np.asarray(bag.features, dtype=np.float32), binary)
-            fh.write(f"edges: {len(bag.edges)}\n".encode("ascii"))
-            fh.write("".join(f"{a},{b}\n" for a, b in bag.edges.tolist()).encode("ascii"))
-            bits = bag.labels.bits.tolist()
-            annotated = [vocab[k] for k in range(k_objects + k_attributes) if bits[k] == 1.0]
-            fh.write(("labels: " + ",".join(annotated) + "\n").encode("ascii"))
-    with open(os.path.join(path, "manifest.txt"), "wb") as fh:
+    _check_ids([bag.id for bag in bags])
+    k_annotated = k_objects + k_attributes
+    bits = np.array([b.labels.bits[:k_annotated] for b in bags]).reshape(len(bags), k_annotated)
+    if not (ok := ((bits == 0) | (bits == 1)).all(axis=1)).all():
+        raise DatasetError(f"bag {bags[int(ok.argmin())].id!r}: label bits must be 0 or 1")
+    with open(path, "wb") as fh:
         _write_lines(fh, [
-            DATASET_MAGIC, f"version: {FORMAT_VERSION}",
-            f"feature_dim: {bags[0].feature_dim if bags else 0}",
-            f"mode: {'binary' if binary else 'text'}", f"k_objects: {k_objects}",
+            DATASET_MAGIC, f"version: {DATASET_VERSION}",
+            f"feature_dim: {bags[0].feature_dim if bags else 0}", f"k_objects: {k_objects}",
             f"k_attributes: {k_attributes}", f"k_extra: {k_extra}", "vocab: " + ",".join(vocab),
-            f"num_bags: {len(bags)}"] + [f"bag: {b.id},{b.n_instances},{b.id}.bag" for b in bags])
+            f"num_bags: {len(bags)}"]
+            + [f"bag: {b.id},{b.n_instances},{len(b.edges)}" for b in bags])
+        _write_array(fh, "features", [bag.features for bag in bags], np.float32, binary)
+        _write_array(fh, "edges", [bag.edges for bag in bags], np.int64, binary)
+        _write_array(fh, "labels", [bits], np.uint8, binary)
 
 
 def load_dataset(path: str) -> LoadedDataset:
-    manifest_path = os.path.join(path, "manifest.txt")
-    with open(manifest_path, "rb") as fh:
-        reader = _BlockReader(fh, manifest_path)
-        _check_version(reader, DATASET_MAGIC)
-        feature_dim = reader.field("feature_dim")
-        reader.key("mode")
-        k_objects, k_attributes, k_extra = (reader.field(key) for key in
-                                            ("k_objects", "k_attributes", "k_extra"))
+    """A dataset file, each bag's features, edges and label bits views of its blocks.
+    Only the format is checked here; the values are ``validate_dataset``'s."""
+    if os.path.isdir(path):
+        raise FormatError(f"{path}: a version-1 dataset directory; re-run synth to write a file")
+    with open(path, "rb") as fh:
+        reader = _BlockReader(fh, path)
+        _check_version(reader, DATASET_MAGIC, DATASET_VERSION, "; re-run synth to write it")
+        dim, k_objects, k_attributes, k_extra = (reader.field(key, _count) for key in (
+            "feature_dim", "k_objects", "k_attributes", "k_extra"))
         vocab_line = reader.key("vocab")
         vocab = vocab_line.split(",") if vocab_line else []
         if len(vocab) != k_objects + k_attributes + k_extra:
-            raise VocabMismatchError(f"{manifest_path}: vocab length {len(vocab)} does not "
+            raise VocabMismatchError(f"{path}: vocab length {len(vocab)} does not "
                                      "match factor counts")
-        entries = _bag_lines(reader, reader.field("num_bags"), int, _name)
-    name_to_index = {name: k for k, name in enumerate(vocab)}
-    k_annotated = k_objects + k_attributes
-    k_max = len(vocab)
-
-    bags = []
-    for bag_id, n, fname in entries:
-        bag_path = os.path.join(path, fname)
-        with open(bag_path, "rb") as fh:
-            br = _BlockReader(fh, bag_path)
-            if br.key("id") != bag_id:
-                raise FormatError(f"{bag_path}: id does not match manifest entry {bag_id!r}")
-            if br.field("instances") != n:
-                raise FormatError(f"{bag_path}: instance count mismatch with manifest")
-            feats = br.array("features", (n, feature_dim), np.float32)
-            edges = br.pairs(br.field("edges"))
-            label_line = br.key("labels")
-        bits = (np.arange(k_max) >= k_annotated).astype(np.float64)  # extra slots on
-        for name in label_line.split(",") if label_line else []:
-            if name not in name_to_index:
-                raise VocabMismatchError(f"{bag_path}: unknown factor name {name!r}")
-            k = name_to_index[name]
-            if k >= k_annotated:
-                raise VocabMismatchError(f"{bag_path}: {name!r} is not an annotated factor")
-            bits[k] = 1.0
-        bags.append(Bag(features=feats, edges=edges, labels=WeakLabels(bits), id=bag_id))
+        entries = _bag_lines(reader, reader.field("num_bags", _count), _count, _count)
+        n = [*itertools.accumulate((entry[1] for entry in entries), initial=0)]
+        e = [*itertools.accumulate((entry[2] for entry in entries), initial=0)]
+        features = reader.array("features", (n[-1], dim), np.float32)
+        edges = reader.array("edges", (e[-1], 2), np.int64)
+        labels = reader.array("labels", (len(entries), k_objects + k_attributes), np.uint8)
+    bits = np.ones((len(entries), len(vocab)))  # the extra slots on
+    bits[:, :k_objects + k_attributes] = labels
+    bags = [Bag(features=features[n[i]:n[i + 1]], edges=edges[e[i]:e[i + 1]],
+                labels=WeakLabels(bits[i]), id=entry[0]) for i, entry in enumerate(entries)]
     return LoadedDataset(bags=bags, vocab=vocab, k_objects=k_objects,
                          k_attributes=k_attributes, k_extra=k_extra)
 
@@ -298,15 +284,13 @@ def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix
     """Versioned container: config snapshot (every ModelConfig field, in declared
     order), vocab, then means, variances and M as binary blocks."""
     with open(path, "wb") as fh:
-        fh.write((MODEL_MAGIC + "\n").encode("ascii"))
-        fh.write(f"version: {FORMAT_VERSION}\n".encode("ascii"))
-        fh.write(f"feature_dim: {model.feature_dim}\n".encode("ascii"))
-        for f in fields(ModelConfig):
-            fh.write(f"{f.name}: {getattr(model.config, f.name)!r}\n".encode("ascii"))
-        fh.write(("vocab: " + ",".join(model.vocab) + "\n").encode("ascii"))
+        _write_lines(fh, [MODEL_MAGIC, f"version: {FORMAT_VERSION}",
+                          f"feature_dim: {model.feature_dim}"]
+                     + [f"{f.name}: {getattr(model.config, f.name)!r}" for f in fields(ModelConfig)]
+                     + ["vocab: " + ",".join(model.vocab)])
         for key, arr in (("means", model.means), ("variances", model.variances),
                          ("correlation", correlation.m)):
-            _write_array(fh, key, np.asarray(arr, dtype=np.float64), True)
+            _write_array(fh, key, [arr], np.float64, True)
 
 
 def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
@@ -334,16 +318,19 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
 
 def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
                     k_max: int) -> None:
+    """Write a posteriors file. Ids that ``load_posteriors`` rejects and tau, nu or
+    logits whose width is not ``k_max`` raise first."""
+    _check_ids([bag_id for bag_id, _ in posteriors])
+    for bag_id, p in posteriors:
+        if p.tau.shape != (k_max, 2) or p.nu.shape[1:] != (k_max,) or p.logits.shape != p.nu.shape:
+            raise DimensionMismatchError(f"bag {bag_id!r}: tau, nu and logits need width {k_max}")
     with open(path, "wb") as fh:
         _write_lines(fh, [POSTERIORS_MAGIC, f"version: {POSTERIORS_VERSION}", f"k_max: {k_max}",
                           f"num_bags: {len(posteriors)}"]
                      + [f"bag: {bag_id},{post.nu.shape[0]}" for bag_id, post in posteriors])
         for key in ("tau", "nu", "logits"):
-            arrays = [getattr(post, key) for _, post in posteriors]
-            fh.write(f"{key}: binary {8 * sum(a.size for a in arrays)}\n".encode("ascii"))
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
-            fh.write(b"\n")
+            _write_array(fh, key, [getattr(post, key) for _, post in posteriors], np.float64,
+                         True)
 
 
 def load_posteriors(path: str, k_max: int | None = None) -> list[tuple[str, BagPosterior]]:

@@ -30,7 +30,7 @@ def test_synth_writes_dataset_and_truth(workspace):
     _, ds = workspace
     loaded = load_dataset(ds)
     assert len(loaded.bags) == 8
-    with open(os.path.join(ds, "truth.json"), encoding="ascii") as fh:
+    with open(ds + ".truth.json", encoding="ascii") as fh:
         truth = json.load(fh)
     assert len(truth["true_z"]) == 8
 
@@ -39,9 +39,9 @@ def test_synth_deterministic_files(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(SYNTH + ["--out", a]) == 0
     assert main(SYNTH + ["--out", b]) == 0
-    for name in sorted(os.listdir(a)):
-        assert open(os.path.join(a, name), "rb").read() == \
-            open(os.path.join(b, name), "rb").read()
+    assert sorted(os.listdir(tmp_path)) == ["a", "a.truth.json", "b", "b.truth.json"]
+    for suffix in ("", ".truth.json"):
+        assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
 
 
 def test_full_pipeline(workspace):
@@ -130,14 +130,51 @@ def test_eval_annotation_and_query(workspace, tmp_path, capsys):
 
 
 def test_eval_truth_without_task_key_exit_2(workspace, capsys):
-    # synth's truth.json holds the generating assignments, not eval's layouts
+    # synth's <out>.truth.json holds the generating assignments, not eval's layouts
     tmp, ds = workspace
-    truth = os.path.join(ds, "truth.json")
+    truth = ds + ".truth.json"
     for task, key in (("segmentation", "bags"), ("annotation", "bags"), ("query", "queries")):
         pred = tmp / "p.json"
         pred.write_text(json.dumps({key: []}))
         assert main(["eval", "--task", task, "--pred", str(pred), "--truth", truth]) == 2
         assert f"{truth}: {task} truth needs a '{key}' key" in capsys.readouterr().err
+
+
+_ANN = {"object": 0, "attributes": [[2, 0.8]]}
+_QUERY = {"object": 0, "attributes": [2], "ranking": [["b0", 0, 0.9]], "relevant": ["b0"]}
+
+
+@pytest.mark.parametrize("task, pred, truth, at, why", [
+    ("annotation", {"bags": [{"bag": "b0", "annotations": [_ANN]},
+                             {"bag": "b1", "annotations": [_ANN]}]},
+     {"bags": {"b0": {"object": 0, "attributes": [2]}}}, "truth",
+     "no truth for bag 'b1' of {pred}"),
+    ("annotation", {"bags": [{"bag": "b0", "annotations": [{"object": 0}]}]},
+     {"bags": {"b0": {"object": 0, "attributes": [2]}}}, "pred",
+     "bag 'b0' needs a 'attributes' key"),
+    ("annotation", {"bags": [{"bag": "b0", "annotations": [_ANN]}]},
+     {"bags": {"b0": {"attributes": [2]}}}, "truth", "bag 'b0' needs a 'object' key"),
+    ("annotation", {"bag": []}, {"bags": {}}, "pred", "annotation prediction needs a 'bags' key"),
+    ("query", {"queries": [{"object": 0, "ranking": []}]}, {"queries": [_QUERY]}, "pred",
+     "query 0 needs a 'attributes' key"),
+    ("query", {"queries": [_QUERY]}, {"queries": [_QUERY, {"object": 0, "relevant": []}]},
+     "truth", "query 1 needs a 'attributes' key")])
+def test_eval_names_the_file_and_what_is_missing(tmp_path, capsys, task, pred, truth, at, why):
+    paths = {"pred": tmp_path / "p.json", "truth": tmp_path / "t.json"}
+    paths["pred"].write_text(json.dumps(pred))
+    paths["truth"].write_text(json.dumps(truth))
+    assert main(["eval", "--task", task, "--pred", str(paths["pred"]),
+                 "--truth", str(paths["truth"])]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {paths[at]}: {why.format(pred=paths['pred'])}\n"
+
+
+@pytest.mark.parametrize("t", ["", ",", " , "])
+def test_eval_empty_t_is_a_usage_error(tmp_path, capsys, t):
+    # no AP@t line would be printed, so the run would score nothing
+    assert main(["eval", "--task", "annotation", "--pred", str(tmp_path / "p.json"),
+                 "--truth", str(tmp_path / "t.json"), "--t", t]) == 1
+    assert "--t needs at least one value" in capsys.readouterr().err
 
 
 def test_transductive_segment(workspace):
@@ -175,6 +212,15 @@ def test_data_error_exit_2(tmp_path):
     missing = str(tmp_path / "nope")
     assert main(["fit", "--data", missing, "--model-out",
                  str(tmp_path / "m.model")]) == 2
+
+
+def test_version_1_dataset_directory_exit_2(tmp_path, capsys):
+    # a version-1 dataset was a directory of manifest.txt and one file per bag
+    (tmp_path / "manifest.txt").write_text("format: wsibp-dataset\nversion: 1\n")
+    assert main(["fit", "--data", str(tmp_path), "--model-out",
+                 str(tmp_path / "m.model")]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path}: a version-1 dataset directory; "
+                                       "re-run synth to write a file\n")
 
 
 def test_beta_rho_zero_ignores_the_grid(tmp_path):
@@ -225,27 +271,29 @@ def test_infer_invalid_bag_exit_2(workspace, corrupt):
 
 
 @pytest.mark.parametrize("where, text, why", [
-    ("edge", b"0,x", "edge: invalid literal for int() with base 10: 'x'"),
-    ("edge", b"0,1,2", "edge: expected 2 comma-separated values, got 3"),
-    ("edge", b"0,99999999999999999999", "edge: 99999999999999999999 does not fit int64"),
-    ("edge", b"0,\xc3\xa9", "edge: invalid literal for int() with base 10: '\ufffd\ufffd'"),
+    ("edges", b"0,x", "edges: invalid literal for int() with base 10: 'x'"),
+    ("edges", b"0,1.5", "edges: invalid literal for int() with base 10: '1.5'"),
+    ("edges", b"0,1,2", "edges: expected 2 comma-separated values, got 3"),
+    ("edges", b"0,99999999999999999999", "edges: 99999999999999999999 does not fit int64"),
+    ("edges", b"0,\xc3\xa9", "non-ascii line"),
     ("manifest", None, "feature_dim: invalid literal for int() with base 10: 'four'")])
-def test_parse_error_names_file_and_line(workspace, capsys, where, text, why):
-    # a value that does not parse exits 2 with <path>:<line>: <what>: <why>
-    _, ds = workspace
-    path = os.path.join(ds, "bag0000.bag" if where == "edge" else "manifest.txt")
-    data = open(path, "rb").read()
-    if where == "edge":  # the third edge line
-        start = data.index(b"\n", data.index(b"\nedges: ") + 1) + 1
+def test_parse_error_names_file_and_line(tmp_path, capsys, where, text, why):
+    # a value that does not parse exits 2 with <path>:<line>: <what>: <why>; the
+    # manifest is the header, before the blocks
+    ds = str(tmp_path / "ds")
+    assert main(SYNTH + ["--out", ds, "--text"]) == 0
+    data = open(ds, "rb").read()
+    if where == "edges":  # the third row of the text edges block
+        start = data.index(b"\n", data.index(b"\nedges: text\n") + 1) + 1
         start = data.index(b"\n", data.index(b"\n", start) + 1) + 1
         data = data[:start] + text + data[data.index(b"\n", start):]
     else:
         start = data.index(b"feature_dim: ")
         data = data.replace(b"feature_dim: 6\n", b"feature_dim: four\n")
-    open(path, "wb").write(data)
-    assert main(["fit", "--data", ds, "--model-out", os.path.join(ds, "m.model")]) == 2
+    open(ds, "wb").write(data)
+    assert main(["fit", "--data", ds, "--model-out", str(tmp_path / "m.model")]) == 2
     line = data.count(b"\n", 0, start) + 1
-    assert capsys.readouterr().err == f"error: {path}:{line}: {why}\n"
+    assert capsys.readouterr().err == f"error: {ds}:{line}: {why}\n"
 
 
 def test_annotation_counts_checked(workspace, capsys):
@@ -328,7 +376,7 @@ def test_transductive_infer_honours_the_models_max_iters(workspace):
 
 
 def test_transductive_infer_needs_the_models_vocab(workspace, capsys):
-    # labels are read by name: a training set that names its factors otherwise exits 2
+    # a label bit stands for the factor at its position: another vocab exits 2
     tmp, ds = workspace
     other, model = str(tmp / "other"), str(tmp / "m.model")
     assert main(SYNTH + ["--k-objects", "3", "--k-attributes", "1", "--out", other]) == 0
@@ -354,7 +402,11 @@ def test_segment_bag_id_cannot_leave_the_out_dir(workspace, capsys):
     model, post = str(tmp / "m.model"), str(tmp / "t.post")
     assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
     p = BagPosterior(tau=np.ones((4, 2)), nu=np.full((12, 4), 0.5), logits=np.zeros((12, 4)))
-    save_posteriors(post, [("../escaped", p)], 4)
+    save_posteriors(post, [("b", p)], 4)  # which rejects the id, so it is put in after
+    with open(post, "r+b") as fh:
+        data = fh.read().replace(b"bag: b,12\n", b"bag: ../escaped,12\n")
+        fh.seek(0)
+        fh.write(data)
     capsys.readouterr()
     assert main(["segment", "--posteriors", post, "--model", model,
                  "--out-dir", str(tmp / "out" / "segs")]) == 2
@@ -443,21 +495,17 @@ def test_duplicate_bag_id_exit_2(workspace, capsys, kind):
     model, post = str(tmp / "m.model"), str(tmp / "train.post")
     assert main(["fit", "--data", ds, "--model-out", model,
                  "--posteriors-out", post] + HYPER) == 0
-    if kind == "manifest":
-        path = os.path.join(ds, "manifest.txt")
-        data = open(path, "rb").read()
-        lines = data.split(b"\n")
-        line = lines.index(b"bag: bag0001,12,bag0001.bag") + 1
-        lines[line - 1] = b"bag: bag0000,12,bag0000.bag"
-        open(path, "wb").write(b"\n".join(lines))
+    if kind == "manifest":  # the dataset's header, with its bag lines
+        path, row = ds, b"bag: bag0001,12,"
         argv = ["fit", "--data", ds, "--model-out", str(tmp / "again.model")]
-    else:
-        pairs = load_posteriors(post)
-        path = str(tmp / "dup.post")
-        save_posteriors(path, pairs + pairs[:1], pairs[0][1].nu.shape[1])
-        line = 5 + len(pairs)  # the header's 4 lines, then one line per bag
-        argv = ["segment", "--posteriors", path, "--model", model,
+    else:  # save_posteriors rejects a repeated id, so the file is edited after
+        path, row = post, b"bag: bag0001,12\n"
+        argv = ["segment", "--posteriors", post, "--model", model,
                 "--out-dir", str(tmp / "segs")]
+    data = open(path, "rb").read()
+    assert data.count(row) == 1
+    open(path, "wb").write(data.replace(row, row.replace(b"bag0001", b"bag0000")))
+    line = data.count(b"\n", 0, data.index(row)) + 1
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}:{line}: bag: duplicate id 'bag0000'\n"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,9 +12,10 @@ from wsibp import (
     Bag,
     BagPosterior,
     CorrelationMatrix,
+    DatasetError,
+    DimensionMismatchError,
     FormatError,
     ModelConfig,
-    VocabMismatchError,
     WeakLabels,
     fit,
     infer_test,
@@ -59,56 +61,50 @@ class TestDatasetRoundTrip:
             assert np.array_equal(back.edges, orig.edges)
             assert np.array_equal(back.labels.bits, orig.labels.bits)
 
-    def test_unknown_label_name(self, tmp_path, small_dataset, small_config):
-        cfg = small_config
-        path = str(tmp_path / "ds")
-        save_dataset(path, small_dataset.bags, cfg.default_vocab(),
-                     cfg.k_objects, cfg.k_attributes, cfg.k_extra)
-        bag_file = os.path.join(path, small_dataset.bags[0].id + ".bag")
-        data = open(bag_file, "rb").read()
-        data = data[: data.rindex(b"labels:")] + b"labels: nosuchfactor\n"
-        open(bag_file, "wb").write(data)
-        with pytest.raises(VocabMismatchError, match="nosuchfactor"):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("entry, why", [
-        ("../escaped,{n},b.bag", "'../escaped' is not a plain file name"),
-        ("..,{n},b.bag", "'..' is not a plain file name"),
-        ("b,{n},../b.bag", "'../b.bag' is not a plain file name"),
-        ("b,{n},sub\\b.bag", "'sub\\\\b.bag' is not a plain file name"),
-        ("b,{n},", "'' is not a plain file name")])
-    def test_entry_outside_the_directory_names_its_line(self, tmp_path, small_dataset,
-                                                        small_config, entry, why):
-        # an id or a file name must name a file in the dataset directory
+    @pytest.mark.parametrize("bag_id, why", [
+        ("../escaped", "'../escaped' is not a plain file name"),
+        ("..", "'..' is not a plain file name"),
+        ("", "'' is not a plain file name"),
+        ("sub\\b", "'sub\\\\b' is not a plain file name"),
+        ("bag0000", "duplicate id 'bag0000'")])
+    def test_bag_line_id_names_its_line(self, tmp_path, small_dataset, small_config, bag_id,
+                                        why):
+        # infer copies ids into posteriors and segment names files after them, so an id
+        # must be a plain file name, and one id names one bag
         cfg, bags = small_config, small_dataset.bags[:2]
-        path = str(tmp_path / "ds")
-        save_dataset(path, bags, cfg.default_vocab(), cfg.k_objects, cfg.k_attributes,
+        path = tmp_path / "ds"
+        save_dataset(str(path), bags, cfg.default_vocab(), cfg.k_objects, cfg.k_attributes,
                      cfg.k_extra)
-        manifest = os.path.join(path, "manifest.txt")
-        lines = open(manifest, encoding="ascii").read().splitlines()
-        lines[10] = "bag: " + entry.format(n=bags[1].n_instances)
-        open(manifest, "w", encoding="ascii").write("\n".join(lines) + "\n")
+        line = f"bag: {bags[1].id},{bags[1].n_instances},{len(bags[1].edges)}\n"
+        data = path.read_bytes()
+        assert data.count(line.encode()) == 1
+        path.write_bytes(data.replace(line.encode(), line.replace(bags[1].id, bag_id).encode()))
         with pytest.raises(FormatError) as caught:
-            load_dataset(path)
-        assert str(caught.value) == f"{manifest}:11: bag: {why}"
+            load_dataset(str(path))
+        assert str(caught.value) == f"{path}:10: bag: {why}"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "ds"
-        path.mkdir()
-        (path / "manifest.txt").write_text("format: something-else\n")
+        path.write_text("format: something-else\n")
         with pytest.raises(FormatError):
             load_dataset(str(path))
 
     def test_unknown_version(self, tmp_path, small_dataset, small_config):
         cfg = small_config
-        path = str(tmp_path / "ds")
-        save_dataset(path, small_dataset.bags, cfg.default_vocab(),
+        path = tmp_path / "ds"
+        save_dataset(str(path), small_dataset.bags, cfg.default_vocab(),
                      cfg.k_objects, cfg.k_attributes, cfg.k_extra)
-        manifest = os.path.join(path, "manifest.txt")
-        text = open(manifest).read().replace("version: 1", "version: 99")
-        open(manifest, "w").write(text)
-        with pytest.raises(FormatError, match="version"):
+        path.write_bytes(path.read_bytes().replace(b"version: 2\n", b"version: 99\n", 1))
+        with pytest.raises(FormatError, match="unknown version 99, this reader reads version 2; "
+                                              "re-run synth"):
             load_dataset(str(path))
+
+    def test_version_1_directory_names_its_layout(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("format: wsibp-dataset\nversion: 1\n")
+        with pytest.raises(FormatError) as caught:
+            load_dataset(str(tmp_path))
+        assert str(caught.value) == (f"{tmp_path}: a version-1 dataset directory; re-run "
+                                     "synth to write a file")
 
     def test_large_feature_dim_accepted(self, tmp_path):
         cfg = ModelConfig(k_objects=1, k_attributes=0, k_extra=0,
@@ -121,35 +117,33 @@ class TestDatasetRoundTrip:
 
 
 def _save_dataset_per_line(path, bags, vocab, k_objects, k_attributes, k_extra, binary):
-    """The dataset writer as one write per line, the reference for save_dataset's bytes."""
-    os.makedirs(path, exist_ok=True)
-    for bag in bags:
-        with open(os.path.join(path, f"{bag.id}.bag"), "wb") as fh:
-            fh.write(f"id: {bag.id}\n".encode("ascii"))
-            fh.write(f"instances: {bag.n_instances}\n".encode("ascii"))
-            feats = np.asarray(bag.features, dtype="<f4")
-            if binary:
-                fh.write(f"features: binary {feats.nbytes}\n".encode("ascii"))
-                fh.write(feats.tobytes() + b"\n")
-            else:
-                fh.write(b"features: text\n")
-                for row in feats:
-                    fh.write((",".join(repr(float(v)) for v in row) + "\n").encode("ascii"))
-            fh.write(f"edges: {len(bag.edges)}\n".encode("ascii"))
-            for a, b in bag.edges:
-                fh.write(f"{a},{b}\n".encode("ascii"))
-            annotated = [vocab[k] for k in range(k_objects + k_attributes)
-                         if bag.labels.bits[k] == 1.0]
-            fh.write(("labels: " + ",".join(annotated) + "\n").encode("ascii"))
-    with open(os.path.join(path, "manifest.txt"), "w", encoding="ascii") as fh:
-        fh.write("format: wsibp-dataset\nversion: 1\n")
-        fh.write(f"feature_dim: {bags[0].feature_dim}\n")
-        fh.write(f"mode: {'binary' if binary else 'text'}\n")
+    """The dataset writer as one write per line, or per bag's bytes of a binary block, the
+    reference for save_dataset's bytes."""
+    k_annotated = k_objects + k_attributes
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"format: wsibp-dataset\nversion: 2\nfeature_dim: {bags[0].feature_dim}\n")
         fh.write(f"k_objects: {k_objects}\nk_attributes: {k_attributes}\nk_extra: {k_extra}\n")
         fh.write("vocab: " + ",".join(vocab) + "\n")
         fh.write(f"num_bags: {len(bags)}\n")
         for bag in bags:
-            fh.write(f"bag: {bag.id},{bag.n_instances},{bag.id}.bag\n")
+            fh.write(f"bag: {bag.id},{bag.n_instances},{len(bag.edges)}\n")
+    blocks = [("features", "<f4", [b.features for b in bags], lambda v: repr(float(v))),
+              ("edges", "<i8", [b.edges for b in bags], lambda v: str(int(v))),
+              ("labels", "u1", [b.labels.bits[None, :k_annotated] for b in bags],
+               lambda v: str(int(v)))]
+    with open(path, "ab") as fh:
+        for key, dtype, arrays, cell in blocks:
+            if binary:
+                fh.write(f"{key}: binary {sum(np.dtype(dtype).itemsize * a.size for a in arrays)}\n"
+                         .encode("ascii"))
+                for a in arrays:
+                    fh.write(np.asarray(a, dtype=dtype).tobytes())
+                fh.write(b"\n")
+            else:
+                fh.write(f"{key}: text\n".encode("ascii"))
+                for a in arrays:
+                    for row in a:
+                        fh.write((",".join(cell(v) for v in row) + "\n").encode("ascii"))
 
 
 @pytest.mark.parametrize("binary", [True, False])
@@ -158,14 +152,12 @@ def test_save_dataset_bytes_match_per_line_writer(tmp_path, small_dataset, small
     cfg = small_config
     args = (small_dataset.bags, cfg.default_vocab(), cfg.k_objects, cfg.k_attributes,
             cfg.k_extra, binary)
-    ours, ref = str(tmp_path / "ours"), str(tmp_path / "ref")
-    save_dataset(ours, *args)
-    _save_dataset_per_line(ref, *args)
-    assert sorted(os.listdir(ours)) == sorted(os.listdir(ref))
+    ours, ref = tmp_path / "ours", tmp_path / "ref"
+    save_dataset(str(ours), *args)
+    _save_dataset_per_line(str(ref), *args)
     assert any(len(b.edges) for b in small_dataset.bags)
-    for name in os.listdir(ref):
-        assert open(os.path.join(ours, name), "rb").read() == \
-            open(os.path.join(ref, name), "rb").read(), name
+    assert any(b.labels.bits[:cfg.k_annotated].any() for b in small_dataset.bags)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 @st.composite
@@ -195,9 +187,12 @@ def test_dataset_round_trip_property(tmp_path_factory, data, binary):
     # text rows hold each float32 as the repr of its float64, so both modes are exact
     bags, counts = data
     vocab = [f"f{k}" for k in range(sum(counts))]
-    path = str(tmp_path_factory.mktemp("ds"))
-    save_dataset(path, bags, vocab, *counts, binary=binary)
-    loaded = load_dataset(path)
+    path = tmp_path_factory.mktemp("ds") / "ds"
+    save_dataset(str(path), bags, vocab, *counts, binary=binary)
+    data = path.read_bytes()
+    for key in ("features", "edges", "labels"):  # every block in the encoding asked for
+        assert f"\n{key}: {'binary' if binary else 'text'}".encode("ascii") in data
+    loaded = load_dataset(str(path))
     assert (loaded.vocab, (loaded.k_objects, loaded.k_attributes, loaded.k_extra)) == \
         (vocab, counts)
     assert [b.id for b in loaded.bags] == [b.id for b in bags]
@@ -395,9 +390,12 @@ class TestPosteriorsRoundTrip:
         assert str(caught.value) == f"{path}:10: {why}"
 
     def test_duplicate_id_names_its_line(self, tmp_path):
+        # save_posteriors rejects such ids, so the file is edited after it is written
         post = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
         path = str(tmp_path / "p.post")
-        save_posteriors(path, [("a", post), ("b", post), ("a", post)], 2)
+        save_posteriors(path, [("a", post), ("b", post), ("c", post)], 2)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data.replace(b"bag: c,3\n", b"bag: a,3\n"))
         with pytest.raises(FormatError) as caught:
             load_posteriors(path)
         assert str(caught.value) == f"{path}:7: bag: duplicate id 'a'"
@@ -407,7 +405,9 @@ class TestPosteriorsRoundTrip:
         # segment writes <out-dir>/<id>.csv, so an id must name a file in that directory
         post = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
         path = str(tmp_path / "p.post")
-        save_posteriors(path, [("a", post), (bag_id, post)], 2)
+        save_posteriors(path, [("a", post), ("b", post)], 2)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data.replace(b"bag: b,3\n", f"bag: {bag_id},3\n".encode()))
         with pytest.raises(FormatError) as caught:
             load_posteriors(path)
         assert str(caught.value) == f"{path}:6: bag: {bag_id!r} is not a plain file name"
@@ -522,10 +522,61 @@ class TestTruthSidecar:
 
 def test_edges_cut_short_is_end_of_file(tmp_path, small_dataset, small_config):
     c = small_config
-    save_dataset(str(tmp_path), small_dataset.bags[:1], c.default_vocab(), c.k_objects,
-                 c.k_attributes, c.k_extra)
-    path = tmp_path / f"{small_dataset.bags[0].id}.bag"
+    path = tmp_path / "ds"
+    save_dataset(str(path), small_dataset.bags[:1], c.default_vocab(), c.k_objects,
+                 c.k_attributes, c.k_extra, binary=False)
     data = path.read_bytes()
     path.write_bytes(data[:data.index(b"\nlabels: ") - 2])  # inside the last edge line
     with pytest.raises(FormatError, match=re.escape(f"{path}: unexpected end of file")):
-        load_dataset(str(tmp_path))
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("block", ["edges", "labels"])
+def test_truncated_binary_block_names_the_block(tmp_path, small_dataset, small_config, block):
+    c = small_config
+    path = tmp_path / "ds"
+    save_dataset(str(path), small_dataset.bags[:3], c.default_vocab(), c.k_objects,
+                 c.k_attributes, c.k_extra)
+    data = path.read_bytes()
+    start = data.index(f"\n{block}: binary ".encode("ascii")) + 1
+    end = data.index(b"\nlabels: ") if block == "edges" else len(data) - 1
+    path.write_bytes(data[:end - 1])  # one byte of the block short, and what follows it
+    with pytest.raises(FormatError) as caught:
+        load_dataset(str(path))
+    line = data.count(b"\n", 0, start) + 1  # the block's header, newline bytes in blocks too
+    assert str(caught.value) == f"{path}:{line}: {block}: truncated binary block"
+
+
+class TestWritersRejectWhatReadersReject:
+    """A writer raises, before it opens its file, for what its reader would reject."""
+
+    @pytest.mark.parametrize("change, error, why", [
+        (lambda b: dataclasses.replace(b, id="../escaped"), ValueError,
+         "'../escaped' is not a plain file name"),
+        (lambda b: dataclasses.replace(b, id="bag0000"), ValueError, "duplicate id 'bag0000'"),
+        (lambda b: dataclasses.replace(b, labels=WeakLabels(np.full(6, 0.5))), DatasetError,
+         "bag 'bag0001': label bits must be 0 or 1")],
+        ids=["escaped-id", "repeated-id", "half-bit"])
+    def test_save_dataset(self, tmp_path, small_dataset, small_config, change, error, why):
+        c, path = small_config, tmp_path / "ds"
+        bags = [small_dataset.bags[0], change(small_dataset.bags[1])]
+        with pytest.raises(error, match=re.escape(why)):
+            save_dataset(str(path), bags, c.default_vocab(), c.k_objects, c.k_attributes,
+                         c.k_extra)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bag_id, shapes, error, why", [
+        ("../escaped", ((2, 2), (3, 2), (3, 2)), ValueError,
+         "'../escaped' is not a plain file name"),
+        ("a", ((2, 2), (3, 2), (3, 2)), ValueError, "duplicate id 'a'"),
+        ("b", ((3, 2), (3, 2), (3, 2)), DimensionMismatchError, "need width 2"),
+        ("b", ((2, 2), (3, 3), (3, 3)), DimensionMismatchError, "need width 2"),
+        ("b", ((2, 2), (3, 2), (3, 3)), DimensionMismatchError, "need width 2")],
+        ids=["escaped-id", "repeated-id", "tau-width", "nu-width", "logits-width"])
+    def test_save_posteriors(self, tmp_path, bag_id, shapes, error, why):
+        ok = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
+        tau, nu, logits = (np.full(shape, 0.5) for shape in shapes)
+        path = tmp_path / "p.post"
+        with pytest.raises(error, match=re.escape(why)):
+            save_posteriors(str(path), [("a", ok), (bag_id, BagPosterior(tau, nu, logits))], 2)
+        assert not path.exists()
