@@ -123,9 +123,9 @@ class WeakLabels:
         if self.bits.shape != (config.k_max,):
             raise DimensionMismatchError(f"label vector has shape {self.bits.shape}, "
                                          f"expected ({config.k_max},)")
-        if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
+        if not ((self.bits == 0.0) | (self.bits == 1.0)).all():
             raise DatasetError("label bits must be 0 or 1")
-        if not np.all(self.bits[config.k_annotated:] == 1.0):
+        if not (self.bits[config.k_annotated:] == 1.0).all():
             raise DatasetError("unannotated factor slots must have label bit 1")
 
 
@@ -245,7 +245,7 @@ def _validate_bag(bag: Bag, dim: int, config: ModelConfig) -> None:
                                      f"expected {dim}")
     if bag.n_instances == 0:
         raise DatasetError(f"bag {bag.id!r} has no instances")
-    if not np.all(np.isfinite(bag.features)):
+    if not np.isfinite(bag.features).all():
         raise DatasetError(f"bag {bag.id!r} has non-finite feature values")
     bag.labels.validate(config)
     if bag.edges.size:
@@ -254,13 +254,16 @@ def _validate_bag(bag: Bag, dim: int, config: ModelConfig) -> None:
         if bag.edges.min() < 0 or bag.edges.max() >= bag.n_instances:
             raise EdgeIndexError(f"bag {bag.id!r} has an edge endpoint outside "
                                  f"[0, {bag.n_instances})")
-        if np.any(bag.edges[:, 0] == bag.edges[:, 1]):
+        if (bag.edges[:, 0] == bag.edges[:, 1]).any():
             raise EdgeIndexError(f"bag {bag.id!r} contains a self-edge")
 
 
 # --- math utilities ---------------------------------------------------------
 
 _DIGAMMA_SHIFT = 8
+# 0-d float64 operands: NumPy takes them with less work per call than Python floats
+_EIGHT, _ONE, _HALF, _C12, _C120, _C252, _C240 = map(
+    np.array, (8.0, 1.0, 0.5, 1.0 / 12.0, 1.0 / 120.0, 1.0 / 252.0, 240.0))
 
 
 def digamma(x):
@@ -268,25 +271,24 @@ def digamma(x):
 
     Any x > 0 passes the shift within 8 steps. Each step runs on the whole array:
     every x still below the shift gains 1 and psi(x) = psi(x+n) - sum_{i<n} 1/(x+i)
-    loses its reciprocal, in step order. So the bits match a per-element loop, and
-    NumPy runs no inner loop per element, whatever the array's shape."""
+    loses its reciprocal, in step order, so the bits match a per-element loop. Rounding
+    keeps x + 1 in order, so the steps stop once the smallest x has passed the shift."""
     x = np.array(x, dtype=np.float64)  # a copy: the steps shift it in place
-    if np.any(x <= 0):
+    low = x.min(initial=np.inf)  # NaN if any x is
+    if not low > 0:
         raise ValueError("digamma defined here for x > 0 only")
     acc = np.zeros_like(x)
-    small = np.empty(x.shape, dtype=bool)
-    step = np.empty_like(x)
-    for _ in range(_DIGAMMA_SHIFT):
-        np.less(x, _DIGAMMA_SHIFT, out=small)
-        acc -= np.divide(small, x, out=step)  # 1/x where small, else +0
-        x += small
-    inv2 = 1.0 / (x * x)
+    small, step = np.empty_like(x), np.empty_like(x)  # small: 1.0 where x < 8, else 0.0
+    while low < _DIGAMMA_SHIFT:
+        low += 1.0
+        np.less(x, _EIGHT, out=small)
+        np.subtract(acc, np.divide(small, x, out=step), out=acc)  # 1/x where small, else +0
+        np.add(x, small, out=x)
+    inv2 = _ONE / (x * x)
     # psi(x) ~ ln x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) + 1/(240x^8)
     series = (
         np.log(x)
-        - 0.5 / x
-        - inv2 * (1.0 / 12.0
-                  - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
+        - _HALF / x
+        - inv2 * (_C12 - inv2 * (_C120 - inv2 * (_C252 - inv2 / _C240)))
     )
     return acc + series
-

@@ -11,14 +11,16 @@ builds one in a single step: one draw of ν for all its rows, stored factor-majo
 ``(rows, D)`` block and the neighbours as O(edges) slot lists.
 The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
 iteration and per ``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after
-each sweep. ``infer_test`` sweeps a group of one.
+each sweep. ``infer_test`` sweeps a group of one. A sweep's factor steps run in one
+``sweep_factors`` call: eight ufunc calls per factor into rows bound once, 0-d operands.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +38,8 @@ from .core import (
 LOGIT_CLIP = 30.0
 VAR_FLOOR = 1e-12
 GROUP_ROWS = 1024  # instances per packed group; packing every bag at once raised peak RSS
+# 0-d float64 operands: NumPy takes them with less work per call than Python floats
+_CLIP_LO, _CLIP_HI, _ONE = map(np.array, (-LOGIT_CLIP, LOGIT_CLIP, 1.0))
 
 
 @dataclass
@@ -53,18 +57,20 @@ class StickBoundCache:
 
     @staticmethod
     def from_tau(tau: np.ndarray) -> "StickBoundCache":
-        """The cache of tau (..., k_max, 2): one ``digamma`` call over the stacked
-        (3, ..., k_max) arguments tau_1, tau_2, tau_1 + tau_2, then cumulative sums
+        """The cache of tau (..., k_max, 2): one ``digamma`` call over the (3, ..., k_max)
+        arguments tau_1, tau_2, tau_1 + tau_2, stacked in place, then cumulative sums
         along the factor axis, with w built in place in psi(tau_2)'s row. ``digamma``
-        raises ValueError unless every tau is > 0."""
+        raises ValueError unless every tau is > 0 (so for a NaN too)."""
         tau = np.asarray(tau, dtype=np.float64)
-        t1, t2 = tau[..., 0], tau[..., 1]
-        d1, d2, d12 = digamma(np.array([t1, t2, t1 + t2]))
-        prior_cumsum = np.cumsum(d1 - d2, axis=-1)
+        arg = np.empty((3, *tau.shape[:-1]))
+        arg[0], arg[1] = tau[..., 0], tau[..., 1]
+        np.add(arg[0], arg[1], out=arg[2])
+        d1, d2, d12 = digamma(arg)
+        prior_cumsum = (d1 - d2).cumsum(axis=-1)
         # w_s = psi(tau_s2) + sum_{t<s} psi(tau_t1) - sum_{t<=s} psi(tau_t1+tau_t2)
         w = d2
-        w[..., 1:] += np.cumsum(d1[..., :-1], axis=-1)
-        w -= np.cumsum(d12, axis=-1)
+        w[..., 1:] += d1[..., :-1].cumsum(axis=-1)
+        w -= d12.cumsum(axis=-1)
         # sum_s q_s w_s + H(q) collapses to logsumexp(w[..., :k+1])
         return StickBoundCache(w=w, neg_log_terms=np.logaddexp.accumulate(w, axis=-1),
                                prior_cumsum=prior_cumsum)
@@ -104,6 +110,7 @@ class BagGroup:
     x: np.ndarray  # (rows, D) the bags' features stacked (a lone bag's own array)
     rows: list[slice]  # per bag, its rows of the group
     counts: np.ndarray  # (M,) instances per bag
+    starts: np.ndarray  # (M,) each bag's first row
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
     nbr: np.ndarray  # (wide slots, rows) j-th neighbour of each row, else the index rows
     tail: list[tuple[np.ndarray, np.ndarray]]  # later slots: (rows of degree > j, neighbours)
@@ -122,9 +129,10 @@ def init_group(bags: list[Bag], config: ModelConfig, rng: np.random.Generator) -
     directed edges (each as given, then reversed): ``nbr`` the slots of a quarter of the
     rows or more, padded with the index rows, ``tail`` each later one's rows, ascending,
     and neighbours: at most 4 indices per directed edge, whatever the degrees."""
-    counts = np.array([b.n_instances for b in bags])
-    size, k = int(counts.sum()), config.k_max
-    rows = [slice(a - n, a) for a, n in zip(np.cumsum(counts).tolist(), counts.tolist())]
+    ns = [b.n_instances for b in bags]
+    size, k = sum(ns), config.k_max
+    rows = [slice(a - n, a) for a, n in zip(itertools.accumulate(ns), ns)]
+    counts, starts = np.array(ns), np.array([r.start for r in rows])
     bits = np.repeat(np.array([b.labels.bits for b in bags]).T > 0, counts, axis=1)
     # row-major first, as per-bag draws were: other orders moved the sweeps' temporaries
     # in the heap, and glibc trimmed and regrew it every iteration (see CHANGES.md)
@@ -133,28 +141,28 @@ def init_group(bags: list[Bag], config: ModelConfig, rng: np.random.Generator) -
     np.add(draw.T, 0.5, out=nu)
     nu *= bits
     logits[:] = zeros.T
-    tau = np.tile([config.alpha, 1.0], (len(bags), k, 1))
+    tau = np.full((len(bags), k, 2), (config.alpha, 1.0))
     one = _start_cache(config.alpha, k)  # every bag's tau is the same
     cache = StickBoundCache(*(a.repeat(len(bags), axis=0) for a in vars(one).values()))
-    edges = np.concatenate([b.edges.reshape(-1, 2) + r.start  # an empty list may be 1-D
-                            for b, r in zip(bags, rows)]).astype(np.intp)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], np.concatenate([edges[:, 1], edges[:, 0]])[order]
-    slot = np.arange(src.size) - np.searchsorted(src, src)  # place among its row's edges
-    wide = np.count_nonzero(4 * np.bincount(slot) >= size)  # rows per slot never grow
+    fwd = [b.edges.reshape(-1, 2).T + r.start for b, r in zip(bags, rows)]  # empty may be 1-D
+    src, dst = np.concatenate(fwd + [f[::-1] for f in fwd], axis=1).astype(np.intp, copy=False)
+    order = src.argsort(kind="stable")
+    src, dst = src[order], dst[order]
+    slot = np.arange(src.size) - src.searchsorted(src)  # place among its row's edges
+    per = np.bincount(slot)  # rows per slot, never growing
+    wide = np.count_nonzero(4 * per >= size)
     near = slot < wide
     nbr = np.full((wide, size), size)
     nbr[slot[near], src[near]] = dst[near]
-    rest = np.flatnonzero(~near)
-    rest = rest[np.argsort(slot[rest], kind="stable")]
-    ends = np.cumsum(np.bincount(slot)[wide:]).tolist()  # where each later slot ends
-    tail = [(src[rest[a:b]], dst[rest[a:b]]) for a, b in zip([0] + ends, ends)]
+    rest = (~near).nonzero()[0]
+    rest = rest[slot[rest].argsort(kind="stable")]  # slot by slot, rows ascending
+    src, dst, ends = src[rest], dst[rest], [0, *per[wide:].cumsum().tolist()]
+    tail = [(src[a:b], dst[a:b]) for a, b in zip(ends, ends[1:])]
     x = bags[0].features if len(bags) == 1 else np.concatenate([b.features for b in bags])
     posteriors = [BagPosterior(tau=t, nu=nu[:, r].T, logits=logits[:, r].T)
                   for t, r in zip(tau, rows)]
-    return BagGroup(x=x, rows=rows, counts=counts, bits=bits, nbr=nbr, tail=tail, tau=tau,
-                    nu=nu, logits=logits, cache=cache, posteriors=posteriors)
+    return BagGroup(x=x, rows=rows, counts=counts, starts=starts, bits=bits, nbr=nbr, tail=tail,
+                    tau=tau, nu=nu, logits=logits, cache=cache, posteriors=posteriors)
 
 
 def _group_bags(bags: list[Bag]):
@@ -194,17 +202,16 @@ def update_appearance(groups: list[BagGroup], gram: np.ndarray, model: Appearanc
         model.variances[k] = var
 
 
+@np.errstate(divide="ignore")  # a zero deficit's log is -inf
 def update_stick(group: BagGroup, config: ModelConfig) -> None:
     """Closed-form stick Beta update of a group's bags from their cache. With
     d_m = n - sum_j nu_jm and G = neg_log_terms, q_mk = exp(w_k - G_m), so the sums
     over m of d_m q_mk are suffix log-sum-exps of log d_m - G_m (Doshi-Velez et al.,
     2009)."""
-    counts = group.counts
-    s = np.add.reduceat(group.nu, np.cumsum(counts) - counts, axis=1).T  # (M, k_max)
+    s = np.add.reduceat(group.nu, group.starts, axis=1).T  # (M, k_max)
     w, g = group.cache.w, group.cache.neg_log_terms
-    deficit = counts[:, None] - s
-    with np.errstate(divide="ignore"):
-        log_d = np.log(deficit) - g
+    deficit = group.counts[:, None] - s
+    log_d = np.log(deficit) - g
 
     def suffix(op, x):  # op over m >= k
         return op.accumulate(x[:, ::-1], axis=1)[:, ::-1]
@@ -215,7 +222,7 @@ def update_stick(group: BagGroup, config: ModelConfig) -> None:
     # the cross term sums over m > k, so the last factor has none
     tau1[:, :-1] += suffix(np.add, deficit)[:, 1:] - np.exp(g[:, :-1] + lse[:, 1:])
     np.exp(w + lse, out=tau2)
-    tau2 += 1.0
+    tau2 += _ONE
 
 
 def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
@@ -225,7 +232,7 @@ def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
     ``quad`` (k_max,) = (D var_k + G_kk) / (2 sigma^2)."""
     inv_s2 = 1.0 / config.sigma ** 2
     gram = model.means @ model.means.T
-    quad = 0.5 * inv_s2 * (model.feature_dim * model.variances + np.diag(gram))
+    quad = 0.5 * inv_s2 * (model.feature_dim * model.variances + gram.diagonal())
     coupling = -inv_s2 * gram
     np.fill_diagonal(coupling, 0.0)
     coupling += config.rho * correlation.m.T
@@ -245,19 +252,9 @@ def base_logits(group: BagGroup, proj: np.ndarray, quad: np.ndarray,
     ``mrf_messages``'s output: messages + each row's stick prior - quad + proj, the
     prior read from the group's stick cache."""
     const = group.cache.prior_cumsum - group.cache.neg_log_terms - quad  # (M, k_max)
-    msgs += np.repeat(const.T, group.counts, axis=1)
+    msgs += const.T.repeat(group.counts, axis=1)
     msgs += proj
     return msgs
-
-
-def factor_logit(group: BagGroup, k: int, base: np.ndarray, coupling: np.ndarray) -> None:
-    """Write factor k's logit, coupling[k] @ nu + base[k] (nu factor-major), straight
-    into logits[k]: with resid = x - nu^T @ means, the residual form's resid @ phi_k +
-    nu_k G_kk equals x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (M^T nu)[k] rides
-    in coupling."""
-    eta = group.logits[k]
-    np.matmul(coupling[k], group.nu, out=eta)
-    eta += base[k]
 
 
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
@@ -274,16 +271,24 @@ def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
     return np.multiply(acc, config.beta, out=acc)
 
 
-def set_factor(group: BagGroup, k: int, bit) -> None:
-    """nu[k] = bit / (1 + exp(-clip(logits[k]))), bit a scalar or one per row (bool
-    or 0/1), so masked rows are +0. nu[k] is the work row, and logits[k] keeps the
-    unclipped logit; with |clip| <= LOGIT_CLIP the exponential cannot overflow."""
-    nu = group.nu[k]
-    np.maximum(group.logits[k], -LOGIT_CLIP, out=nu)
-    np.minimum(nu, LOGIT_CLIP, out=nu)
-    np.exp(np.negative(nu, out=nu), out=nu)
-    nu += 1.0
-    np.divide(bit, nu, out=nu)
+def sweep_factors(group: BagGroup, base: np.ndarray, coupling: np.ndarray) -> None:
+    """Each factor k in ascending order, over all rows: logits[k] = coupling[k] @ nu +
+    base[k] (nu factor-major), then nu[k] = bit / (1 + exp(-clip(logits[k]))), the bit
+    one per row (bool), so masked rows are +0, and each factor sees the freshest others.
+    With resid = x - nu^T @ means, the residual form's resid @ phi_k + nu_k G_kk equals
+    x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (M^T nu)[k] rides in coupling. nu[k]
+    is the work row, and logits[k] keeps the unclipped logit; with |clip| <= LOGIT_CLIP
+    the exponential cannot overflow. The rows of a factor are bound once, by ``zip``."""
+    nu = group.nu
+    matmul, add, exp, negative, divide = np.matmul, np.add, np.exp, np.negative, np.divide
+    for c, b, eta, n, bit in zip(coupling, base, group.logits, nu, group.bits):
+        matmul(c, nu, eta)
+        add(eta, b, eta)
+        np.maximum(eta, _CLIP_LO, out=n)
+        np.minimum(n, _CLIP_HI, out=n)
+        exp(negative(n, n), n)
+        add(n, _ONE, n)
+        divide(bit, n, n)
 
 
 def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
@@ -292,19 +297,16 @@ def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.nd
     ``terms`` (``sweep_terms``'s) are fixed while the model is. The stick stage runs
     once for all the bags and keeps the new tau's cache; ``base_logits`` adds the rest
     of the fixed logit into ``mrf_messages``'s output (start-of-sweep nu), so a factor
-    costs one mat-vec into its logits (``factor_logit``) and one squash
-    (``set_factor``), factors ascending, each seeing the freshest others, all rows
-    jointly. At beta = rho = 0 both couplings add zeros."""
+    costs one mat-vec into its logits and one squash, factors ascending in one call
+    of ``sweep_factors``, each seeing the freshest others, all rows jointly. At
+    beta = rho = 0 both couplings add zeros."""
     if update_sticks:
         update_stick(group, config)
         group.cache = StickBoundCache.from_tau(group.tau)
     coupling, quad = terms
     base = base_logits(group, proj, quad, mrf_messages(group, config))
-    bits = group.bits
     change = group.nu.copy()
-    for k in range(config.k_max):
-        factor_logit(group, k, base, coupling)
-        set_factor(group, k, bits[k])
+    sweep_factors(group, base, coupling)
     np.subtract(change, group.nu, out=change)
     return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
 
@@ -361,9 +363,10 @@ def infer_test(bag: Bag, model: AppearanceModel,
     The bag is swept as a group of one; the model's logit terms and the features'
     projection are taken once, before the first sweep.
     """
-    open_bag = replace(bag, labels=WeakLabels(np.ones(config.k_max)))
+    open_bag = Bag(bag.features, bag.edges, WeakLabels(np.ones(config.k_max)), bag.id)
     validate_dataset([open_bag], config, model.feature_dim)
-    group = init_group([open_bag], config, np.random.default_rng(config.seed))
+    # default_rng(seed)'s generator, without its argument checks
+    group = init_group([open_bag], config, np.random.Generator(np.random.PCG64(config.seed)))
     proj, terms = project(group, model, config), sweep_terms(model, correlation, config)
     for _ in range(config.max_iters):
         delta = _sweep_bag(group, proj, terms, config)

@@ -31,6 +31,7 @@ from .core import (
     CorrelationMatrix,
     DatasetError,
     DimensionMismatchError,
+    EdgeIndexError,
     FormatError,
     ModelConfig,
     VocabMismatchError,
@@ -116,7 +117,7 @@ class _BlockReader:
             return out
         if spec != "text":
             raise self.error(f"{key}: unknown encoding {spec!r}")
-        row = _fields(*[float if dtype.kind == "f" else _int64] * math.prod(shape[1:]))
+        row = _fields(*[float if dtype.kind == "f" else _int(dtype)] * math.prod(shape[1:]))
         vals = [self.parse(self.line(), row, key) for _ in range(shape[0])]
         return self.parse(vals, lambda v: np.array(v, dtype=dtype).reshape(shape), f"{key} block")
 
@@ -131,10 +132,13 @@ def _fields(*types):
     return parse
 
 
-def _int64(text: str) -> int:
-    if not -2**63 <= (n := int(text)) < 2**63:
-        raise ValueError(f"{n} does not fit int64")
-    return n
+def _int(dtype: np.dtype):
+    """A parser of one integer cell, which must fit ``dtype``."""
+    def parse(text: str, info=np.iinfo(dtype)) -> int:
+        if not info.min <= (n := int(text)) <= info.max:
+            raise ValueError(f"{n} does not fit {dtype.name}")
+        return n
+    return parse
 
 
 def _count(text: str) -> int:
@@ -144,9 +148,11 @@ def _count(text: str) -> int:
 
 
 def _name(text: str) -> str:
-    """A bag id, which names a file in a directory: not empty, ``.`` or ``..``, and
-    without ``/`` or ``\\``."""
-    if text in ("", ".", "..") or "/" in text or "\\" in text:
+    """A bag id, which names a file in a directory and which a ``bag:`` line carries
+    as it is: printable ascii, not empty, ``.`` or ``..``, without ``/``, ``\\`` or
+    ``,`` and without whitespace at either end."""
+    if (text in ("", ".", "..") or "/" in text or "\\" in text or "," in text
+            or text != text.strip() or not (text.isascii() and text.isprintable())):
         raise ValueError(f"{text!r} is not a plain file name")
     return text
 
@@ -231,10 +237,18 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
                  binary: bool = True) -> None:
     """Write a dataset file: the header, one ``bag: <id>,<n>,<n_edges>`` line per bag,
     then the features, edges and annotated label bits of all bags, one block each. Ids
-    that ``load_dataset`` rejects and label bits other than 0 and 1 raise first."""
+    that ``load_dataset`` rejects, a feature dim other than the first bag's, edges not
+    (E, 2) and label bits other than 0 and 1 raise first."""
     if len(vocab) != k_objects + k_attributes + k_extra:
         raise VocabMismatchError("vocab length does not match factor counts")
     _check_ids([bag.id for bag in bags])
+    dim = bags[0].feature_dim if bags else 0
+    for b in bags:  # the block sizes that load_dataset expects
+        if b.feature_dim != dim:
+            raise DimensionMismatchError(f"bag {b.id!r} has feature dim {b.feature_dim}, "
+                                         f"expected {dim}")
+        if b.edges.size and (b.edges.ndim != 2 or b.edges.shape[1] != 2):
+            raise EdgeIndexError(f"bag {b.id!r} edge list must be (E, 2)")
     k_annotated = k_objects + k_attributes
     bits = np.array([b.labels.bits[:k_annotated] for b in bags]).reshape(len(bags), k_annotated)
     if not (ok := ((bits == 0) | (bits == 1)).all(axis=1)).all():
@@ -242,7 +256,7 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
     with open(path, "wb") as fh:
         _write_lines(fh, [
             DATASET_MAGIC, f"version: {DATASET_VERSION}",
-            f"feature_dim: {bags[0].feature_dim if bags else 0}", f"k_objects: {k_objects}",
+            f"feature_dim: {dim}", f"k_objects: {k_objects}",
             f"k_attributes: {k_attributes}", f"k_extra: {k_extra}", "vocab: " + ",".join(vocab),
             f"num_bags: {len(bags)}"]
             + [f"bag: {b.id},{b.n_instances},{len(b.edges)}" for b in bags])

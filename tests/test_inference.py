@@ -26,12 +26,11 @@ from wsibp.inference import (
     _start_cache,
     _sweep_bag,
     base_logits,
-    factor_logit,
     init_group,
     mrf_messages,
     nu_gram,
     project,
-    set_factor,
+    sweep_factors,
     sweep_terms,
     update_appearance,
     update_correlation,
@@ -112,6 +111,8 @@ class TestStickBound:
             StickBoundCache.from_tau(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
             StickBoundCache.from_tau(np.array([[1.0, 1.0], [-2.0, 1.0]]))
+        with pytest.raises(ValueError):
+            StickBoundCache.from_tau(np.array([[1.0, 1.0], [np.nan, 1.0]]))
 
 
 # --- appearance update ------------------------------------------------------
@@ -281,17 +282,16 @@ def test_closed_form_stick_update_matches_triple_loop(k_max, n_i, alpha, data):
 # --- logits -----------------------------------------------------------------
 
 def logits_at(bag, model, config, tau, nu=None):
-    """factor_logit for every factor at one fixed state (nu, if given, else the
-    group's start), as columns."""
+    """sweep_factors from one state (nu, if given, else the group's start): every
+    factor's logit as columns, and nu after it, which factor k saw for factors < k."""
     group = new_group([bag], config, tau=tau)
     if nu is not None:
         group.nu[:] = nu.T
     coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
     base = base_logits(group, project(group, model, config), quad,
                        np.zeros_like(group.nu))
-    for k in range(config.k_max):
-        factor_logit(group, k, base, coupling)
-    return group.logits.T.copy()
+    sweep_factors(group, base, coupling)
+    return group.logits.T.copy(), group.nu.T.copy()
 
 
 class TestComputeLogits:
@@ -303,7 +303,7 @@ class TestComputeLogits:
         model = AppearanceModel(means=np.zeros((1, 2)),
                                 variances=np.full(1, 1e-12),
                                 vocab=["a"], config=config)
-        eta = logits_at(bag, model, config, np.array([[1.0, 1.0]]))
+        eta, _ = logits_at(bag, model, config, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(eta, 1.0, atol=1e-6)
 
     def test_monotone_in_alignment(self, rng):
@@ -317,7 +317,7 @@ class TestComputeLogits:
             bag = Bag(features=np.array([x], dtype=np.float32),
                       edges=np.zeros((0, 2), dtype=np.int64),
                       labels=WeakLabels(np.ones(1)), id="m")
-            return logits_at(bag, model, config, tau, np.zeros((1, 1)))[0, 0]
+            return logits_at(bag, model, config, tau, np.zeros((1, 1)))[0][0, 0]
 
         low = eta_for([0.1, 0.2])
         high = eta_for([1.0, 2.0])
@@ -331,7 +331,7 @@ class TestComputeLogits:
         model = AppearanceModel(means=rng.normal(size=(3, 5)),
                                 variances=rng.uniform(0.1, 1.0, size=3),
                                 vocab=list("abc"), config=config)
-        eta = logits_at(bag, model, config, tau, nu)
+        eta, new = logits_at(bag, model, config, tau, nu)
 
         x = bag.features.astype(np.float64)
         d = 5
@@ -340,7 +340,8 @@ class TestComputeLogits:
                 prior = sum(float(digamma(tau[t, 0]) - digamma(tau[t, 1]))
                             for t in range(k + 1))
                 _, bound = stick_bound(tau, k + 1)
-                resid = x[j] - sum(nu[j, l] * model.means[l]
+                seen = np.concatenate([new[j, :k], nu[j, k:]])  # factors < k already set
+                resid = x[j] - sum(seen[l] * model.means[l]
                                    for l in range(3) if l != k)
                 quad = (d * model.variances[k]
                         + model.means[k] @ model.means[k]
@@ -396,9 +397,9 @@ def test_sweep_logits_match_residual_form(stick_bound, k_max, d, sizes, beta, rh
 # --- MRF message application ------------------------------------------------
 
 def mrf_at(eta, nu, correlation, edges, config):
-    """The MRF part of every factor's logit at one fixed nu (N, k_max), added to eta
-    (k_max, N): the sweep's mrf_messages plus eta, then the sweep's coupling with zero
-    appearance means."""
+    """The MRF part of every factor's logit from one nu (N, k_max), added to eta
+    (k_max, N): the sweep's mrf_messages plus eta, then sweep_factors with the sweep's
+    coupling at zero appearance means (factor k sees the new nu of factors < k)."""
     n, k_max = nu.shape
     bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
               id="mrf")
@@ -409,8 +410,7 @@ def mrf_at(eta, nu, correlation, edges, config):
     coupling, _ = sweep_terms(model, correlation, config)
     msgs = mrf_messages(group, config)
     msgs += eta
-    for k in range(k_max):
-        factor_logit(group, k, msgs, coupling)
+    sweep_factors(group, msgs, coupling)
     return group.logits.copy()
 
 
@@ -475,6 +475,62 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def neighbour_table_reference(bags, rows, size):
+    """The neighbour table of init_group's docstring, built with NumPy's function forms
+    and one gather per tail slot: the reference init_group's build must equal."""
+    edges = np.concatenate([b.edges.reshape(-1, 2) + r.start
+                            for b, r in zip(bags, rows)]).astype(np.intp)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.concatenate([edges[:, 1], edges[:, 0]])[order]
+    slot = np.arange(src.size) - np.searchsorted(src, src)
+    wide = np.count_nonzero(4 * np.bincount(slot) >= size)
+    near = slot < wide
+    nbr = np.full((wide, size), size)
+    nbr[slot[near], src[near]] = dst[near]
+    rest = np.flatnonzero(~near)
+    rest = rest[np.argsort(slot[rest], kind="stable")]
+    ends = np.cumsum(np.bincount(slot)[wide:]).tolist()
+    tail = [(src[rest[a:b]], dst[rest[a:b]]) for a, b in zip([0] + ends, ends)]
+    return nbr, tail
+
+
+@given(kinds=st.lists(st.tuples(st.sampled_from(["grid", "star", "isolated", "empty", "flat",
+                                                 "random"]), st.integers(1, 40)),
+                      min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_neighbour_table_matches_reference(kinds, seed):
+    # grids, stars, rows with no edge, empty edge lists (2-D and 1-D) and random lists
+    # with repeats, one bag or several: the same nbr and tail arrays as the reference
+    rng = np.random.default_rng(seed)
+    bags = []
+    for i, (kind, n) in enumerate(kinds):
+        if kind == "grid":
+            edges = grid_edges(n)
+        elif kind == "star":
+            hub = rng.integers(n)
+            edges = np.array([(hub, j) if rng.random() < 0.5 else (j, hub)
+                              for j in range(n) if j != hub]).reshape(-1, 2)
+        elif kind == "isolated" and n > 2:  # edges among the first half only
+            a = rng.integers(0, n // 2, size=(n, 2))
+            edges = a[a[:, 0] != a[:, 1]]
+        elif kind == "random" and n > 1:
+            a = rng.integers(0, n, size=(rng.integers(0, 3 * n), 2))
+            edges = a[a[:, 0] != a[:, 1]]
+            edges = np.concatenate([edges, edges[: rng.integers(0, len(edges) + 1)]])
+        else:
+            edges = np.zeros(0 if kind == "flat" else (0, 2), dtype=np.int64)
+        bags.append(Bag(features=np.zeros((n, 1)), edges=edges.astype(np.int64),
+                        labels=WeakLabels(np.ones(2)), id=str(i)))
+    group = init_group(bags, cfg_k(2), rng)
+    nbr, tail = neighbour_table_reference(bags, group.rows, int(sum(group.counts)))
+    assert group.nbr.dtype == nbr.dtype and np.array_equal(group.nbr, nbr)
+    assert len(group.tail) == len(tail)
+    for (r, d), (r0, d0) in zip(group.tail, tail):
+        assert r.dtype == r0.dtype and np.array_equal(r, r0) and np.array_equal(d, d0)
+
+
 @pytest.mark.parametrize("shape", ["star", "grid"])
 def test_neighbour_slots_are_linear_in_edges(shape):
     # one hub row must not make every row of its group pay for its degree
@@ -490,13 +546,62 @@ def test_neighbour_slots_are_linear_in_edges(shape):
 # --- nu update --------------------------------------------------------------
 
 def set_all_factors(eta, labels):
-    """set_factor for every column of eta (N, k_max), in ascending factor order, on a
-    blank group of one bag; that bag's posterior."""
+    """sweep_factors on a blank group of one bag with the labels' bits, base eta.T
+    (eta (N, k_max)) and zero coupling, so each logit is +0 + eta; that bag's
+    posterior."""
     group = blank_group(eta.shape[1], len(eta))
-    group.logits[:] = eta.T
-    for k in range(eta.shape[1]):
-        set_factor(group, k, labels.bits[k])
+    group.bits[:] = labels.bits[:, None] > 0
+    sweep_factors(group, eta.T, np.zeros((eta.shape[1],) * 2))
     return group.posteriors[0]
+
+
+def factor_steps_reference(group, base, coupling):
+    """The factor step as two calls per factor, a mat-vec into the logit row and then
+    the squash with Python-float operands: the reference sweep_factors must equal."""
+    for k in range(len(group.nu)):
+        eta = group.logits[k]
+        np.matmul(coupling[k], group.nu, out=eta)
+        eta += base[k]
+        nu = group.nu[k]
+        np.maximum(group.logits[k], -inference.LOGIT_CLIP, out=nu)
+        np.minimum(nu, inference.LOGIT_CLIP, out=nu)
+        np.exp(np.negative(nu, out=nu), out=nu)
+        nu += 1.0
+        np.divide(group.bits[k], nu, out=nu)
+
+
+@given(k=st.tuples(st.integers(1, 5), st.integers(0, 4), st.integers(0, 3)),
+       sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       beta=st.floats(0.01, 3), rho=st.floats(0.01, 1), scale=st.floats(0.1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_sweep_factors_matches_two_call_step(k, sizes, beta, rho, scale, seed):
+    # bit for bit, at beta, rho > 0, with masked rows (each bag's first factor off)
+    # and logits beyond the clip (the features scaled up to 30-fold)
+    rng = np.random.default_rng(seed)
+    config = cfg_k(*k, sigma=0.5, beta=beta, rho=rho)
+    k_max = config.k_max
+    bags = []
+    for i, n in enumerate(sizes):
+        bits = np.ones(k_max)
+        bits[:config.k_annotated] = rng.random(config.k_annotated) < 0.6
+        bits[0] = 0.0
+        a = rng.integers(0, n, size=(2 * n, 2))
+        bags.append(Bag(features=scale * rng.normal(size=(n, 3)), edges=a[a[:, 0] != a[:, 1]],
+                        labels=WeakLabels(bits), id=str(i)))
+    model = AppearanceModel(means=rng.normal(size=(k_max, 3)),
+                            variances=rng.uniform(0.1, 1.0, size=k_max),
+                            vocab=config.default_vocab(), config=config)
+    m = np.triu(rng.uniform(0, 1, size=(k_max, k_max)), 1)
+    coupling, quad = sweep_terms(model, CorrelationMatrix(m + m.T), config)
+    tau = rng.uniform(0.2, 5.0, size=(k_max, 2))
+    ours, ref = (new_group(bags, config, np.random.default_rng(seed), tau) for _ in range(2))
+    base = base_logits(ours, project(ours, model, config), quad, mrf_messages(ours, config))
+    sweep_factors(ours, base, coupling)
+    factor_steps_reference(ref, base, coupling)
+    assert ours.nu.tobytes() == ref.nu.tobytes()
+    assert ours.logits.tobytes() == ref.logits.tobytes()
+    assert not ours.nu[0].any()
 
 
 class TestUpdateNu:
@@ -516,18 +621,20 @@ class TestUpdateNu:
     def test_set_factor_matches_long_double_sigmoid(self, rows):
         # nu = bit / (1 + exp(-clip(eta, +-30))) within 4 ulp of a long double
         # reference, masked rows +0.0, unmasked rows strictly inside (0, 1), and
-        # logits holding the unclipped eta
+        # logits holding the unclipped eta (+0 + eta: a zero coupling adds +0)
         eta = np.array([e for e, _ in rows])
         on = np.array([b for _, b in rows])
         group = blank_group(2, len(rows))
-        group.logits[1] = eta
-        set_factor(group, 1, on)
+        group.bits[1] = on
+        base = np.zeros((2, len(rows)))
+        base[1] = eta
+        sweep_factors(group, base, np.zeros((2, 2)))
         nu = group.nu[1]
         ref = 1 / (1 + np.exp(-np.clip(eta.astype(np.longdouble), -30, 30)))
         assert np.all(np.abs(nu[on] - ref[on]) <= 4 * np.spacing(ref[on].astype(np.float64)))
         assert np.all((nu[on] > 0) & (nu[on] < 1))
         assert nu[~on].tobytes() == np.zeros(int((~on).sum())).tobytes()
-        assert group.logits[1].tobytes() == eta.tobytes()
+        assert group.logits[1].tobytes() == (0.0 + eta).tobytes()
 
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=50)
@@ -756,15 +863,13 @@ class TestFitTransductive:
 
 # --- kernel wiring ----------------------------------------------------------
 
-KERNEL = ("base_logits", "factor_logit", "mrf_messages", "set_factor")
+KERNEL = ("base_logits", "mrf_messages", "sweep_factors")
 
 
 def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
                                              small_config):
-    # the oracle tests above call these functions; fit and infer_test must
-    # run factor_logit and set_factor once per group, factor and sweep and
-    # base_logits and mrf_messages once per group and sweep, and the ten small
-    # bags make one group
+    # the oracle tests above call these functions; fit and infer_test must run
+    # each once per group and sweep, and the ten small bags make one group
     calls = {}
     for name in KERNEL:
         def counted(*args, _fn=getattr(inference, name), _name=name):
@@ -773,8 +878,7 @@ def test_fit_and_infer_run_the_tested_kernel(monkeypatch, small_dataset,
         monkeypatch.setattr(inference, name, counted)
     config = dataclasses.replace(small_config, max_iters=1)
     assert sum(b.n_instances for b in small_dataset.bags) <= inference.GROUP_ROWS
-    per_sweep = {"base_logits": 1, "factor_logit": config.k_max, "mrf_messages": 1,
-                 "set_factor": config.k_max}
+    per_sweep = {"base_logits": 1, "mrf_messages": 1, "sweep_factors": 1}
     fit(small_dataset.bags[:2], config)
     assert calls == per_sweep
     calls.clear()

@@ -14,6 +14,7 @@ from wsibp import (
     CorrelationMatrix,
     DatasetError,
     DimensionMismatchError,
+    EdgeIndexError,
     FormatError,
     ModelConfig,
     WeakLabels,
@@ -520,6 +521,25 @@ class TestTruthSidecar:
         np.testing.assert_allclose(back["true_a"], small_dataset.true_a)
 
 
+@pytest.mark.parametrize("cell", ["300", "-1"])
+def test_text_cell_out_of_its_dtype_names_its_line(tmp_path, small_dataset, small_config,
+                                                   cell):
+    # a labels cell (uint8) that parses as an integer but does not fit is named at
+    # its own line, the first of the block's four, not at the block's last
+    c = small_config
+    path = tmp_path / "ds"
+    save_dataset(str(path), small_dataset.bags[:4], c.default_vocab(), c.k_objects,
+                 c.k_attributes, c.k_extra, binary=False)
+    data = path.read_bytes()
+    start = data.index(b"\nlabels: text\n") + len(b"\nlabels: text\n")
+    end = data.index(b",", start)
+    path.write_bytes(data[:start] + cell.encode() + data[end:])
+    with pytest.raises(FormatError) as caught:
+        load_dataset(str(path))
+    line = data.count(b"\n", 0, start) + 1
+    assert str(caught.value) == f"{path}:{line}: labels: {cell} does not fit uint8"
+
+
 def test_edges_cut_short_is_end_of_file(tmp_path, small_dataset, small_config):
     c = small_config
     path = tmp_path / "ds"
@@ -555,8 +575,19 @@ class TestWritersRejectWhatReadersReject:
          "'../escaped' is not a plain file name"),
         (lambda b: dataclasses.replace(b, id="bag0000"), ValueError, "duplicate id 'bag0000'"),
         (lambda b: dataclasses.replace(b, labels=WeakLabels(np.full(6, 0.5))), DatasetError,
-         "bag 'bag0001': label bits must be 0 or 1")],
-        ids=["escaped-id", "repeated-id", "half-bit"])
+         "bag 'bag0001': label bits must be 0 or 1"),
+        (lambda b: dataclasses.replace(b, id="a,b"), ValueError,
+         "'a,b' is not a plain file name"),
+        (lambda b: dataclasses.replace(b, id="\u00e9"), ValueError,
+         "'\u00e9' is not a plain file name"),
+        (lambda b: dataclasses.replace(b, id=" x"), ValueError,
+         "' x' is not a plain file name"),
+        (lambda b: dataclasses.replace(b, features=b.features[:, :-1]), DimensionMismatchError,
+         "bag 'bag0001' has feature dim 7, expected 8"),
+        (lambda b: dataclasses.replace(b, edges=np.zeros((4, 3), dtype=np.int64)),
+         EdgeIndexError, "bag 'bag0001' edge list must be (E, 2)")],
+        ids=["escaped-id", "repeated-id", "half-bit", "comma-id", "non-ascii-id",
+             "edge-space-id", "feature-dim", "edge-width"])
     def test_save_dataset(self, tmp_path, small_dataset, small_config, change, error, why):
         c, path = small_config, tmp_path / "ds"
         bags = [small_dataset.bags[0], change(small_dataset.bags[1])]
@@ -571,8 +602,12 @@ class TestWritersRejectWhatReadersReject:
         ("a", ((2, 2), (3, 2), (3, 2)), ValueError, "duplicate id 'a'"),
         ("b", ((3, 2), (3, 2), (3, 2)), DimensionMismatchError, "need width 2"),
         ("b", ((2, 2), (3, 3), (3, 3)), DimensionMismatchError, "need width 2"),
-        ("b", ((2, 2), (3, 2), (3, 3)), DimensionMismatchError, "need width 2")],
-        ids=["escaped-id", "repeated-id", "tau-width", "nu-width", "logits-width"])
+        ("b", ((2, 2), (3, 2), (3, 3)), DimensionMismatchError, "need width 2"),
+        ("a,b", ((2, 2), (3, 2), (3, 2)), ValueError, "'a,b' is not a plain file name"),
+        ("\u00e9", ((2, 2), (3, 2), (3, 2)), ValueError, "'\u00e9' is not a plain file name"),
+        (" x", ((2, 2), (3, 2), (3, 2)), ValueError, "' x' is not a plain file name")],
+        ids=["escaped-id", "repeated-id", "tau-width", "nu-width", "logits-width", "comma-id",
+             "non-ascii-id", "edge-space-id"])
     def test_save_posteriors(self, tmp_path, bag_id, shapes, error, why):
         ok = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
         tau, nu, logits = (np.full(shape, 0.5) for shape in shapes)
