@@ -119,15 +119,6 @@ class WeakLabels:
         bits = np.concatenate([annotated, np.ones(config.k_extra)])
         return WeakLabels(bits)
 
-    def validate(self, config: ModelConfig) -> None:
-        if self.bits.shape != (config.k_max,):
-            raise DimensionMismatchError(f"label vector has shape {self.bits.shape}, "
-                                         f"expected ({config.k_max},)")
-        if not ((self.bits == 0.0) | (self.bits == 1.0)).all():
-            raise DatasetError("label bits must be 0 or 1")
-        if not (self.bits[config.k_annotated:] == 1.0).all():
-            raise DatasetError("unannotated factor slots must have label bit 1")
-
 
 @dataclass(frozen=True)
 class Bag:
@@ -156,19 +147,6 @@ class AppearanceModel:
     vocab: list[str]
     config: ModelConfig
 
-    def validate(self) -> None:
-        k = self.config.k_max
-        if self.means.shape[0] != k or self.variances.shape != (k,):
-            raise DimensionMismatchError("appearance model shape mismatch with config")
-        if len(self.vocab) != k:
-            raise VocabMismatchError(
-                f"vocab length {len(self.vocab)} != k_max {k}"
-            )
-        if np.any(self.variances <= 0):
-            raise WsibpError("appearance variances must be > 0")
-        if not np.all(np.isfinite(self.means)):
-            raise WsibpError("appearance means must be finite")
-
     @property
     def feature_dim(self) -> int:
         return self.means.shape[1]
@@ -188,16 +166,6 @@ class CorrelationMatrix:
     """Symmetric non-negative inter-factor co-occurrence matrix, zero diagonal."""
 
     m: np.ndarray  # (k_max, k_max)
-
-    def validate(self) -> None:
-        if self.m.ndim != 2 or self.m.shape[0] != self.m.shape[1]:
-            raise DimensionMismatchError("correlation matrix must be square")
-        if not np.allclose(self.m, self.m.T):
-            raise WsibpError("correlation matrix must be symmetric")
-        if np.any(np.diag(self.m) != 0):
-            raise WsibpError("correlation matrix diagonal must be zero")
-        if np.any(self.m < 0):
-            raise WsibpError("correlation matrix entries must be >= 0")
 
     @staticmethod
     def zeros(k_max: int) -> "CorrelationMatrix":
@@ -247,7 +215,14 @@ def _validate_bag(bag: Bag, dim: int, config: ModelConfig) -> None:
         raise DatasetError(f"bag {bag.id!r} has no instances")
     if not np.isfinite(bag.features).all():
         raise DatasetError(f"bag {bag.id!r} has non-finite feature values")
-    bag.labels.validate(config)
+    bits = bag.labels.bits
+    if bits.shape != (config.k_max,):
+        raise DimensionMismatchError(f"label vector has shape {bits.shape}, "
+                                     f"expected ({config.k_max},)")
+    if not ((bits == 0.0) | (bits == 1.0)).all():
+        raise DatasetError("label bits must be 0 or 1")
+    if not (bits[config.k_annotated:] == 1.0).all():
+        raise DatasetError("unannotated factor slots must have label bit 1")
     if bag.edges.size:
         if bag.edges.ndim != 2 or bag.edges.shape[1] != 2:
             raise EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")

@@ -292,7 +292,7 @@ def sweep_factors(group: BagGroup, base: np.ndarray, coupling: np.ndarray) -> No
 
 
 def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
-               config: ModelConfig, update_sticks: bool = True) -> float:
+               config: ModelConfig) -> float:
     """One sweep of a group; returns the mean |delta nu|. ``proj`` (``project``'s) and
     ``terms`` (``sweep_terms``'s) are fixed while the model is. The stick stage runs
     once for all the bags and keeps the new tau's cache; ``base_logits`` adds the rest
@@ -300,9 +300,8 @@ def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.nd
     costs one mat-vec into its logits and one squash, factors ascending in one call
     of ``sweep_factors``, each seeing the freshest others, all rows jointly. At
     beta = rho = 0 both couplings add zeros."""
-    if update_sticks:
-        update_stick(group, config)
-        group.cache = StickBoundCache.from_tau(group.tau)
+    update_stick(group, config)
+    group.cache = StickBoundCache.from_tau(group.tau)
     coupling, quad = terms
     base = base_logits(group, proj, quad, mrf_messages(group, config))
     change = group.nu.copy()

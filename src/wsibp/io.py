@@ -28,6 +28,7 @@ from .core import (
     AppearanceModel,
     Bag,
     BagPosterior,
+    ConfigError,
     CorrelationMatrix,
     DatasetError,
     DimensionMismatchError,
@@ -296,7 +297,9 @@ def load_dataset(path: str) -> LoadedDataset:
 
 def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix) -> None:
     """Versioned container: config snapshot (every ModelConfig field, in declared
-    order), vocab, then means, variances and M as binary blocks."""
+    order), vocab, then means, variances and M as binary blocks. Values that
+    ``load_model`` rejects raise first (``_check_model``)."""
+    _check_model(path, model.means, model.variances, correlation.m)
     with open(path, "wb") as fh:
         _write_lines(fh, [MODEL_MAGIC, f"version: {FORMAT_VERSION}",
                           f"feature_dim: {model.feature_dim}"]
@@ -308,13 +311,19 @@ def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix
 
 
 def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
+    """A model file. The header must hold a valid ModelConfig and k_max vocab names,
+    the blocks their exact (k_max, D), (k_max,) and (k_max, k_max) sizes, and the
+    values pass ``_check_model``; each fault is a FormatError naming the path."""
     with open(path, "rb") as fh:
         reader = _BlockReader(fh, path)
         _check_version(reader, MODEL_MAGIC)
         feature_dim = reader.field("feature_dim")
         types = typing.get_type_hints(ModelConfig)
-        config = ModelConfig(**{f.name: reader.field(f.name, types[f.name])
-                                for f in fields(ModelConfig)})
+        values = {f.name: reader.field(f.name, types[f.name]) for f in fields(ModelConfig)}
+        try:
+            config = ModelConfig(**values)
+        except ConfigError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         vocab_line = reader.key("vocab")
         vocab = vocab_line.split(",") if vocab_line else []
         k = config.k_max
@@ -323,11 +332,29 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
         means = reader.array("means", (k, feature_dim), np.float64)
         variances = reader.array("variances", (k,), np.float64)
         m = reader.array("correlation", (k, k), np.float64)
-    model = AppearanceModel(means=means, variances=variances, vocab=vocab, config=config)
-    model.validate()
-    corr = CorrelationMatrix(m)
-    corr.validate()
-    return model, corr
+    _check_model(path, means, variances, m)
+    return (AppearanceModel(means=means, variances=variances, vocab=vocab, config=config),
+            CorrelationMatrix(m))
+
+
+@np.errstate(over="ignore")  # allclose's |M - M.T| of huge finite entries
+def _check_model(path: str, means: np.ndarray, variances: np.ndarray, m: np.ndarray) -> None:
+    """A FormatError ``<path>: the model needs ...`` naming every rule the values break:
+    means finite; variances finite and > 0; M finite, symmetric, with a zero diagonal
+    and no negative entries. Read from extremes, as ``_lacks`` reads posteriors; M's
+    other rules only when it is finite, so a NaN or inf is named as such."""
+    finite_m = _finite(m)
+    bad = [need for need, ok in (
+        ("means finite", _finite(means)),
+        ("variances finite and > 0",
+         variances.min(initial=1.0) > 0 and variances.max(initial=1.0) < np.inf),
+        ("M finite", finite_m),
+        ("M symmetric", not finite_m or np.allclose(m, m.T)),
+        ("M diagonal zero", not finite_m or not m.diagonal().any()),
+        ("M entries >= 0", not finite_m or m.min(initial=0.0) >= 0),
+    ) if not ok]
+    if bad:
+        raise FormatError(f"{path}: the model needs {', '.join(bad)}")
 
 
 def save_posteriors(path: str, posteriors: list[tuple[str, BagPosterior]],
@@ -383,8 +410,14 @@ def _lacks(tau: np.ndarray, nu: np.ndarray, logits: np.ndarray) -> list[str]:
     return [need for need, ok in (
         ("tau finite and > 0", tau.min(initial=1.0) > 0 and tau.max(initial=1.0) < np.inf),
         ("nu in [0, 1]", nu.min(initial=0.0) >= 0 and nu.max(initial=0.0) <= 1),
-        ("logits finite", -np.inf < logits.min(initial=0.0) and logits.max(initial=0.0) < np.inf),
+        ("logits finite", _finite(logits)),
     ) if not ok]
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, from its extremes (NaN fails every
+    comparison, and an empty array passes)."""
+    return bool(-np.inf < a.min(initial=0.0) and a.max(initial=0.0) < np.inf)
 
 
 def _uints(path: str, cells: list[tuple[int, str]], what: str) -> list[int]:

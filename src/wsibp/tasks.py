@@ -32,38 +32,22 @@ def _rank_desc(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
-def _attributes_at(post: BagPosterior, j_star: int, config: ModelConfig,
-                   top: int) -> list[tuple[int, float]]:
-    if top < 0:
-        raise WsibpError(f"top_attributes {top} is negative")
-    lo, hi = config.k_objects, config.k_annotated
-    scores = post.nu[j_star, lo:hi]
-    order = _rank_desc(scores)[:top]
-    return [(lo + int(a), float(scores[a])) for a in order]
+def _object_scores(post: BagPosterior, config: ModelConfig) -> np.ndarray:
+    """Each object's mean nu over the bag's instances, (k_objects,): a row-major copy
+    sums in row order, whatever the layout of post.nu."""
+    return np.ascontiguousarray(post.nu[:, :config.k_objects]).mean(axis=0)
 
 
 def free_annotation(post: BagPosterior, config: ModelConfig,
                     top_objects: int = 1, top_attributes: int = 2) -> list[Annotation]:
     """Rank objects by their inferred usage rate in the bag (mean activation
-    across instances), then describe each at its best-matching instance with
-    its top attributes."""
+    across instances), then annotate each as ``annotate_given_object`` does."""
     if not 1 <= top_objects <= config.k_objects:
         raise WsibpError(
             f"top_objects {top_objects} outside [1, k_objects {config.k_objects}]"
         )
-    # a row-major copy sums in row order, whatever the layout of post.nu
-    pi = np.ascontiguousarray(post.nu[:, : config.k_objects]).mean(axis=0)
-    out = []
-    for k in _rank_desc(pi)[:top_objects]:
-        k = int(k)
-        j_star = int(np.argmax(post.nu[:, k]))
-        out.append(Annotation(
-            object=k,
-            object_score=float(pi[k]),
-            object_instance=j_star,
-            attributes=_attributes_at(post, j_star, config, top_attributes),
-        ))
-    return out
+    return [annotate_given_object(post, config, int(k), top_attributes)
+            for k in _rank_desc(_object_scores(post, config))[:top_objects]]
 
 
 def annotate_given_object(post: BagPosterior, config: ModelConfig,
@@ -72,12 +56,16 @@ def annotate_given_object(post: BagPosterior, config: ModelConfig,
     instance."""
     if not 0 <= object_k < config.k_objects:
         raise WsibpError(f"object index {object_k} outside [0, {config.k_objects})")
+    if top_attributes < 0:
+        raise WsibpError(f"top_attributes {top_attributes} is negative")
     j_star = int(np.argmax(post.nu[:, object_k]))  # np.argmax takes the lowest index on ties
+    lo, hi = config.k_objects, config.k_annotated
+    scores = post.nu[j_star, lo:hi]
     return Annotation(
         object=object_k,
-        object_score=float(post.nu[:, object_k].mean()),
+        object_score=float(_object_scores(post, config)[object_k]),
         object_instance=j_star,
-        attributes=_attributes_at(post, j_star, config, top_attributes),
+        attributes=[(lo + int(a), float(scores[a])) for a in _rank_desc(scores)[:top_attributes]],
     )
 
 

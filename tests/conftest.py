@@ -55,3 +55,22 @@ def fit_files(tmp_path):
                        env=env, check=True, stdout=subprocess.DEVNULL)
         return model.read_bytes(), post.read_bytes()
     return run
+
+
+@pytest.fixture(params=[
+    ("means", {(0, 0): np.nan}, "means finite"),
+    ("variances", {(0,): np.nan}, "variances finite and > 0"),
+    ("variances", {(0,): np.inf}, "variances finite and > 0"),
+    ("variances", {(1,): 0.0}, "variances finite and > 0"),
+    ("correlation", {(0, 1): np.inf, (1, 0): np.inf}, "M finite"),
+    ("correlation", {(0, 1): np.nan, (1, 0): np.nan}, "M finite"),
+    ("correlation", {(0, 1): 0.5, (1, 0): 0.25}, "M symmetric"),
+    ("correlation", {(1, 1): 0.5}, "M diagonal zero"),
+    ("correlation", {(0, 1): -0.5, (1, 0): -0.5}, "M entries >= 0"),
+    ("correlation", {(0, 1): 1e308, (1, 0): -1e308}, "M symmetric, M entries >= 0"),
+], ids=["mean-nan", "var-nan", "var-inf", "var-zero", "m-inf-pair", "m-nan-pair",
+        "m-asymmetric", "m-diagonal", "m-negative", "m-overflow"])
+def model_fault(request):
+    """A value the model file rejects: (block, {index: value} set in it, the rule its
+    message names after ``<path>: the model needs``)."""
+    return request.param

@@ -21,7 +21,16 @@ from wsibp import (
     sample_dataset,
 )
 from wsibp.generative import plant_correlation, smooth_spatially
-from wsibp.inference import StickBoundCache, _sweep_bag, init_group, project, sweep_terms
+from wsibp.inference import (
+    StickBoundCache,
+    _sweep_bag,
+    base_logits,
+    init_group,
+    mrf_messages,
+    project,
+    sweep_factors,
+    sweep_terms,
+)
 from wsibp.io import save_dataset
 from wsibp.metrics import (
     BagTruth,
@@ -80,10 +89,12 @@ def test_criterion_02_exact_oracle_marginals():
     group.cache = StickBoundCache.from_tau(group.tau)
     post = group.posteriors[0]
     proj = project(group, model, config)
-    terms = sweep_terms(model, CorrelationMatrix.zeros(2), config)
-    for _ in range(500):
-        delta = _sweep_bag(group, proj, terms, config, update_sticks=False)
-        if delta < 1e-13:
+    coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(2), config)
+    for _ in range(500):  # the sweep's own steps, without its stick update
+        before = group.nu.copy()
+        sweep_factors(group, base_logits(group, proj, quad, mrf_messages(group, config)),
+                      coupling)
+        if np.abs(group.nu - before).mean() < 1e-13:
             break
 
     # straight-line enumeration of p(Z | X)

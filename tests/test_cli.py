@@ -704,3 +704,80 @@ def test_outputs_can_be_written_to_a_pipe(inferred, workspace, command):
      "--raster", "r", "--raster-bag", "b"]])
 def test_one_command_parser_parses_as_the_whole_parser(argv):
     assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def _set_cells(path, key, shape, cells):
+    """Set ``cells`` ({index: value}) of a model file's float64 block ``key``, of ``shape``,
+    in the file's bytes, past what save_model checks."""
+    data = bytearray(open(path, "rb").read())
+    start = data.index(b"\n", data.index(f"\n{key}: binary ".encode("ascii")) + 1) + 1
+    block = np.ndarray(shape, "<f8", buffer=data, offset=start)
+    for index, value in cells.items():
+        block[index] = value
+    open(path, "wb").write(data)
+
+
+def test_bad_model_values_exit_2_before_any_output(inferred, workspace, capsys, model_fault):
+    tmp, model, post = inferred
+    block, cells, why = model_fault
+    appearance, corr = load_model(model)
+    shape = {"means": appearance.means.shape, "variances": appearance.variances.shape,
+             "correlation": corr.m.shape}[block]
+    _set_cells(model, block, shape, cells)
+    out = tmp / "out"
+    capsys.readouterr()
+    for argv in (["infer", "--data", workspace[1], "--out", str(out)],
+                 ["annotate", "--posteriors", post, "--out", str(out)],
+                 ["query", "--posteriors", post, "--object", "obj0", "--out", str(out)],
+                 ["segment", "--posteriors", post, "--out-dir", str(out)]):
+        assert main(argv + ["--model", model]) == 2
+        assert capsys.readouterr().err == f"error: {model}: the model needs {why}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("line, bad, why", [
+    (b"k_objects: 2\n", b"k_objects: -1\n", "factor counts must be >= 0"),
+    (b"sigma: 0.1\n", b"sigma: nan\n",
+     "alpha, sigma_a, sigma, beta and rho must be finite, and tol a number"),
+    (b"vocab: obj0,obj1,att0,att1\n", b"vocab: obj0,obj1,att0\n", "vocab length 3 != k_max 4")])
+def test_bad_model_header_exit_2_naming_the_file(inferred, workspace, capsys, line, bad, why):
+    tmp, model, _ = inferred
+    data = open(model, "rb").read()
+    assert line in data
+    open(model, "wb").write(data.replace(line, bad, 1))
+    out = tmp / "out.post"
+    capsys.readouterr()
+    assert main(["infer", "--data", workspace[1], "--model", model, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {model}: {why}\n"
+    assert not out.exists()
+
+
+def test_query_unknown_object_exit_2(inferred, capsys):
+    tmp, model, post = inferred
+    out = tmp / "q.json"
+    assert main(["query", "--posteriors", post, "--model", model, "--object", "nosuch",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown factor 'nosuch'\n"
+    assert not out.exists()
+
+
+def test_eval_segmentation_weights_instances_by_pixels(inferred, capsys):
+    # a truth bag's "pixels" list counts each instance's pixels: one wrong instance
+    # of 1 pixel among instances of 3 pixels each
+    tmp, model, post = inferred
+    segs, bags = _segment_truth(tmp, model, post)
+    bags["bag0000"]["labels"][0] = 1 - bags["bag0000"]["labels"][0]
+    for entry in bags.values():
+        entry["pixels"] = [3] * len(entry["labels"])
+    bags["bag0000"]["pixels"][0] = 1
+    pixels = sum(map(sum, (entry["pixels"] for entry in bags.values())))
+    truth = tmp / "truth.json"
+    truth.write_text(json.dumps({"bags": bags}))
+    args = ["eval", "--task", "segmentation", "--pred", str(segs), "--truth", str(truth)]
+    capsys.readouterr()
+    assert main(args) == 0
+    assert f"per-pixel accuracy: {(pixels - 1) / pixels:.4f}\n" in capsys.readouterr().out
+    bags["bag0000"]["pixels"][0] = 0
+    truth.write_text(json.dumps({"bags": bags}))
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: invalid pixel counts for bag 'bag0000'\n"

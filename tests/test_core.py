@@ -79,9 +79,10 @@ class TestWeakLabels:
 
     def test_masked_extra_slot_rejected(self):
         cfg = ModelConfig(k_objects=1, k_attributes=0, k_extra=2)
-        lab = WeakLabels(np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(Exception):
-            lab.validate(cfg)
+        bag = dataclasses.replace(make_bag(2, 3, cfg),
+                                  labels=WeakLabels(np.array([1.0, 0.0, 1.0])))
+        with pytest.raises(DatasetError, match="unannotated factor slots must have label bit 1"):
+            validate_dataset([bag], cfg)
 
 
 class TestValidateDataset:

@@ -17,6 +17,7 @@ from wsibp import (
     EdgeIndexError,
     FormatError,
     ModelConfig,
+    VocabMismatchError,
     WeakLabels,
     fit,
     infer_test,
@@ -266,6 +267,47 @@ def test_model_config_round_trip(tmp_path_factory, config):
     for name, value in vars(config).items():
         assert getattr(back.config, name) == value
         assert type(getattr(back.config, name)) is type(value)
+
+
+def test_save_model_rejects_what_load_model_rejects(tmp_path, trained, model_fault):
+    block, cells, why = model_fault
+    arrays = {"means": trained.model.means.copy(), "variances": trained.model.variances.copy(),
+              "correlation": trained.correlation.m.copy()}
+    for index, value in cells.items():
+        arrays[block][index] = value
+    model = dataclasses.replace(trained.model, means=arrays["means"],
+                                variances=arrays["variances"])
+    path = tmp_path / "m.model"
+    with pytest.raises(FormatError) as caught:
+        save_model(str(path), model, CorrelationMatrix(arrays["correlation"]))
+    assert str(caught.value) == f"{path}: the model needs {why}"
+    assert not path.exists()
+
+
+class TestVocabLength:
+    # small_config has 3 + 3 + 0 factors; each file here names 5
+    def test_save_dataset_writes_nothing(self, tmp_path, small_dataset, small_config):
+        path = tmp_path / "ds"
+        with pytest.raises(VocabMismatchError, match="vocab length does not match"):
+            save_dataset(str(path), small_dataset.bags, small_config.default_vocab()[:-1],
+                         3, 3, 0)
+        assert not path.exists()
+
+    def test_load_dataset_names_the_file(self, tmp_path, small_dataset, small_config):
+        path = tmp_path / "ds"
+        save_dataset(str(path), small_dataset.bags, small_config.default_vocab(), 3, 3, 0)
+        path.write_bytes(path.read_bytes().replace(b",att2\n", b"\n", 1))
+        with pytest.raises(VocabMismatchError) as caught:
+            load_dataset(str(path))
+        assert str(caught.value) == f"{path}: vocab length 5 does not match factor counts"
+
+    def test_load_model_names_the_file(self, tmp_path, trained):
+        path = tmp_path / "m.model"
+        save_model(str(path), trained.model, trained.correlation)
+        path.write_bytes(path.read_bytes().replace(b",att2\n", b"\n", 1))
+        with pytest.raises(VocabMismatchError) as caught:
+            load_model(str(path))
+        assert str(caught.value) == f"{path}: vocab length 5 != k_max 6"
 
 
 class TestPosteriorsRoundTrip:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wsibp import (
     BagPosterior,
@@ -11,6 +11,7 @@ from wsibp import (
     sample_dataset,
 )
 from wsibp.tasks import (
+    Annotation,
     annotate_given_object,
     free_annotation,
     rank_query,
@@ -110,6 +111,44 @@ class TestAnnotateGivenObject:
     def test_negative_attribute_count_rejected(self):
         with pytest.raises(WsibpError, match="top_attributes"):
             annotate_given_object(posterior(np.ones((2, 4))), CFG, 0, -1)
+
+
+def _free_annotation_reference(post, config, top_objects, top_attributes):
+    # free_annotation as it was before it annotated through annotate_given_object
+    pi = np.ascontiguousarray(post.nu[:, :config.k_objects]).mean(axis=0)
+    out = []
+    for k in np.lexsort((np.arange(pi.size), -pi))[:top_objects]:
+        k = int(k)
+        j_star = int(np.argmax(post.nu[:, k]))
+        scores = post.nu[j_star, config.k_objects:config.k_annotated]
+        order = np.lexsort((np.arange(scores.size), -scores))[:top_attributes]
+        out.append(Annotation(object=k, object_score=float(pi[k]), object_instance=j_star,
+                              attributes=[(config.k_objects + int(a), float(scores[a]))
+                                          for a in order]))
+    return out
+
+
+@given(n=st.integers(1, 40), k_objects=st.integers(1, 4), k_attributes=st.integers(0, 3),
+       k_extra=st.integers(0, 2), top=st.integers(0, 3), top_attributes=st.integers(0, 4),
+       ties=st.booleans(), factor_major=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_free_annotation_matches_its_reference(n, k_objects, k_attributes, k_extra, top,
+                                               top_attributes, ties, factor_major, seed):
+    # the object score is the row-order mean, whatever the layout of nu; ties keep
+    # the lowest index, and each annotation is annotate_given_object's
+    config = ModelConfig(k_objects=k_objects, k_attributes=k_attributes, k_extra=k_extra)
+    rng = np.random.default_rng(seed)
+    nu = rng.random((n, config.k_max))
+    if ties:
+        nu = np.round(nu, 1)
+    if factor_major:  # as fit's posteriors are views of (k_max, rows) arrays
+        nu = np.ascontiguousarray(nu.T).T
+    post = BagPosterior(tau=np.ones((config.k_max, 2)), nu=nu, logits=np.zeros_like(nu))
+    top_objects = min(top, k_objects - 1) + 1
+    anns = free_annotation(post, config, top_objects, top_attributes)
+    assert anns == _free_annotation_reference(post, config, top_objects, top_attributes)
+    for ann in anns:
+        assert annotate_given_object(post, config, ann.object, top_attributes) == ann
 
 
 class TestRankQuery:
