@@ -173,64 +173,63 @@ class CorrelationMatrix:
 
 
 def validate_dataset(bags: list[Bag], config: ModelConfig, dim: int | None = None) -> int:
-    """Check every bag and return the feature dim they share: ``dim`` (a model's), or
-    by default the first bag's. Each bag needs that dim, at least one instance, finite
-    features, label bits that ``config`` accepts and edges in range without self-edges;
-    there must be at least one bag. A dataset that fails the checks over all bags at
-    once is walked, to raise its first bag's fault."""
+    """Check the bags (``_fault``) and return the feature dim they share: ``dim``, or the
+    first bag's. A fault of the bags together is raised as the first faulty bag's own."""
     if not bags:
         raise EmptyDatasetError("dataset contains no bags")
     dim = bags[0].feature_dim if dim is None else dim
-    if len(bags) == 1 or not _all_valid(bags, dim, config):  # one bag is cheaper walked
-        for bag in bags:
-            _validate_bag(bag, dim, config)
+    if _fault(bags, dim, config):
+        raise next(fault for bag in bags if (fault := _fault([bag], dim, config)))
     return dim
 
 
-def _all_valid(bags: list[Bag], dim: int, config: ModelConfig) -> bool:
-    """Whether no bag has a fault that ``_validate_bag`` raises, in a few passes over
-    the stacked label bits, features and edges (each edge beside its bag's size)."""
-    try:
-        if any(b.feature_dim != dim or b.labels.bits.shape != (config.k_max,) or b.edges.size
-               and (b.edges.ndim != 2 or b.edges.shape[1] != 2) for b in bags):
-            return False
-        counts = np.array([b.n_instances for b in bags])
-        bits = np.array([b.labels.bits for b in bags])
-        x = np.concatenate([b.features for b in bags])
-        edges = np.concatenate([b.edges.reshape(-1, 2) for b in bags])
-    except (AttributeError, IndexError, TypeError, ValueError):  # walked to raise as before
-        return False
-    ends = np.repeat(counts, [b.edges.size // 2 for b in bags])[:, None]
-    return bool(counts.all() and ((bits == 0.0) | (bits == 1.0)).all()
-                and (bits[:, config.k_annotated:] == 1.0).all() and np.isfinite(x).all()
-                and (edges >= 0).all() and (edges < ends).all()
-                and (edges[:, 0] != edges[:, 1]).all())
+def _fault(bags: list[Bag], dim: int, config: ModelConfig) -> DatasetError | None:
+    """The error of the first rule that ``bags`` break, or None: the shapes, then over the
+    stacked arrays (one bag's own): instances, finite features, 0/1 label bits, unannotated
+    slots on, edges in range, no self-edge. A value fault names the first bag (0/1: its own)."""
+    if fault := shape_fault(bags, dim, config.k_max):
+        return fault
+    first, counts, one = bags[0], [b.n_instances for b in bags], len(bags) == 1
+    x = first.features if one else np.concatenate([b.features for b in bags])
+    bits = first.labels.bits if one else np.array([b.labels.bits for b in bags])
+    edges = first.edges if one else np.concatenate([b.edges.reshape(-1, 2) for b in bags])
+    top = (edges.max(initial=-1) - counts[0] if one  # the largest edge end less its bag's size
+           else (edges - np.repeat(counts, [len(b.edges) for b in bags])[:, None]).max(initial=-1))
+    if not all(counts):
+        return DatasetError(f"bag {first.id!r} has no instances")
+    if not np.isfinite(x).all():
+        return DatasetError(f"bag {first.id!r} has non-finite feature values")
+    if fault := bits_fault(bags, bits):
+        return fault
+    if not (bits[..., config.k_annotated:] == 1.0).all():
+        return DatasetError(f"bag {first.id!r}: unannotated factor slots must have label bit 1")
+    if not (edges.min(initial=0) >= 0 and top < 0):
+        return EdgeIndexError(f"bag {first.id!r} has an edge endpoint outside [0, {counts[0]})")
+    if edges.size and (edges[:, 0] == edges[:, 1]).any():
+        return EdgeIndexError(f"bag {first.id!r} contains a self-edge")
+    return None
 
 
-def _validate_bag(bag: Bag, dim: int, config: ModelConfig) -> None:
-    if bag.feature_dim != dim:
-        raise DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
-                                     f"expected {dim}")
-    if bag.n_instances == 0:
-        raise DatasetError(f"bag {bag.id!r} has no instances")
-    if not np.isfinite(bag.features).all():
-        raise DatasetError(f"bag {bag.id!r} has non-finite feature values")
-    bits = bag.labels.bits
-    if bits.shape != (config.k_max,):
-        raise DimensionMismatchError(f"label vector has shape {bits.shape}, "
-                                     f"expected ({config.k_max},)")
-    if not ((bits == 0.0) | (bits == 1.0)).all():
-        raise DatasetError("label bits must be 0 or 1")
-    if not (bits[config.k_annotated:] == 1.0).all():
-        raise DatasetError("unannotated factor slots must have label bit 1")
-    if bag.edges.size:
-        if bag.edges.ndim != 2 or bag.edges.shape[1] != 2:
-            raise EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")
-        if bag.edges.min() < 0 or bag.edges.max() >= bag.n_instances:
-            raise EdgeIndexError(f"bag {bag.id!r} has an edge endpoint outside "
-                                 f"[0, {bag.n_instances})")
-        if (bag.edges[:, 0] == bag.edges[:, 1]).any():
-            raise EdgeIndexError(f"bag {bag.id!r} contains a self-edge")
+def shape_fault(bags: list[Bag], dim: int, k_max: int) -> DatasetError | None:
+    """The error of the first bag whose feature dim is not ``dim``, whose label vector is
+    not (k_max,) or whose edge list is neither empty nor (E, 2), or None."""
+    for bag in bags:
+        if bag.feature_dim != dim:
+            return DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
+                                          f"expected {dim}")
+        if (shape := bag.labels.bits.shape) != (k_max,):
+            return DimensionMismatchError(f"bag {bag.id!r}: label vector has shape {shape}, "
+                                          f"expected ({k_max},)")
+        if bag.edges.size and (bag.edges.ndim != 2 or bag.edges.shape[1] != 2):
+            return EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")
+    return None
+
+
+def bits_fault(bags: list[Bag], bits: np.ndarray) -> DatasetError | None:
+    """The error of the first bag whose row of ``bits`` holds other than 0 and 1, or None."""
+    ok = (bits == 0.0) | (bits == 1.0)  # (bags, K), or (K,) for one bag
+    return None if ok.all() else DatasetError(
+        f"bag {bags[ok.argmin() // ok.shape[-1]].id!r}: label bits must be 0 or 1")
 
 
 # --- math utilities ---------------------------------------------------------

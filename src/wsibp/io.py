@@ -32,11 +32,12 @@ from .core import (
     CorrelationMatrix,
     DatasetError,
     DimensionMismatchError,
-    EdgeIndexError,
     FormatError,
     ModelConfig,
     VocabMismatchError,
     WeakLabels,
+    bits_fault,
+    shape_fault,
 )
 from .tasks import SegmentationMap
 
@@ -237,23 +238,18 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
                  k_objects: int, k_attributes: int, k_extra: int,
                  binary: bool = True) -> None:
     """Write a dataset file: the header, one ``bag: <id>,<n>,<n_edges>`` line per bag,
-    then the features, edges and annotated label bits of all bags, one block each. Ids
-    that ``load_dataset`` rejects, a feature dim other than the first bag's, edges not
-    (E, 2) and label bits other than 0 and 1 raise first."""
+    then the features, edges and annotated label bits of all bags, one block each. A vocab
+    of other than k_max names, ids that ``load_dataset`` rejects, a ``shape_fault`` (the
+    first bag's dim) and a ``bits_fault`` raise first."""
     if len(vocab) != k_objects + k_attributes + k_extra:
         raise VocabMismatchError("vocab length does not match factor counts")
     _check_ids([bag.id for bag in bags])
     dim = bags[0].feature_dim if bags else 0
-    for b in bags:  # the block sizes that load_dataset expects
-        if b.feature_dim != dim:
-            raise DimensionMismatchError(f"bag {b.id!r} has feature dim {b.feature_dim}, "
-                                         f"expected {dim}")
-        if b.edges.size and (b.edges.ndim != 2 or b.edges.shape[1] != 2):
-            raise EdgeIndexError(f"bag {b.id!r} edge list must be (E, 2)")
-    k_annotated = k_objects + k_attributes
-    bits = np.array([b.labels.bits[:k_annotated] for b in bags]).reshape(len(bags), k_annotated)
-    if not (ok := ((bits == 0) | (bits == 1)).all(axis=1)).all():
-        raise DatasetError(f"bag {bags[int(ok.argmin())].id!r}: label bits must be 0 or 1")
+    if fault := shape_fault(bags, dim, len(vocab)):  # the block sizes load_dataset expects
+        raise fault
+    bits = np.array([b.labels.bits for b in bags]).reshape(len(bags), len(vocab))
+    if fault := bits_fault(bags, bits):
+        raise fault
     with open(path, "wb") as fh:
         _write_lines(fh, [
             DATASET_MAGIC, f"version: {DATASET_VERSION}",
@@ -263,7 +259,7 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
             + [f"bag: {b.id},{b.n_instances},{len(b.edges)}" for b in bags])
         _write_array(fh, "features", [bag.features for bag in bags], np.float32, binary)
         _write_array(fh, "edges", [bag.edges for bag in bags], np.int64, binary)
-        _write_array(fh, "labels", [bits], np.uint8, binary)
+        _write_array(fh, "labels", [bits[:, :k_objects + k_attributes]], np.uint8, binary)
 
 
 def load_dataset(path: str) -> LoadedDataset:
@@ -297,9 +293,9 @@ def load_dataset(path: str) -> LoadedDataset:
 
 def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix) -> None:
     """Versioned container: config snapshot (every ModelConfig field, in declared
-    order), vocab, then means, variances and M as binary blocks. Values that
-    ``load_model`` rejects raise first (``_check_model``)."""
-    _check_model(path, model.means, model.variances, correlation.m)
+    order), vocab, then means, variances and M as binary blocks. A vocab, shapes or
+    values that ``load_model`` rejects raise first (``_check_model``)."""
+    _check_model(path, model, correlation.m)
     with open(path, "wb") as fh:
         _write_lines(fh, [MODEL_MAGIC, f"version: {FORMAT_VERSION}",
                           f"feature_dim: {model.feature_dim}"]
@@ -311,9 +307,9 @@ def save_model(path: str, model: AppearanceModel, correlation: CorrelationMatrix
 
 
 def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
-    """A model file. The header must hold a valid ModelConfig and k_max vocab names,
-    the blocks their exact (k_max, D), (k_max,) and (k_max, k_max) sizes, and the
-    values pass ``_check_model``; each fault is a FormatError naming the path."""
+    """A model file. The header must hold a valid ModelConfig, the blocks their exact
+    (k_max, D), (k_max,) and (k_max, k_max) sizes, and the vocab and values pass
+    ``_check_model``; each fault is an error that names the path."""
     with open(path, "rb") as fh:
         reader = _BlockReader(fh, path)
         _check_version(reader, MODEL_MAGIC)
@@ -326,26 +322,30 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
             raise FormatError(f"{path}: {exc}") from None
         vocab_line = reader.key("vocab")
         vocab = vocab_line.split(",") if vocab_line else []
-        k = config.k_max
-        if len(vocab) != k:
-            raise VocabMismatchError(f"{path}: vocab length {len(vocab)} != k_max {k}")
-        means = reader.array("means", (k, feature_dim), np.float64)
-        variances = reader.array("variances", (k,), np.float64)
-        m = reader.array("correlation", (k, k), np.float64)
-    _check_model(path, means, variances, m)
-    return (AppearanceModel(means=means, variances=variances, vocab=vocab, config=config),
-            CorrelationMatrix(m))
+        means = reader.array("means", (config.k_max, feature_dim), np.float64)
+        variances = reader.array("variances", (config.k_max,), np.float64)
+        m = reader.array("correlation", (config.k_max, config.k_max), np.float64)
+    model = AppearanceModel(means=means, variances=variances, vocab=vocab, config=config)
+    _check_model(path, model, m)
+    return model, CorrelationMatrix(m)
 
 
-@np.errstate(over="ignore")  # allclose's |M - M.T| of huge finite entries
-def _check_model(path: str, means: np.ndarray, variances: np.ndarray, m: np.ndarray) -> None:
-    """A FormatError ``<path>: the model needs ...`` naming every rule the values break:
-    means finite; variances finite and > 0; M finite, symmetric, with a zero diagonal
-    and no negative entries. Read from extremes, as ``_lacks`` reads posteriors; M's
-    other rules only when it is finite, so a NaN or inf is named as such."""
-    finite_m = _finite(m)
+@np.errstate(over="ignore", invalid="ignore")  # |M - M.T| and the Gram of huge entries
+def _check_model(path: str, model: AppearanceModel, m: np.ndarray) -> None:
+    """The vocab needs k_max names, the arrays (k_max, D), (k_max,) and (k_max, k_max) shapes;
+    then a FormatError ``<path>: the model needs ...`` names every value rule broken: means
+    finite, with a finite Gram (inference's means @ means.T); variances finite and > 0; M
+    finite, symmetric, zero diagonal, >= 0. A NaN or inf is named as such, not by later rules."""
+    k, means, variances = model.config.k_max, model.means, model.variances
+    if len(model.vocab) != k:
+        raise VocabMismatchError(f"{path}: vocab length {len(model.vocab)} != k_max {k}")
+    if means.ndim != 2 or len(means) != k or variances.shape != (k,) or m.shape != (k, k):
+        raise DimensionMismatchError(f"{path}: means {means.shape}, variances {variances.shape} "
+                                     f"and M {m.shape} do not fit k_max {k}")
+    finite_means, finite_m = _finite(means), _finite(m)
     bad = [need for need, ok in (
-        ("means finite", _finite(means)),
+        ("means finite", finite_means),
+        ("means with a finite Gram matrix", not finite_means or _finite(means @ means.T)),
         ("variances finite and > 0",
          variances.min(initial=1.0) > 0 and variances.max(initial=1.0) < np.inf),
         ("M finite", finite_m),

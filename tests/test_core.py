@@ -126,12 +126,12 @@ FAULTS = {
     "nan": (DatasetError, "bag 'b' has non-finite feature values",
             lambda bag: dataclasses.replace(bag, features=np.where(
                 np.arange(8) == 3, np.nan, bag.features).astype(np.float32))),
-    "label_shape": (DimensionMismatchError, "label vector has shape (3,), expected (4,)",
+    "label_shape": (DimensionMismatchError, "bag 'b': label vector has shape (3,), expected (4,)",
                     lambda bag: dataclasses.replace(bag, labels=WeakLabels(np.ones(3)))),
-    "label_value": (DatasetError, "label bits must be 0 or 1",
+    "label_value": (DatasetError, "bag 'b': label bits must be 0 or 1",
                     lambda bag: dataclasses.replace(bag, labels=WeakLabels(
                         np.array([1.0, 0.5, 0.0, 1.0])))),
-    "extra_off": (DatasetError, "unannotated factor slots must have label bit 1",
+    "extra_off": (DatasetError, "bag 'b': unannotated factor slots must have label bit 1",
                   lambda bag: dataclasses.replace(bag, labels=WeakLabels(
                       np.array([1.0, 1.0, 0.0, 0.0])))),
     "edge_shape": (EdgeIndexError, "bag 'b' edge list must be (E, 2)",
@@ -145,19 +145,59 @@ FAULTS = {
 }
 
 
+def _good_bags(cfg):
+    return [make_bag(4, 8, cfg, i, edges=[(0, 1), (1, 2)]) for i in ("a", "b", "c", "d")]
+
+
 @pytest.mark.parametrize("first", sorted(FAULTS))
 @pytest.mark.parametrize("second", ["nan", "edge_range", "label_value"])
 def test_validate_names_the_first_faulty_bag(first, second):
     # the stacked checks find a fault; the walk then raises the one the earlier
     # faulty bag gives on its own, whatever the later bag's fault
     cfg = ModelConfig(k_objects=2, k_attributes=1, k_extra=1)
-    good = [make_bag(4, 8, cfg, i, edges=[(0, 1), (1, 2)]) for i in ("a", "b", "c", "d")]
+    good = _good_bags(cfg)
     bags = [good[0], FAULTS[first][2](good[1]), FAULTS[second][2](good[2]), good[3]]
     error, message, _ = FAULTS[first]
     with pytest.raises(error, match=re.escape(message)) as caught:
         validate_dataset(bags, cfg)
     assert caught.type is error and str(caught.value) == message
     assert validate_dataset(good, cfg) == 8
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("at", [None, 0, 1, 2])
+def test_faulty_bag_raises_alone_as_among_good_bags(fault, at):
+    # the walk checks each bag with the rules that run over all bags, so a faulty
+    # bag's error does not depend on the bags around it (at None: the bag alone); the
+    # dim is given, as a model's, so that a faulty first bag does not set it
+    cfg = ModelConfig(k_objects=2, k_attributes=1, k_extra=1)
+    good = _good_bags(cfg)
+    error, message, make = FAULTS[fault]
+    others = [good[0], good[2]]  # "a" and "c" around the faulty "b": first, middle or last
+    bags = [make(good[1])] if at is None else [*others[:at], make(good[1]), *others[at:]]
+    with pytest.raises(error) as caught:
+        validate_dataset(bags, cfg, 8)
+    assert caught.type is error and str(caught.value) == message
+
+
+# a shape fault with each value fault that leaves it standing (not one on the same array)
+SHAPE_AND_VALUE = [(shape, value) for shape in ("dim", "label_shape", "edge_shape")
+                   for value in ("empty", "nan", "label_value", "extra_off", "edge_range",
+                                 "edge_negative", "self_edge")
+                   if not (shape == "label_shape" and value.startswith(("label", "extra"))
+                           or shape == "edge_shape" and value.startswith(("edge", "self")))]
+
+
+@pytest.mark.parametrize("shape, value", SHAPE_AND_VALUE)
+@pytest.mark.parametrize("alone", [True, False])
+def test_shape_fault_comes_before_value_fault(shape, value, alone):
+    cfg = ModelConfig(k_objects=2, k_attributes=1, k_extra=1)
+    good = _good_bags(cfg)
+    bag = FAULTS[shape][2](FAULTS[value][2](good[1]))
+    error, message, _ = FAULTS[shape]
+    with pytest.raises(error) as caught:
+        validate_dataset([bag] if alone else [good[0], bag, good[2]], cfg, 8)
+    assert caught.type is error and str(caught.value) == message
 
 
 def eight_step_digamma(x):

@@ -284,6 +284,27 @@ def test_save_model_rejects_what_load_model_rejects(tmp_path, trained, model_fau
     assert not path.exists()
 
 
+@pytest.mark.parametrize("change, error, why", [
+    (lambda model, m: (dataclasses.replace(model, vocab=model.vocab[:-1]), m),
+     VocabMismatchError, "vocab length 5 != k_max 6"),
+    (lambda model, m: (dataclasses.replace(model, means=model.means[:-1]), m),
+     DimensionMismatchError, "means (5, 8), variances (6,) and M (6, 6) do not fit k_max 6"),
+    (lambda model, m: (dataclasses.replace(model, variances=model.variances[:, None]), m),
+     DimensionMismatchError, "means (6, 8), variances (6, 1) and M (6, 6) do not fit k_max 6"),
+    (lambda model, m: (model, m[:, :-1]), DimensionMismatchError,
+     "means (6, 8), variances (6,) and M (6, 5) do not fit k_max 6")],
+    ids=["vocab", "means", "variances", "correlation"])
+def test_save_model_rejects_a_vocab_or_shape_off_the_config(tmp_path, trained, change, error,
+                                                             why):
+    # load_model reads blocks of the config's sizes, so it would reject these files
+    model, m = change(trained.model, trained.correlation.m)
+    path = tmp_path / "m.model"
+    with pytest.raises(error) as caught:
+        save_model(str(path), model, CorrelationMatrix(m))
+    assert caught.type is error and str(caught.value) == f"{path}: {why}"
+    assert not path.exists()
+
+
 class TestVocabLength:
     # small_config has 3 + 3 + 0 factors; each file here names 5
     def test_save_dataset_writes_nothing(self, tmp_path, small_dataset, small_config):
@@ -627,9 +648,11 @@ class TestWritersRejectWhatReadersReject:
         (lambda b: dataclasses.replace(b, features=b.features[:, :-1]), DimensionMismatchError,
          "bag 'bag0001' has feature dim 7, expected 8"),
         (lambda b: dataclasses.replace(b, edges=np.zeros((4, 3), dtype=np.int64)),
-         EdgeIndexError, "bag 'bag0001' edge list must be (E, 2)")],
+         EdgeIndexError, "bag 'bag0001' edge list must be (E, 2)"),
+        (lambda b: dataclasses.replace(b, labels=WeakLabels(np.ones(5))), DimensionMismatchError,
+         "bag 'bag0001': label vector has shape (5,), expected (6,)")],
         ids=["escaped-id", "repeated-id", "half-bit", "comma-id", "non-ascii-id",
-             "edge-space-id", "feature-dim", "edge-width"])
+             "edge-space-id", "feature-dim", "edge-width", "label-shape"])
     def test_save_dataset(self, tmp_path, small_dataset, small_config, change, error, why):
         c, path = small_config, tmp_path / "ds"
         bags = [small_dataset.bags[0], change(small_dataset.bags[1])]
