@@ -69,8 +69,9 @@ class ModelConfig:
         if not np.all(np.isfinite(scalars)) or np.isnan(self.tol):
             raise ConfigError("alpha, sigma_a, sigma, beta and rho must be finite, "
                               "and tol a number")
-        if self.alpha <= 0 or self.sigma_a <= 0 or self.sigma <= 0:
-            raise ConfigError("alpha, sigma_a and sigma must be > 0")
+        # their squares and reciprocals, and digamma(alpha), must not overflow
+        if not all(1e-150 <= v <= 1e150 for v in (self.alpha, self.sigma_a, self.sigma)):
+            raise ConfigError("alpha, sigma_a and sigma must be in [1e-150, 1e150]")
         if self.beta < 0 or self.rho < 0:
             raise ConfigError("beta and rho must be >= 0")
         if self.k_objects < 0 or self.k_attributes < 0 or self.k_extra < 0:
@@ -184,11 +185,20 @@ def validate_dataset(bags: list[Bag], config: ModelConfig, dim: int | None = Non
 
 
 def _fault(bags: list[Bag], dim: int, config: ModelConfig) -> DatasetError | None:
-    """The error of the first rule that ``bags`` break, or None: the shapes, then over the
-    stacked arrays (one bag's own): instances, finite features, 0/1 label bits, unannotated
-    slots on, edges in range, no self-edge. A value fault names the first bag (0/1: its own)."""
-    if fault := shape_fault(bags, dim, config.k_max):
-        return fault
+    """The error of the first rule that ``bags`` break, or None: each bag's shapes (feature
+    dim ``dim``, a (k_max,) label vector, edges empty or (E, 2)), then over the stacked arrays
+    (one bag's own): instances, finite features, 0/1 label bits, unannotated slots on, edges
+    in range, no self-edge. A value fault names the first bag (0/1: its own)."""
+    k = config.k_max
+    for bag in bags:
+        if bag.feature_dim != dim:
+            return DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
+                                          f"expected {dim}")
+        if (shape := bag.labels.bits.shape) != (k,):
+            return DimensionMismatchError(f"bag {bag.id!r}: label vector has shape {shape}, "
+                                          f"expected ({k},)")
+        if bag.edges.size and (bag.edges.ndim != 2 or bag.edges.shape[1] != 2):
+            return EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")
     first, counts, one = bags[0], [b.n_instances for b in bags], len(bags) == 1
     x = first.features if one else np.concatenate([b.features for b in bags])
     bits = first.labels.bits if one else np.array([b.labels.bits for b in bags])
@@ -199,8 +209,9 @@ def _fault(bags: list[Bag], dim: int, config: ModelConfig) -> DatasetError | Non
         return DatasetError(f"bag {first.id!r} has no instances")
     if not np.isfinite(x).all():
         return DatasetError(f"bag {first.id!r} has non-finite feature values")
-    if fault := bits_fault(bags, bits):
-        return fault
+    if not (ok := (bits == 0.0) | (bits == 1.0)).all():  # (bags, K), or (K,) for one bag
+        return DatasetError(f"bag {bags[ok.argmin() // k].id!r}: "
+                            "label bits must be 0 or 1")
     if not (bits[..., config.k_annotated:] == 1.0).all():
         return DatasetError(f"bag {first.id!r}: unannotated factor slots must have label bit 1")
     if not (edges.min(initial=0) >= 0 and top < 0):
@@ -208,28 +219,6 @@ def _fault(bags: list[Bag], dim: int, config: ModelConfig) -> DatasetError | Non
     if edges.size and (edges[:, 0] == edges[:, 1]).any():
         return EdgeIndexError(f"bag {first.id!r} contains a self-edge")
     return None
-
-
-def shape_fault(bags: list[Bag], dim: int, k_max: int) -> DatasetError | None:
-    """The error of the first bag whose feature dim is not ``dim``, whose label vector is
-    not (k_max,) or whose edge list is neither empty nor (E, 2), or None."""
-    for bag in bags:
-        if bag.feature_dim != dim:
-            return DimensionMismatchError(f"bag {bag.id!r} has feature dim {bag.feature_dim}, "
-                                          f"expected {dim}")
-        if (shape := bag.labels.bits.shape) != (k_max,):
-            return DimensionMismatchError(f"bag {bag.id!r}: label vector has shape {shape}, "
-                                          f"expected ({k_max},)")
-        if bag.edges.size and (bag.edges.ndim != 2 or bag.edges.shape[1] != 2):
-            return EdgeIndexError(f"bag {bag.id!r} edge list must be (E, 2)")
-    return None
-
-
-def bits_fault(bags: list[Bag], bits: np.ndarray) -> DatasetError | None:
-    """The error of the first bag whose row of ``bits`` holds other than 0 and 1, or None."""
-    ok = (bits == 0.0) | (bits == 1.0)  # (bags, K), or (K,) for one bag
-    return None if ok.all() else DatasetError(
-        f"bag {bags[ok.argmin() // ok.shape[-1]].id!r}: label bits must be 0 or 1")
 
 
 # --- math utilities ---------------------------------------------------------

@@ -36,9 +36,9 @@ from .core import (
     ModelConfig,
     VocabMismatchError,
     WeakLabels,
-    bits_fault,
-    shape_fault,
+    validate_dataset,
 )
+from .inference import sweep_terms
 from .tasks import SegmentationMap
 
 DATASET_MAGIC = "format: wsibp-dataset"
@@ -239,17 +239,13 @@ def save_dataset(path: str, bags: list[Bag], vocab: list[str],
                  binary: bool = True) -> None:
     """Write a dataset file: the header, one ``bag: <id>,<n>,<n_edges>`` line per bag,
     then the features, edges and annotated label bits of all bags, one block each. A vocab
-    of other than k_max names, ids that ``load_dataset`` rejects, a ``shape_fault`` (the
-    first bag's dim) and a ``bits_fault`` raise first."""
+    of other than k_max names, ids that ``load_dataset`` rejects and bags that
+    ``validate_dataset`` rejects (the first bag's dim) raise first."""
     if len(vocab) != k_objects + k_attributes + k_extra:
         raise VocabMismatchError("vocab length does not match factor counts")
     _check_ids([bag.id for bag in bags])
-    dim = bags[0].feature_dim if bags else 0
-    if fault := shape_fault(bags, dim, len(vocab)):  # the block sizes load_dataset expects
-        raise fault
-    bits = np.array([b.labels.bits for b in bags]).reshape(len(bags), len(vocab))
-    if fault := bits_fault(bags, bits):
-        raise fault
+    dim = validate_dataset(bags, ModelConfig(k_objects, k_attributes, k_extra))
+    bits = np.array([b.labels.bits for b in bags])
     with open(path, "wb") as fh:
         _write_lines(fh, [
             DATASET_MAGIC, f"version: {DATASET_VERSION}",
@@ -330,28 +326,29 @@ def load_model(path: str) -> tuple[AppearanceModel, CorrelationMatrix]:
     return model, CorrelationMatrix(m)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # |M - M.T| and the Gram of huge entries
+@np.errstate(over="ignore", invalid="ignore")  # |M - M.T| and the logit terms of huge entries
 def _check_model(path: str, model: AppearanceModel, m: np.ndarray) -> None:
     """The vocab needs k_max names, the arrays (k_max, D), (k_max,) and (k_max, k_max) shapes;
     then a FormatError ``<path>: the model needs ...`` names every value rule broken: means
-    finite, with a finite Gram (inference's means @ means.T); variances finite and > 0; M
-    finite, symmetric, zero diagonal, >= 0. A NaN or inf is named as such, not by later rules."""
+    finite; variances finite and > 0; M finite, symmetric, zero diagonal, >= 0; and, when
+    means, variances and M are finite, finite logit terms (the coupling and quad that
+    inference's ``sweep_terms`` takes). A NaN or inf is named as such, not by later rules."""
     k, means, variances = model.config.k_max, model.means, model.variances
     if len(model.vocab) != k:
         raise VocabMismatchError(f"{path}: vocab length {len(model.vocab)} != k_max {k}")
     if means.ndim != 2 or len(means) != k or variances.shape != (k,) or m.shape != (k, k):
         raise DimensionMismatchError(f"{path}: means {means.shape}, variances {variances.shape} "
                                      f"and M {m.shape} do not fit k_max {k}")
-    finite_means, finite_m = _finite(means), _finite(m)
+    finite_means, finite_variances, finite_m = map(_finite, (means, variances, m))
     bad = [need for need, ok in (
         ("means finite", finite_means),
-        ("means with a finite Gram matrix", not finite_means or _finite(means @ means.T)),
-        ("variances finite and > 0",
-         variances.min(initial=1.0) > 0 and variances.max(initial=1.0) < np.inf),
+        ("variances finite and > 0", finite_variances and variances.min(initial=1.0) > 0),
         ("M finite", finite_m),
         ("M symmetric", not finite_m or np.allclose(m, m.T)),
         ("M diagonal zero", not finite_m or not m.diagonal().any()),
         ("M entries >= 0", not finite_m or m.min(initial=0.0) >= 0),
+        ("finite logit terms", not (finite_means and finite_variances and finite_m) or all(
+            map(_finite, sweep_terms(model, CorrelationMatrix(m), model.config)))),
     ) if not ok]
     if bad:
         raise FormatError(f"{path}: the model needs {', '.join(bad)}")

@@ -59,18 +59,19 @@ def fit_files(tmp_path):
 
 @pytest.fixture(params=[
     ("means", {(0, 0): np.nan}, "means finite"),
-    ("means", {(0, 0): 1e200}, "means with a finite Gram matrix"),
+    ("means", {(0, 0): 1e200}, "finite logit terms"),
     ("variances", {(0,): np.nan}, "variances finite and > 0"),
     ("variances", {(0,): np.inf}, "variances finite and > 0"),
     ("variances", {(1,): 0.0}, "variances finite and > 0"),
+    ("variances", {(0,): 1e308}, "finite logit terms"),
     ("correlation", {(0, 1): np.inf, (1, 0): np.inf}, "M finite"),
     ("correlation", {(0, 1): np.nan, (1, 0): np.nan}, "M finite"),
     ("correlation", {(0, 1): 0.5, (1, 0): 0.25}, "M symmetric"),
     ("correlation", {(1, 1): 0.5}, "M diagonal zero"),
     ("correlation", {(0, 1): -0.5, (1, 0): -0.5}, "M entries >= 0"),
     ("correlation", {(0, 1): 1e308, (1, 0): -1e308}, "M symmetric, M entries >= 0"),
-], ids=["mean-nan", "mean-gram-overflow", "var-nan", "var-inf", "var-zero", "m-inf-pair",
-        "m-nan-pair", "m-asymmetric", "m-diagonal", "m-negative", "m-overflow"])
+], ids=["mean-nan", "mean-gram-overflow", "var-nan", "var-inf", "var-zero", "var-overflow",
+        "m-inf-pair", "m-nan-pair", "m-asymmetric", "m-diagonal", "m-negative", "m-overflow"])
 def model_fault(request):
     """A value the model file rejects: (block, {index: value} set in it, the rule its
     message names after ``<path>: the model needs``)."""

@@ -9,7 +9,7 @@ import pytest
 
 from wsibp import BagPosterior, WeakLabels, fit, tasks
 from wsibp.cli import build_parser, main
-from wsibp.io import (load_dataset, load_model, load_posteriors, save_dataset, save_posteriors,
+from wsibp.io import (load_dataset, load_model, load_posteriors, save_posteriors,
                       write_segmentation)
 
 
@@ -248,26 +248,42 @@ def test_fit_nan_hyperparameter_exit_2(workspace, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma", "1e-300"), ("--sigma", "1e200"),
+                                         ("--sigma-a", "1e-300"), ("--sigma-a", "1e200"),
+                                         ("--alpha", "1e-320")])
+def test_fit_scale_out_of_range_exit_2(workspace, capsys, flag, value):
+    # fit would overflow on their squares or reciprocals (for alpha, in digamma)
+    tmp, ds = workspace
+    model = tmp / "m.model"
+    assert main(["fit", "--data", ds, "--model-out", str(model), flag, value] + HYPER[2:]) == 2
+    assert capsys.readouterr().err == ("error: alpha, sigma_a and sigma must be in "
+                                       "[1e-150, 1e150]\n")
+    assert not model.exists()
+
+
 def test_synth_takes_no_fit_flags(tmp_path):
     assert main(SYNTH + ["--out", str(tmp_path / "ds"), "--beta", "1"]) == 1
 
 
 @pytest.mark.parametrize("corrupt", ["edge", "nan"])
-def test_infer_invalid_bag_exit_2(workspace, corrupt):
+def test_infer_invalid_bag_exit_2(workspace, capsys, corrupt):
+    # save_dataset refuses such a bag, so the fault goes into a valid file's block
     tmp, ds = workspace
     model = str(tmp / "m.model")
     assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
-    loaded = load_dataset(ds)
-    bag = loaded.bags[0]
+    bag = load_dataset(ds).bags[0]  # its arrays start their blocks
+    assert len(bag.edges)
     if corrupt == "edge":
-        bag = dataclasses.replace(bag, edges=np.array([[0, bag.n_instances]]))
+        _set_cells(ds, "edges", bag.edges.shape, {(0, 1): bag.n_instances}, "<i8")
+        why = "bag 'bag0000' has an edge endpoint outside [0, 12)"
     else:
-        bag.features[0, 0] = np.nan
-    bad = str(tmp / "bad")
-    save_dataset(bad, [bag], loaded.vocab, loaded.k_objects,
-                 loaded.k_attributes, loaded.k_extra)
-    assert main(["infer", "--data", bad, "--model", model,
-                 "--out", str(tmp / "t.post")]) == 2
+        _set_cells(ds, "features", bag.features.shape, {(0, 0): np.nan}, "<f4")
+        why = "bag 'bag0000' has non-finite feature values"
+    out = tmp / "t.post"
+    capsys.readouterr()
+    assert main(["infer", "--data", ds, "--model", model, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {why}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where, text, why", [
@@ -706,12 +722,13 @@ def test_one_command_parser_parses_as_the_whole_parser(argv):
     assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
 
 
-def _set_cells(path, key, shape, cells):
-    """Set ``cells`` ({index: value}) of a model file's float64 block ``key``, of ``shape``,
-    in the file's bytes, past what save_model checks."""
+def _set_cells(path, key, shape, cells, dtype="<f8"):
+    """Set ``cells`` ({index: value}) of a file's binary block ``key``, of ``shape`` and
+    ``dtype`` (or the first rows of a larger block), in the file's bytes, past what the
+    writer checks."""
     data = bytearray(open(path, "rb").read())
     start = data.index(b"\n", data.index(f"\n{key}: binary ".encode("ascii")) + 1) + 1
-    block = np.ndarray(shape, "<f8", buffer=data, offset=start)
+    block = np.ndarray(shape, dtype, buffer=data, offset=start)
     for index, value in cells.items():
         block[index] = value
     open(path, "wb").write(data)
@@ -739,6 +756,7 @@ def test_bad_model_values_exit_2_before_any_output(inferred, workspace, capsys, 
     (b"k_objects: 2\n", b"k_objects: -1\n", "factor counts must be >= 0"),
     (b"sigma: 0.1\n", b"sigma: nan\n",
      "alpha, sigma_a, sigma, beta and rho must be finite, and tol a number"),
+    (b"sigma: 0.1\n", b"sigma: 1e-300\n", "alpha, sigma_a and sigma must be in [1e-150, 1e150]"),
     (b"vocab: obj0,obj1,att0,att1\n", b"vocab: obj0,obj1,att0\n", "vocab length 3 != k_max 4")])
 def test_bad_model_header_exit_2_naming_the_file(inferred, workspace, capsys, line, bad, why):
     tmp, model, _ = inferred

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from wsibp import (
     validate_dataset,
 )
 from wsibp.core import digamma
+from wsibp.io import save_dataset
 
 
 def make_bag(n, d, config, bag_id="b0", edges=None):
@@ -52,6 +54,16 @@ class TestModelConfig:
     def test_infinite_hyperparameters_rejected(self, name):
         with pytest.raises(ConfigError, match="finite"):
             ModelConfig(k_objects=2, k_attributes=2, k_extra=1, **{name: float("inf")})
+
+    @pytest.mark.parametrize("name", ["alpha", "sigma_a", "sigma"])
+    def test_scales_past_either_edge_rejected(self, name):
+        # inside [1e-150, 1e150] the squares and reciprocals that fit takes stay finite
+        for edge in (1e-150, 1e150):
+            assert getattr(ModelConfig(k_objects=1, k_attributes=0, **{name: edge}), name) == edge
+        for past in (np.nextafter(1e-150, 0.0), np.nextafter(1e150, np.inf), 1e-300, 1e200):
+            with pytest.raises(ConfigError) as caught:
+                ModelConfig(k_objects=1, k_attributes=0, **{name: float(past)})
+            assert str(caught.value) == "alpha, sigma_a and sigma must be in [1e-150, 1e150]"
 
     def test_infinite_tol_accepted(self):
         # tol = inf stops fit after one iteration
@@ -178,6 +190,21 @@ def test_faulty_bag_raises_alone_as_among_good_bags(fault, at):
     with pytest.raises(error) as caught:
         validate_dataset(bags, cfg, 8)
     assert caught.type is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_save_dataset_raises_what_validate_dataset_raises(tmp_path, fault):
+    # the writer runs validate_dataset, the first bag setting the dim, before it makes a file
+    cfg = ModelConfig(k_objects=2, k_attributes=1, k_extra=1)
+    good = _good_bags(cfg)
+    error, message, make = FAULTS[fault]
+    bags = [good[0], make(good[1]), good[2]]
+    for call in (lambda: validate_dataset(bags, cfg),
+                 lambda: save_dataset(str(tmp_path / "ds"), bags, cfg.default_vocab(), 2, 1, 1)):
+        with pytest.raises(error) as caught:
+            call()
+        assert caught.type is error and str(caught.value) == message
+    assert os.listdir(tmp_path) == []
 
 
 # a shape fault with each value fault that leaves it standing (not one on the same array)

@@ -22,6 +22,7 @@ from wsibp import (
     fit,
     infer_test,
     sample_dataset,
+    validate_dataset,
 )
 from wsibp.io import (
     PALETTE,
@@ -165,8 +166,8 @@ def test_save_dataset_bytes_match_per_line_writer(tmp_path, small_dataset, small
 @st.composite
 def datasets(draw):
     """Bags of 1-5 instances with any finite float32 features, edges between distinct
-    instances and any annotated label bits, and the factor counts."""
-    k_objects, k_attributes, k_extra = (draw(st.integers(0, 2)) for _ in range(3))
+    instances and any annotated label bits, and the factor counts (at least one factor)."""
+    k_objects, k_attributes, k_extra = draw(st.tuples(*[st.integers(0, 2)] * 3).filter(any))
     k_max, dim = k_objects + k_attributes + k_extra, draw(st.integers(1, 3))
     bags = []
     for i in range(draw(st.integers(1, 4))):
@@ -198,11 +199,27 @@ def test_dataset_round_trip_property(tmp_path_factory, data, binary):
     assert (loaded.vocab, (loaded.k_objects, loaded.k_attributes, loaded.k_extra)) == \
         (vocab, counts)
     assert [b.id for b in loaded.bags] == [b.id for b in bags]
+    assert validate_dataset(loaded.bags, ModelConfig(*counts)) == bags[0].feature_dim
     for orig, back in zip(bags, loaded.bags):
         assert back.features.dtype == np.float32
         assert back.features.tobytes() == orig.features.tobytes()
         assert back.edges.shape == orig.edges.shape and np.array_equal(back.edges, orig.edges)
-        assert back.labels.bits.tobytes() == orig.labels.bits.tobytes()
+        assert back.labels.bits.tobytes() == orig.labels.bits.tobytes()  # extra slots too
+
+
+def test_save_dataset_rejects_an_unannotated_slot_off(tmp_path):
+    # only the annotated bits are stored and load_dataset turns the extra slots on, so
+    # such a bag would load changed; the writer refuses it before it makes a file
+    cfg = ModelConfig(k_objects=2, k_attributes=2, k_extra=1)
+    ds = sample_dataset(cfg, 6, 9, 4, seed=0)
+    bits = ds.bags[0].labels.bits.copy()
+    bits[-1] = 0.0
+    bags = [dataclasses.replace(ds.bags[0], labels=WeakLabels(bits)), *ds.bags[1:]]
+    path = tmp_path / "ds"
+    with pytest.raises(DatasetError) as caught:
+        save_dataset(str(path), bags, cfg.default_vocab(), 2, 2, 1)
+    assert str(caught.value) == "bag 'bag0000': unannotated factor slots must have label bit 1"
+    assert not path.exists()
 
 
 class TestModelRoundTrip:
@@ -247,7 +264,7 @@ class TestModelRoundTrip:
             "beta", "rho", "max_iters", "tol", "seed"]
 
 
-positive = st.floats(1e-300, 1e300)
+positive = st.floats(1e-150, 1e150)  # ModelConfig's range for alpha, sigma_a and sigma
 nonnegative = st.floats(0.0, 1e300)
 
 
