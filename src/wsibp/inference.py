@@ -9,7 +9,7 @@ builds one in a single step from a start block (``fit`` draws one per group, ``i
 slices one cached block): ν factor-major, ``(k_max, rows)``, in a buffer with a +0 column
 that ``mrf_messages`` gathers from, and the logits alike; τ = (α, 1) with its stick cache,
 taken once per (α, k_max); each bag's ``BagPosterior`` as views of its rows and τ; the
-features as one ``(rows, D)`` block and the neighbours as O(edges) slot lists.
+features as one ``(rows, D)`` block and the neighbours as O(edges) slots.
 The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
 iteration and per ``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after
 each sweep. ``infer_test`` sweeps a group of one. A sweep's factor steps run in one
@@ -118,7 +118,7 @@ class BagGroup:
     starts: np.ndarray  # (M,) each bag's first row
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
     nbr: np.ndarray  # (wide slots, rows) j-th neighbour of each row, else the index rows
-    tail: list[tuple[np.ndarray, np.ndarray]]  # later slots: (rows of degree > j, neighbours)
+    tail: tuple[np.ndarray, np.ndarray]  # every later slot: (rows, neighbours), rows ascending
     tau: np.ndarray  # (M, k_max, 2) stick parameters
     pad: np.ndarray  # (k_max, rows + 1) nu, then a +0 column that the index rows reads
     nu: np.ndarray  # (k_max, rows) the view pad[:, :rows]
@@ -140,9 +140,9 @@ def init_group(bags: list[Bag], config: ModelConfig, start: np.ndarray) -> BagGr
     ``start_block``'s) times the label bit, tau = (alpha, 1) with the shared start cache
     repeated, and zero logits; each bag's posterior views its rows and tau. Slot j holds
     each row's j-th neighbour over the directed edges (each as given, then reversed): ``nbr``
-    the slots of a quarter of the rows or more, padded with the index rows, ``tail`` each
-    later one's rows, ascending, and neighbours: at most 4 indices per directed edge,
-    whatever the degrees."""
+    the slots of a quarter of the rows or more, padded with the index rows, ``tail`` the
+    later slots as one (rows, neighbours) pair in source order (rows ascending, each row's
+    slots in order): at most 4 indices per directed edge, whatever the degrees."""
     ns = [b.n_instances for b in bags]
     size, k = sum(ns), config.k_max
     rows = [slice(a - n, a) for a, n in zip(itertools.accumulate(ns), ns)]
@@ -162,15 +162,11 @@ def init_group(bags: list[Bag], config: ModelConfig, start: np.ndarray) -> BagGr
     src, dst = src[order], dst[order]
     deg = np.bincount(src, minlength=size)  # a row's slot: its place among its edges
     slot = np.arange(src.size) - (deg.cumsum() - deg).repeat(deg)
-    per = np.bincount(slot)  # rows per slot, never growing
-    wide = np.count_nonzero(4 * per >= size)
+    wide = np.count_nonzero(4 * np.bincount(slot) >= size)  # rows per slot never grow
     near = slot < wide
     nbr = np.full((wide, size), size)
     nbr[slot[near], src[near]] = dst[near]
-    rest = (~near).nonzero()[0]
-    rest = rest[slot[rest].argsort(kind="stable")]  # slot by slot, rows ascending
-    src, dst, ends = src[rest], dst[rest], [0, *per[wide:].cumsum().tolist()]
-    tail = [(src[a:b], dst[a:b]) for a, b in zip(ends, ends[1:])]
+    tail = src[~near], dst[~near]
     x = bags[0].features if len(bags) == 1 else np.concatenate([b.features for b in bags])
     posteriors = [BagPosterior(tau=t, nu=nu[:, r].T, logits=logits[:, r].T)
                   for t, r in zip(tau, rows)]
@@ -274,14 +270,16 @@ def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
     """beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep:
     only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
     Slot j adds each row's j-th neighbour from ``group.pad`` (a pad reads its +0 column),
-    so every row sums in directed-edge order from zero, as np.bincount does: the first
-    slot's gather seeds the sum, as nu >= +0 and +0 + a == a."""
+    then one ``np.add.at`` the tail, one index at a time in index order, so every row sums
+    in directed-edge order from zero, as np.bincount does: the first slot's gather seeds
+    the sum, as nu >= +0 and +0 + a == a."""
     pad, nbr = group.pad, group.nbr
     acc = pad.take(nbr[0], axis=1) if len(nbr) else np.zeros(group.nu.shape)
     for d in nbr[1:]:
         acc += pad.take(d, axis=1)
-    for r, d in group.tail:
-        acc[:, r] += pad.take(d, axis=1)
+    r, d = group.tail
+    if r.size:
+        np.add.at(acc, (slice(None), r), pad.take(d, axis=1))
     return np.multiply(acc, config.beta, out=acc)
 
 
