@@ -53,7 +53,7 @@ class StickBoundCache:
     ``w[..., s]`` are the log weights of the multinomial bound;
     ``neg_log_terms[..., k]`` = logsumexp(w[..., :k+1]) is the lower bound on
     E[log(1 - prod_{t<=k} v_t)]; ``prior_cumsum[..., k]`` is
-    sum_{t<=k} (psi(tau_t1) - psi(tau_t2)).
+    E[log pi_k] = sum_{t<=k} (psi(tau_t1) - psi(tau_t1 + tau_t2)) (Doshi-Velez et al., 2009).
     """
 
     w: np.ndarray  # (..., k_max)
@@ -71,7 +71,7 @@ class StickBoundCache:
         arg[0], arg[1] = tau[..., 0], tau[..., 1]
         np.add(arg[0], arg[1], out=arg[2])
         d1, d2, d12 = digamma(arg)
-        prior_cumsum = (d1 - d2).cumsum(axis=-1)
+        prior_cumsum = (d1 - d12).cumsum(axis=-1)
         # w_s = psi(tau_s2) + sum_{t<s} psi(tau_t1) - sum_{t<=s} psi(tau_t1+tau_t2)
         w = d2
         w[..., 1:] += d1[..., :-1].cumsum(axis=-1)
@@ -119,6 +119,7 @@ class BagGroup:
     bits: np.ndarray  # (k_max, rows) bool, each row's label bits
     nbr: np.ndarray  # (wide slots, rows) j-th neighbour of each row, else the index rows
     tail: tuple[np.ndarray, np.ndarray]  # every later slot: (rows, neighbours), rows ascending
+    deg: np.ndarray  # (rows,) each row's directed edges
     tau: np.ndarray  # (M, k_max, 2) stick parameters
     pad: np.ndarray  # (k_max, rows + 1) nu, then a +0 column that the index rows reads
     nu: np.ndarray  # (k_max, rows) the view pad[:, :rows]
@@ -171,7 +172,7 @@ def init_group(bags: list[Bag], config: ModelConfig, start: np.ndarray) -> BagGr
     posteriors = [BagPosterior(tau=t, nu=nu[:, r].T, logits=logits[:, r].T)
                   for t, r in zip(tau, rows)]
     return BagGroup(x=x, rows=rows, counts=counts, starts=starts, bits=bits, nbr=nbr, tail=tail,
-                    tau=tau, pad=pad, nu=nu, logits=logits, cache=cache, posteriors=posteriors)
+                    deg=deg, tau=tau, pad=pad, nu=nu, logits=logits, cache=cache, posteriors=posteriors)
 
 
 def _group_bags(bags: list[Bag]):
@@ -248,10 +249,14 @@ def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
     return coupling, quad
 
 
-def project(x: np.ndarray, model: AppearanceModel, config: ModelConfig) -> np.ndarray:
-    """means @ x^T / sigma^2 for the rows x (a group's), (k_max, rows)."""
-    proj = model.means @ x.T
+def project(group: BagGroup, model: AppearanceModel, config: ModelConfig,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The logit terms of each row fixed while the model is, (k_max, rows), into ``out``
+    if given: means @ x^T / sigma^2 - beta * deg for the group's rows x and their degrees,
+    the Potts message's constant part."""
+    proj = np.matmul(model.means, group.x.T, out=out)
     proj *= 1.0 / config.sigma ** 2
+    proj -= config.beta * group.deg
     return proj
 
 
@@ -267,8 +272,9 @@ def base_logits(group: BagGroup, proj: np.ndarray, quad: np.ndarray,
 
 
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
-    """beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep:
-    only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
+    """2 beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep: the
+    Potts message beta * sum_j (2 nu_j - 1) but for its -beta * deg, which ``project`` takes.
+    Only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
     Slot j adds each row's j-th neighbour from ``group.pad`` (a pad reads its +0 column),
     then one ``np.add.at`` the tail, one index at a time in index order, so every row sums
     in directed-edge order from zero, as np.bincount does: the first slot's gather seeds
@@ -280,7 +286,7 @@ def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
     r, d = group.tail
     if r.size:
         np.add.at(acc, (slice(None), r), pad.take(d, axis=1))
-    return np.multiply(acc, config.beta, out=acc)
+    return np.multiply(acc, 2.0 * config.beta, out=acc)
 
 
 def sweep_factors(group: BagGroup, base: np.ndarray, coupling: np.ndarray) -> None:
@@ -362,7 +368,7 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
             terms = sweep_terms(model, correlation, config)
         if not all(-np.inf < t.min() and t.max() < np.inf for t in terms):
             raise ConfigError(f"sigma {config.sigma!r}: fit's appearance model overflowed")
-        deltas = [_sweep_bag(g, project(g.x, model, config), terms, config) for g in groups]
+        deltas = [_sweep_bag(g, project(g, model, config), terms, config) for g in groups]
         delta = float(np.dot(deltas, sizes) / sum(sizes))
         gram = nu_gram(groups)
         correlation = update_correlation(gram)
@@ -388,9 +394,11 @@ def infer_test(bag: Bag, model: AppearanceModel,
         block = start_block(np.random.Generator(np.random.PCG64(config.seed)), [bag], config.k_max)
         block.flags.writeable = False
         _test_block[:] = key, block
-    # the projection first, so the sweeps' temporaries stay below the outputs (CHANGES.md)
-    proj, terms = project(bag.features, model, config), sweep_terms(model, correlation, config)
+    # the projection's buffer first, so the sweeps' temporaries stay below the outputs
+    proj = np.empty((config.k_max, bag.n_instances))  # (CHANGES.md)
+    terms = sweep_terms(model, correlation, config)
     group = init_group([open_bag], config, block[:, :bag.n_instances])
+    project(group, model, config, proj)
     for _ in range(config.max_iters):
         delta = _sweep_bag(group, proj, terms, config)
         if delta < config.tol:

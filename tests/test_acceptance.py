@@ -89,7 +89,7 @@ def test_criterion_02_exact_oracle_marginals():
     group.tau[0] = np.column_stack([scale * v, scale * (1.0 - v)])
     group.cache = StickBoundCache.from_tau(group.tau)
     post = group.posteriors[0]
-    proj = project(group.x, model, config)
+    proj = project(group, model, config)
     coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(2), config)
     for _ in range(500):  # the sweep's own steps, without its stick update
         before = group.nu.copy()
@@ -165,6 +165,33 @@ def test_criterion_03_stick_bound_validity(stick_bound):
             f"k=1 tau=(1,1) bound {unit:.8f} vs -1.0")
 
 
+def test_stick_prior_matches_monte_carlo():
+    # the logit's stick prior is E[log pi_k] = E[sum_{t<=k} log v_t] over v_t ~ Beta(tau_t),
+    # estimated here from gamma pairs; near-point-mass sticks pin the whole prior logit
+    # E[log pi_k] - E[log(1 - pi_k)] to log(pi / (1 - pi)) at pi = cumprod(v)
+    rng = np.random.default_rng(21)
+    n = 400_000
+    worst = 0.0
+    for _ in range(10):
+        tau = rng.uniform(0.2, 8.0, size=(5, 2))
+        g1 = rng.gamma(np.broadcast_to(tau[:, 0], (n, 5)))
+        g2 = rng.gamma(np.broadcast_to(tau[:, 1], (n, 5)))
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(g1 / (g1 + g2)).cumsum(axis=1)
+        log_pi = np.maximum(log_pi, -745.0)  # a v that rounds to 0 counts as the least double
+        se = log_pi.std(axis=0, ddof=1) / np.sqrt(n)
+        z = np.abs(log_pi.mean(axis=0) - StickBoundCache.from_tau(tau).prior_cumsum) / se
+        worst = max(worst, float(z.max()))
+    v = np.array([0.6, 0.5, 0.7])
+    cache = StickBoundCache.from_tau(1e7 * np.column_stack([v, 1.0 - v]))
+    pi = np.cumprod(v)
+    logit = cache.prior_cumsum - cache.neg_log_terms
+    exact = float(np.abs(logit - np.log(pi / (1.0 - pi))).max())
+    _report(3, "stick prior E[log pi_k]", worst <= 4.5 and exact <= 1e-5,
+            f"worst |MC - prior| {worst:.2f} standard errors over 10 x 5 sticks (need <= 4.5); "
+            f"point-mass prior logit off by {exact:.1e} (need <= 1e-5)")
+
+
 def test_criterion_04_label_masking_exhaustive():
     config = ModelConfig(k_objects=3, k_attributes=3, k_extra=2,
                          sigma=0.2, max_iters=30, tol=1e-5, seed=7)
@@ -206,7 +233,7 @@ def test_criterion_05_mrf_disabled_reduction():
         for post, fitted in zip(group.posteriors, full.posteriors):
             post.nu[:], post.tau[:], post.logits[:] = fitted.nu, fitted.tau, fitted.logits
         group.cache = StickBoundCache.from_tau(group.tau)
-        _sweep_bag(group, project(group.x, full.model, config),
+        _sweep_bag(group, project(group, full.model, config),
                    sweep_terms(full.model, correlation, config), config)
         return arrays(full.model, group.posteriors)
 

@@ -290,7 +290,7 @@ def logits_at(bag, model, config, tau, nu=None):
     if nu is not None:
         group.nu[:] = nu.T
     coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
-    base = base_logits(group, project(group.x, model, config), quad,
+    base = base_logits(group, project(group, model, config), quad,
                        np.zeros_like(group.nu))
     sweep_factors(group, base, coupling)
     return group.logits.T.copy(), group.nu.T.copy()
@@ -298,15 +298,15 @@ def logits_at(bag, model, config, tau, nu=None):
 
 class TestComputeLogits:
     def test_zero_appearance_uniform_sticks(self, rng):
-        # phi = 0, Phi -> 0, tau = (1, 1): logit reduces to minus the
-        # single-factor stick bound, i.e. +1
+        # phi = 0, Phi -> 0, tau = (1, 1): the logit reduces to the stick prior
+        # E[log v] - E[log(1 - v)] = (psi(1) - psi(2)) - (psi(1) - psi(2)) = -1 + 1 = 0
         config = cfg_k(1, sigma=1.0)
         bag = ones_bag(3, 2, config, rng)
         model = AppearanceModel(means=np.zeros((1, 2)),
                                 variances=np.full(1, 1e-12),
                                 vocab=["a"], config=config)
         eta, _ = logits_at(bag, model, config, np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(eta, 1.0, atol=1e-6)
+        np.testing.assert_allclose(eta, 0.0, atol=1e-6)
 
     def test_monotone_in_alignment(self, rng):
         config = cfg_k(1, sigma=0.5)
@@ -339,7 +339,7 @@ class TestComputeLogits:
         d = 5
         for j in range(4):
             for k in range(3):
-                prior = sum(float(digamma(tau[t, 0]) - digamma(tau[t, 1]))
+                prior = sum(float(digamma(tau[t, 0]) - digamma(tau[t].sum()))
                             for t in range(k + 1))
                 _, bound = stick_bound(tau, k + 1)
                 seen = np.concatenate([new[j, :k], nu[j, k:]])  # factors < k already set
@@ -375,7 +375,7 @@ def test_sweep_logits_match_residual_form(stick_bound, k_max, d, sizes, beta, rh
     m = np.triu(rng.uniform(0, 1, size=(k_max, k_max)), 1)
     corr = CorrelationMatrix(m + m.T)
     before = [p.nu.copy() for p in posts]
-    _sweep_bag(group, project(group.x, model, config), sweep_terms(model, corr, config), config)
+    _sweep_bag(group, project(group, model, config), sweep_terms(model, corr, config), config)
 
     for bag, post, old in zip(bags, posts, before):
         x = bag.features
@@ -383,14 +383,14 @@ def test_sweep_logits_match_residual_form(stick_bound, k_max, d, sizes, beta, rh
             seen = np.hstack([post.nu[:, :k], old[:, k:]])
             phi = model.means[k]
             resid = x - seen @ model.means
-            prior = sum(float(digamma(post.tau[t, 0]) - digamma(post.tau[t, 1]))
+            prior = sum(float(digamma(post.tau[t, 0]) - digamma(post.tau[t].sum()))
                         for t in range(k + 1)) - stick_bound(post.tau, k + 1)[1]
             quad = d * model.variances[k] + phi @ phi
             expected = prior - (quad - 2 * (resid @ phi + seen[:, k] * (phi @ phi))) \
                 / (2 * config.sigma ** 2)
-            for a, b in bag.edges:
-                expected[a] += beta * seen[b, k]
-                expected[b] += beta * seen[a, k]
+            for a, b in bag.edges:  # the Potts message, beta * (2 nu_j - 1) per neighbour
+                expected[a] += beta * (2 * seen[b, k] - 1)
+                expected[b] += beta * (2 * seen[a, k] - 1)
             expected += rho * (seen @ corr.m[:, k])
             np.testing.assert_allclose(post.logits[:, k], expected, rtol=1e-10, atol=1e-10)
 
@@ -399,8 +399,9 @@ def test_sweep_logits_match_residual_form(stick_bound, k_max, d, sizes, beta, rh
 
 def mrf_at(eta, nu, correlation, edges, config):
     """The MRF part of every factor's logit from one nu (N, k_max), added to eta
-    (k_max, N): the sweep's mrf_messages plus eta, then sweep_factors with the sweep's
-    coupling at zero appearance means (factor k sees the new nu of factors < k)."""
+    (k_max, N): the sweep's mrf_messages plus project's -beta * deg plus eta, then
+    sweep_factors with the sweep's coupling at zero appearance means (factor k sees the
+    new nu of factors < k)."""
     n, k_max = nu.shape
     bag = Bag(features=np.zeros((n, 1)), edges=edges, labels=WeakLabels(np.ones(k_max)),
               id="mrf")
@@ -410,6 +411,7 @@ def mrf_at(eta, nu, correlation, edges, config):
                             vocab=config.default_vocab(), config=config)
     coupling, _ = sweep_terms(model, correlation, config)
     msgs = mrf_messages(group, config)
+    msgs += project(group, model, config)
     msgs += eta
     sweep_factors(group, msgs, coupling)
     return group.logits.copy()
@@ -447,7 +449,8 @@ class TestApplyMrf:
 def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
     # byte for byte: each row sums its neighbours from zero in the order of the
     # directed edge list (every edge as given, then every edge reversed), the
-    # order np.bincount over that list adds them in
+    # order np.bincount over that list adds them in, times 2 beta: the Potts
+    # message beta * sum_j (2 nu_j - 1) but for -beta * deg, which project takes
     rng = np.random.default_rng(seed)
     bags = []
     for i, n in enumerate(sizes):
@@ -471,18 +474,18 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
         directed = [(a, b) for a, b in bag.edges] + [(b, a) for a, b in bag.edges]
         for a, b in directed:
             expected[:, rows.start + a] += group.nu[:, rows.start + b]
-    expected *= beta
+    expected *= 2 * beta
     got = mrf_messages(group, cfg_k(k_max, beta=beta))
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def edge_loop_messages(bag, nu, beta):
-    """beta * each row's neighbour sum, (k_max, rows), one directed edge at a time in
+    """2 beta * each row's neighbour sum, (k_max, rows), one directed edge at a time in
     the order of the list (every edge as given, then every edge reversed)."""
     expected = np.zeros_like(nu)
     for a, b in np.concatenate([bag.edges, bag.edges[:, ::-1]]).tolist():
         expected[:, a] += nu[:, b]
-    return expected * beta
+    return expected * (2 * beta)
 
 
 def test_mrf_messages_match_edge_loop_on_a_large_star():
@@ -619,7 +622,7 @@ def test_sweep_factors_matches_two_call_step(k, sizes, beta, rho, scale, seed):
     coupling, quad = sweep_terms(model, CorrelationMatrix(m + m.T), config)
     tau = rng.uniform(0.2, 5.0, size=(k_max, 2))
     ours, ref = (new_group(bags, config, np.random.default_rng(seed), tau) for _ in range(2))
-    base = base_logits(ours, project(ours.x, model, config), quad, mrf_messages(ours, config))
+    base = base_logits(ours, project(ours, model, config), quad, mrf_messages(ours, config))
     sweep_factors(ours, base, coupling)
     factor_steps_reference(ref, base, coupling)
     assert ours.nu.tobytes() == ref.nu.tobytes()
@@ -763,7 +766,7 @@ class TestFit:
         def sweep(bags, correlation, **coupling):
             cfg = dataclasses.replace(config, **coupling)
             group = new_group(bags, cfg)
-            _sweep_bag(group, project(group.x, model, cfg), sweep_terms(model, correlation, cfg),
+            _sweep_bag(group, project(group, model, cfg), sweep_terms(model, correlation, cfg),
                        cfg)
             return [getattr(p, name).tobytes() for p in group.posteriors
                     for name in ("nu", "tau", "logits")]
@@ -973,8 +976,8 @@ def test_group_sweep_matches_sweeping_each_bag(rng):
     together, alone = group.posteriors, [g.posteriors[0] for g in singles]
     terms = sweep_terms(model, corr, config)
     for _ in range(3):
-        delta = _sweep_bag(group, project(group.x, model, config), terms, config)
-        deltas = [_sweep_bag(g, project(g.x, model, config), terms, config) for g in singles]
+        delta = _sweep_bag(group, project(group, model, config), terms, config)
+        deltas = [_sweep_bag(g, project(g, model, config), terms, config) for g in singles]
         rows = [b.n_instances for b in bags]
         assert abs(delta - np.dot(deltas, rows) / sum(rows)) < 1e-12
     for a, b in zip(together, alone):

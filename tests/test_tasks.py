@@ -81,6 +81,23 @@ class TestFreeAnnotation:
                 hits += 1
         assert hits >= 90
 
+    def test_beats_naming_the_most_common_object(self):
+        # converged fits on the benchmark's pipeline shape (beta = 1, rho = 0.1, grid
+        # edges): on test bags, the first named object must be each bag's most-used true
+        # object more often than always naming the object most bags use most
+        right = majority = 0
+        for seed in (1, 2):
+            config = ModelConfig(k_objects=5, k_attributes=5, k_extra=10, beta=1.0, rho=0.1,
+                                 max_iters=100, tol=1e-5, seed=seed)
+            ds = sample_dataset(config, 160, 25, 32, seed=seed)
+            result = fit(ds.bags[:60], config)
+            truth = [int(z[:, :5].sum(axis=0).argmax()) for z in ds.true_z[60:]]
+            named = [free_annotation(infer_test(b, result.model, result.correlation, config),
+                                     config)[0].object for b in ds.bags[60:]]
+            right += sum(a == b for a, b in zip(named, truth))
+            majority += int(np.bincount(truth).max())
+        assert right > majority, f"right on {right} bags, the majority object on {majority}"
+
 
 class TestAnnotateGivenObject:
     def test_consistent_with_free_annotation(self):
