@@ -199,7 +199,8 @@ def update_appearance(groups: list[BagGroup], gram: np.ndarray, model: Appearanc
 
     With S = ``gram`` (``nu_gram`` of the groups) and R = sum nu x over the groups in
     order (so the reduction is deterministic; nu factor-major), nu[k] @ (x - nu^T @
-    means) = R[k] - S[k] @ means.
+    means) = R[k] - S[k] @ means. The mean takes the variance 1/(1/sigma_a^2 + mass/sigma^2)
+    as it is; only the stored one is floored at VAR_FLOOR.
     """
     inv_s2 = 1.0 / config.sigma ** 2
     inv_sa2 = 1.0 / config.sigma_a ** 2
@@ -207,9 +208,9 @@ def update_appearance(groups: list[BagGroup], gram: np.ndarray, model: Appearanc
     mass = sum(g.nu.sum(axis=1) for g in groups)
     for k in range(config.k_max):
         num = proj[k] - gram[k] @ model.means + gram[k, k] * model.means[k]
-        var = max(1.0 / (inv_sa2 + inv_s2 * mass[k]), VAR_FLOOR)
+        var = 1.0 / (inv_sa2 + inv_s2 * mass[k])  # the mean's, unfloored
         model.means[k] = inv_s2 * num * var
-        model.variances[k] = var
+        model.variances[k] = max(var, VAR_FLOOR)
 
 
 @np.errstate(divide="ignore")  # a zero deficit's log is -inf
@@ -247,6 +248,17 @@ def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
     np.fill_diagonal(coupling, 0.0)
     coupling += config.rho * correlation.m.T
     return coupling, quad
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked from the extremes
+def checked_terms(model: AppearanceModel, correlation: CorrelationMatrix, config: ModelConfig,
+                  fault: str) -> tuple[np.ndarray, np.ndarray]:
+    """``sweep_terms``, or a ConfigError ``fault`` unless both are finite: fit's check of its
+    model after each appearance update and ``infer_test``'s of the model it is given."""
+    terms = sweep_terms(model, correlation, config)
+    if not all(-np.inf < t.min() and t.max() < np.inf for t in terms):
+        raise ConfigError(fault)
+    return terms
 
 
 def project(group: BagGroup, model: AppearanceModel, config: ModelConfig,
@@ -363,11 +375,10 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
     trace: list[tuple[float, float]] = []
     for _ in range(config.max_iters):
         start = time.perf_counter()
-        with np.errstate(over="ignore", invalid="ignore"):  # checked from the extremes below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked from the terms below
             update_appearance(groups, gram, model, config)
-            terms = sweep_terms(model, correlation, config)
-        if not all(-np.inf < t.min() and t.max() < np.inf for t in terms):
-            raise ConfigError(f"sigma {config.sigma!r}: fit's appearance model overflowed")
+        terms = checked_terms(model, correlation, config,
+                              f"sigma {config.sigma!r}: fit's appearance model overflowed")
         deltas = [_sweep_bag(g, project(g, model, config), terms, config) for g in groups]
         delta = float(np.dot(deltas, sizes) / sum(sizes))
         gram = nu_gram(groups)
@@ -385,7 +396,8 @@ def infer_test(bag: Bag, model: AppearanceModel,
 
     The bag is swept as a group of one from the first n columns of a read-only start block
     of a fresh PCG64(seed) (default_rng(seed) without its checks), kept for one (seed, k_max)
-    and redrawn only for a larger bag; the logit terms and projection are taken once.
+    and redrawn only for a larger bag; the logit terms and projection are taken once, and
+    a ConfigError names sigma unless the terms are finite, as in ``fit``.
     """
     open_bag = Bag(bag.features, bag.edges, WeakLabels(np.ones(config.k_max)), bag.id)
     validate_dataset([open_bag], config, model.feature_dim)
@@ -396,7 +408,8 @@ def infer_test(bag: Bag, model: AppearanceModel,
         _test_block[:] = key, block
     # the projection's buffer first, so the sweeps' temporaries stay below the outputs
     proj = np.empty((config.k_max, bag.n_instances))  # (CHANGES.md)
-    terms = sweep_terms(model, correlation, config)
+    terms = checked_terms(model, correlation, config,
+                          f"sigma {config.sigma!r}: the model's logit terms overflow")
     group = init_group([open_bag], config, block[:, :bag.n_instances])
     project(group, model, config, proj)
     for _ in range(config.max_iters):

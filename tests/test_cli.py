@@ -9,8 +9,8 @@ import pytest
 
 from wsibp import BagPosterior, WeakLabels, fit, tasks
 from wsibp.cli import build_parser, main
-from wsibp.io import (load_dataset, load_model, load_posteriors, save_posteriors,
-                      write_segmentation)
+from wsibp.io import (load_dataset, load_model, load_posteriors, save_dataset,
+                      save_posteriors, write_segmentation)
 
 
 SYNTH = ["synth", "--num-bags", "8", "--instances", "12", "--feature-dim", "6",
@@ -271,16 +271,34 @@ def test_fit_weight_past_its_cap_exit_2(workspace, capsys, flag):
     assert not model.exists()
 
 
-@pytest.mark.parametrize("sigma", ["1e-20", "1e-50", "1e-100", "1e-150"])
-def test_fit_sigma_that_overflows_the_model_exit_2(tmp_path, capsys, sigma):
-    # inside [1e-150, 1e150], but the appearance update overflows within a few
-    # iterations; fit stops there, before digamma sees a NaN stick
-    ds, model = str(tmp_path / "ds"), tmp_path / "m.model"
+def tiny_synth(tmp_path, capsys):
+    ds = str(tmp_path / "ds")
     assert main(["synth", "--out", ds, "--num-bags", "6", "--instances", "9",
                  "--feature-dim", "4", "--seed", "1"]) == 0
     capsys.readouterr()
-    assert main(["fit", "--data", ds, "--model-out", str(model), "--sigma", sigma]) == 2
-    assert capsys.readouterr().err == (f"error: sigma {float(sigma)!r}: "
+    return ds
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", ["1e-20", "1e-50", "1e-100", "1e-150"])
+def test_fit_tiny_sigma_fits_cleanly(tmp_path, capsys, sigma):
+    # inside [1e-150, 1e150]: sigma^2 / mass is far below VAR_FLOOR, and the appearance
+    # mean takes the unfloored variance, so fit neither overflows nor warns
+    ds, model = tiny_synth(tmp_path, capsys), tmp_path / "m.model"
+    assert main(["fit", "--data", ds, "--model-out", str(model), "--sigma", sigma]) == 0
+    loaded, _ = load_model(str(model))
+    assert np.isfinite(loaded.means).all() and np.abs(loaded.means).max() < 10
+
+
+def test_fit_sigma_that_overflows_the_model_exit_2(tmp_path, capsys):
+    # features scaled by 1e10 at sigma 1e-150: the appearance update overflows within
+    # a few iterations; fit stops there, before digamma sees a NaN stick
+    ds, model = tiny_synth(tmp_path, capsys), tmp_path / "m.model"
+    data = load_dataset(ds)
+    bags = [dataclasses.replace(b, features=b.features * np.float32(1e10)) for b in data.bags]
+    save_dataset(ds, bags, data.vocab, data.k_objects, data.k_attributes, data.k_extra)
+    assert main(["fit", "--data", ds, "--model-out", str(model), "--sigma", "1e-150"]) == 2
+    assert capsys.readouterr().err == ("error: sigma 1e-150: "
                                        "fit's appearance model overflowed\n")
     assert not model.exists()
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wsibp import (
     AppearanceModel,
     Bag,
+    ConfigError,
     CorrelationMatrix,
     DatasetError,
     DimensionMismatchError,
@@ -1101,3 +1102,16 @@ def test_spatial_coupling_reduces_boundary_disagreements():
 
     totals = [(run(0.0, s), run(2.0, s)) for s in range(3)]
     assert sum(t[1] for t in totals) <= sum(t[0] for t in totals)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block, value", [("variances", 1e308), ("means", 1e200)])
+def test_infer_test_rejects_a_model_whose_logit_terms_overflow(block, value):
+    # finite values whose logit terms are not: fit stops on such a model, and infer_test
+    # raises the same ConfigError instead of returning -inf logits that no reader takes
+    config = cfg_k(2, 2, k_extra=1, sigma=0.2, max_iters=5, seed=3)
+    bags = sample_dataset(config, 6, 9, 4, seed=3).bags
+    result = fit(bags, config)
+    getattr(result.model, block).flat[0] = value
+    with pytest.raises(ConfigError, match="sigma 0.2: the model's logit terms"):
+        infer_test(bags[0], result.model, result.correlation, config)
