@@ -172,7 +172,8 @@ def init_group(bags: list[Bag], config: ModelConfig, start: np.ndarray) -> BagGr
     posteriors = [BagPosterior(tau=t, nu=nu[:, r].T, logits=logits[:, r].T)
                   for t, r in zip(tau, rows)]
     return BagGroup(x=x, rows=rows, counts=counts, starts=starts, bits=bits, nbr=nbr, tail=tail,
-                    deg=deg, tau=tau, pad=pad, nu=nu, logits=logits, cache=cache, posteriors=posteriors)
+                    deg=deg, tau=tau, pad=pad, nu=nu, logits=logits, cache=cache,
+                    posteriors=posteriors)
 
 
 def _group_bags(bags: list[Bag]):
@@ -265,9 +266,9 @@ def project(group: BagGroup, model: AppearanceModel, config: ModelConfig,
             out: np.ndarray | None = None) -> np.ndarray:
     """The logit terms of each row fixed while the model is, (k_max, rows), into ``out``
     if given: means @ x^T / sigma^2 - beta * deg for the group's rows x and their degrees,
-    the Potts message's constant part."""
-    proj = np.matmul(model.means, group.x.T, out=out)
-    proj *= 1.0 / config.sigma ** 2
+    the Potts message's constant part. The (k_max, D) means take the scale, so the rows
+    take one pass."""
+    proj = np.matmul(model.means * (1.0 / config.sigma ** 2), group.x.T, out=out)
     proj -= config.beta * group.deg
     return proj
 
@@ -406,8 +407,7 @@ def infer_test(bag: Bag, model: AppearanceModel,
         block = start_block(np.random.Generator(np.random.PCG64(config.seed)), [bag], config.k_max)
         block.flags.writeable = False
         _test_block[:] = key, block
-    # the projection's buffer first, so the sweeps' temporaries stay below the outputs
-    proj = np.empty((config.k_max, bag.n_instances))  # (CHANGES.md)
+    proj = np.empty((config.k_max, bag.n_instances))  # before the group: heap order (CHANGES.md)
     terms = checked_terms(model, correlation, config,
                           f"sigma {config.sigma!r}: the model's logit terms overflow")
     group = init_group([open_bag], config, block[:, :bag.n_instances])
