@@ -470,12 +470,8 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
     for p in group.posteriors:  # spread magnitudes so that a different order changes the sums
         p.nu[:] = rng.random(p.nu.shape) * 10.0 ** rng.integers(-12, 1, size=p.nu.shape)
 
-    expected = np.zeros_like(group.nu)  # (k_max, rows)
-    for bag, rows in zip(bags, group.rows):
-        directed = [(a, b) for a, b in bag.edges] + [(b, a) for a, b in bag.edges]
-        for a, b in directed:
-            expected[:, rows.start + a] += group.nu[:, rows.start + b]
-    expected *= 2 * beta
+    expected = np.concatenate([edge_loop_messages(bag, group.nu[:, rows], beta)
+                               for bag, rows in zip(bags, group.rows)], axis=1)
     got = mrf_messages(group, cfg_k(k_max, beta=beta))
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
@@ -483,8 +479,8 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
 def edge_loop_messages(bag, nu, beta):
     """2 beta * each row's neighbour sum, (k_max, rows), one directed edge at a time in
     the order of the list (every edge as given, then every edge reversed)."""
-    expected = np.zeros_like(nu)
-    for a, b in np.concatenate([bag.edges, bag.edges[:, ::-1]]).tolist():
+    expected, edges = np.zeros_like(nu), bag.edges.reshape(-1, 2)
+    for a, b in np.concatenate([edges, edges[:, ::-1]]).tolist():
         expected[:, a] += nu[:, b]
     return expected * (2 * beta)
 
