@@ -44,7 +44,8 @@ GROUP_ROWS = 1024  # instances per packed group; packing every bag at once raise
 _CLIP_LO, _CLIP_HI, _ONE, _ZERO = map(np.array, (-LOGIT_CLIP, LOGIT_CLIP, 1.0, 0.0))
 # the clip ufunc (numpy.core before NumPy 2), which ndarray.clip reaches through Python code
 _clip = (getattr(np, "_core", None) or np.core).umath.clip
-_test_block = [None, np.empty((0, 0))]  # infer_test's (seed, k_max), start block: one pair
+TEST_CACHE_SIZE = 64  # entries infer_test keeps, the least recently used dropped first
+_test_cache: dict = {}  # infer_test's state shared across calls, by key (see infer_test)
 
 
 @dataclass
@@ -325,16 +326,20 @@ def sweep_factors(group: BagGroup, base: np.ndarray, coupling: np.ndarray) -> No
 
 
 def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
-               config: ModelConfig) -> float:
+               config: ModelConfig, sticks: tuple | None = None) -> float:
     """One sweep of a group; returns the mean |delta nu|. ``proj`` (``project``'s) and
     ``terms`` (``sweep_terms``'s) are fixed while the model is. The stick stage runs
-    once for all the bags and keeps the new tau's cache; ``base_logits`` adds the rest
+    once for all the bags and keeps the new tau's cache, or takes ``sticks``, the
+    (tau, cache) it would give, if given; ``base_logits`` adds the rest
     of the fixed logit into ``mrf_messages``'s output (start-of-sweep nu), so a factor
     costs one mat-vec into its logits and one squash, factors ascending in one call
     of ``sweep_factors``, each seeing the freshest others, all rows jointly. At
     beta = rho = 0 both couplings add zeros."""
-    update_stick(group, config)
-    group.cache = StickBoundCache.from_tau(group.tau)
+    if sticks is None:
+        update_stick(group, config)
+        group.cache = StickBoundCache.from_tau(group.tau)
+    else:
+        group.tau[:], group.cache = sticks
     coupling, quad = terms
     base = base_logits(group, proj, quad, mrf_messages(group, config))
     change = group.nu.copy()
@@ -391,29 +396,65 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
                      correlation=correlation, trace=trace)
 
 
+def _recent(cache: dict, key):
+    """``cache[key]`` moved last in the cache's order, so the least recently used entries
+    come first, or None."""
+    value = cache.pop(key, None)
+    if value is not None:
+        cache[key] = value
+    return value
+
+
+def _keep(cache: dict, key, value, *arrays: np.ndarray):
+    """``value`` kept in ``cache`` under ``key`` with ``arrays``, its arrays, made
+    read-only, the least recently used entries dropped to hold TEST_CACHE_SIZE."""
+    for a in arrays:
+        a.flags.writeable = False
+    while len(cache) >= TEST_CACHE_SIZE:
+        cache.pop(next(iter(cache)), None)
+    cache[key] = value
+    return value
+
+
 def infer_test(bag: Bag, model: AppearanceModel,
                correlation: CorrelationMatrix, config: ModelConfig) -> BagPosterior:
     """Test-time inference: appearance and correlation frozen, labels all-ones.
 
     The bag is swept as a group of one from the first n columns of a read-only start block
     of a fresh PCG64(seed) (default_rng(seed) without its checks), kept for one (seed, k_max)
-    and redrawn only for a larger bag; the logit terms and projection are taken once, and
-    a ConfigError names sigma unless the terms are finite, as in ``fit``.
+    and redrawn only for a larger bag. What every bag of a run shares is taken once and kept
+    read-only in ``_test_cache``: the start block; the logit terms, checked as in ``fit``
+    (a ConfigError names sigma unless they are finite), per content of the means, variances
+    and M and per (sigma, rho), so a model changed in place is a new key; and the first
+    stick stage's (tau, cache), per (seed, k_max, alpha, n), as every bag starts from the
+    block's first n columns with every bit on. The projection is the bag's own.
     """
     open_bag = Bag(bag.features, bag.edges, WeakLabels(np.ones(config.k_max)), bag.id)
     validate_dataset([open_bag], config, model.feature_dim)
-    key, (held, block) = (config.seed, config.k_max), _test_block
-    if held != key or block.shape[1] < bag.n_instances:
-        block = start_block(np.random.Generator(np.random.PCG64(config.seed)), [bag], config.k_max)
-        block.flags.writeable = False
-        _test_block[:] = key, block
-    proj = np.empty((config.k_max, bag.n_instances))  # before the group: heap order (CHANGES.md)
-    terms = checked_terms(model, correlation, config,
-                          f"sigma {config.sigma!r}: the model's logit terms overflow")
-    group = init_group([open_bag], config, block[:, :bag.n_instances])
+    cache, seed, k, n = _test_cache, config.seed, config.k_max, bag.n_instances
+    held, block = _recent(cache, "block") or (None, None)
+    if held != (seed, k) or block.shape[1] < n:
+        block = start_block(np.random.Generator(np.random.PCG64(seed)), [bag], k)
+        _keep(cache, "block", ((seed, k), block), block)
+    key = ("terms", config.sigma, config.rho, *((a.dtype.str, a.shape, a.tobytes())
+           for a in (model.means, model.variances, correlation.m)))
+    terms = _recent(cache, key)
+    if terms is None:
+        terms = checked_terms(model, correlation, config,
+                              f"sigma {config.sigma!r}: the model's logit terms overflow")
+        _keep(cache, key, terms, *terms)
+    proj = np.empty((k, n))  # before the group: heap order (CHANGES.md)
+    group = init_group([open_bag], config, block[:, :n])
     project(group, model, config, proj)
+    key = ("sticks", seed, k, config.alpha, n)
+    sticks = _recent(cache, key)
+    if sticks is None:
+        update_stick(group, config)
+        tau, one = group.tau.copy(), StickBoundCache.from_tau(group.tau)
+        sticks = _keep(cache, key, (tau, one), tau, *vars(one).values())
     for _ in range(config.max_iters):
-        delta = _sweep_bag(group, proj, terms, config)
+        delta = _sweep_bag(group, proj, terms, config, sticks)
+        sticks = None
         if delta < config.tol:
             break
     return group.posteriors[0]

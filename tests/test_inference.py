@@ -1042,8 +1042,9 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
         return _fn(*args)
 
     monkeypatch.setattr(inference, "init_group", built)
-    monkeypatch.setattr(inference, "_test_block", [None, np.empty((0, 0))])
-    cached = [(infer_test(bag, model, corr, config), inference._test_block[1]) for bag in bags]
+    monkeypatch.setattr(inference, "_test_cache", {})
+    cached = [(infer_test(bag, model, corr, config), inference._test_cache["block"][1])
+              for bag in bags]
     for bag, start in zip(bags, starts):
         draw = np.random.Generator(np.random.PCG64(config.seed)).uniform(
             -0.01, 0.01, size=(bag.n_instances, k))
@@ -1053,7 +1054,7 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
     assert b9.shape == (k, 9) and b4096.shape == (k, 4096) and b25 is b4096
     assert not b4096.flags.writeable
     for bag, (post, _) in zip(bags, cached):  # the same bytes from an emptied cache
-        inference._test_block[:] = [None, np.empty((0, 0))]
+        inference._test_cache.clear()
         fresh = infer_test(bag, model, corr, config)
         for name in ("nu", "logits", "tau"):
             assert getattr(post, name).tobytes() == getattr(fresh, name).tobytes()
