@@ -11,8 +11,10 @@ that ``mrf_messages`` gathers from, and the logits alike; τ = (α, 1) with its 
 taken once per (α, k_max); each bag's ``BagPosterior`` as views of its rows and τ; the
 features as one ``(rows, D)`` block and the neighbours as O(edges) slots.
 The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
-iteration and per ``infer_test`` call, sum νᵀν (``nu_gram``) at set-up and after
-each sweep. ``infer_test`` sweeps a group of one. A sweep's factor steps run in one
+iteration, sum νᵀν (``nu_gram``) at set-up and after each sweep. ``infer_test``
+sweeps a group of one, projects each bag, and keeps what all its bags share in
+``_test_cache``: the start block, the terms per model content and the first stick
+stage per bag size. A sweep's factor steps run in one
 ``sweep_factors`` call: six ufunc calls per factor on −η into rows bound once, 0-d operands.
 """
 
@@ -427,7 +429,8 @@ def infer_test(bag: Bag, model: AppearanceModel,
     (a ConfigError names sigma unless they are finite), per content of the means, variances
     and M and per (sigma, rho), so a model changed in place is a new key; and the first
     stick stage's (tau, cache), per (seed, k_max, alpha, n), as every bag starts from the
-    block's first n columns with every bit on. The projection is the bag's own.
+    block's first n columns with every bit on. The projection is the bag's own, and a
+    ConfigError names the bag and sigma unless it is finite.
     """
     open_bag = Bag(bag.features, bag.edges, WeakLabels(np.ones(config.k_max)), bag.id)
     validate_dataset([open_bag], config, model.feature_dim)
@@ -445,7 +448,11 @@ def infer_test(bag: Bag, model: AppearanceModel,
         _keep(cache, key, terms, *terms)
     proj = np.empty((k, n))  # before the group: heap order (CHANGES.md)
     group = init_group([open_bag], config, block[:, :n])
-    project(group, model, config, proj)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked from the extremes
+        project(group, model, config, proj)
+    if not (-np.inf < proj.min() and proj.max() < np.inf):
+        raise ConfigError(f"bag {bag.id!r}: sigma {config.sigma!r}: "
+                          "the projection of its features overflows")
     key = ("sticks", seed, k, config.alpha, n)
     sticks = _recent(cache, key)
     if sticks is None:

@@ -303,6 +303,23 @@ def test_fit_sigma_that_overflows_the_model_exit_2(tmp_path, capsys):
     assert not model.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infer_bag_whose_projection_overflows_exit_2(tmp_path, capsys):
+    # sigma 1e-150 fits the bags as they are; the same bags with features scaled by 1e10
+    # project past float64, and infer names the first such bag and writes nothing
+    ds, model, out = tiny_synth(tmp_path, capsys), tmp_path / "m.model", tmp_path / "t.post"
+    assert main(["fit", "--data", ds, "--model-out", str(model), "--sigma", "1e-150"]) == 0
+    data = load_dataset(ds)
+    bags = [dataclasses.replace(b, features=b.features * np.float32(1e10)) for b in data.bags]
+    big = str(tmp_path / "big")
+    save_dataset(big, bags, data.vocab, data.k_objects, data.k_attributes, data.k_extra)
+    capsys.readouterr()
+    assert main(["infer", "--data", big, "--model", str(model), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: bag 'bag0000': sigma 1e-150: "
+                                       "the projection of its features overflows\n")
+    assert not out.exists()
+
+
 def test_synth_takes_no_fit_flags(tmp_path):
     assert main(SYNTH + ["--out", str(tmp_path / "ds"), "--beta", "1"]) == 1
 

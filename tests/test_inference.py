@@ -1059,6 +1059,49 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
         for name in ("nu", "logits", "tau"):
             assert getattr(post, name).tobytes() == getattr(fresh, name).tobytes()
 
+    # the terms and first sticks are kept too, by content: with the cache kept across
+    # calls, each call below gives the bytes of the same call from an emptied cache
+    other = dataclasses.replace(model, means=rng.normal(size=(k, 5)))
+    small, runs = bags[0], []
+
+    def kept(bag, model, config):
+        frozen = dataclasses.replace(model, means=model.means.copy())
+        runs.append((bag, frozen, config, infer_test(bag, model, corr, config)))
+        return runs[-1][-1]
+
+    before = kept(small, model, config)
+    model.means[0] += 1.0  # the same objects, changed in place
+    assert kept(small, model, config).nu.tobytes() != before.nu.tobytes()
+    for m in (other, model, other, model):
+        kept(small, m, config)
+    for c in (dataclasses.replace(config, alpha=2.5), config):
+        kept(small, model, c)
+    by_size = {b.n_instances: b for b in bags}
+    for n in (9, 4096, 25, 9):
+        kept(by_size[n], model, config)
+    for bag, frozen, c, post in runs:
+        inference._test_cache.clear()
+        fresh = infer_test(bag, frozen, corr, c)
+        for name in ("nu", "logits", "tau"):
+            assert getattr(post, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infer_test_rejects_a_bag_whose_projection_overflows(rng):
+    # finite logit terms and finite features can still project past float64 at tiny sigma:
+    # infer_test raises a ConfigError naming the bag and sigma, with no warning, while
+    # the same bag unscaled infers; the check is per bag, outside the kept terms
+    config = cfg_k(2, 2, k_extra=1, sigma=1e-150, max_iters=2, seed=3)
+    k = config.k_max
+    model = AppearanceModel(means=rng.normal(size=(k, 4)), variances=np.full(k, 0.1),
+                            vocab=config.default_vocab(), config=config)
+    corr = CorrelationMatrix(np.zeros((k, k)))
+    bag = ones_bag(9, 4, config, rng)
+    infer_test(bag, model, corr, config)
+    scaled = dataclasses.replace(bag, features=bag.features * np.float32(1e10), id="big")
+    with pytest.raises(ConfigError, match="^bag 'big': sigma 1e-150: the projection"):
+        infer_test(scaled, model, corr, config)
+
 
 @pytest.mark.parametrize("group_rows", [1, 10 ** 6])
 def test_fit_does_not_depend_on_grouping(monkeypatch, group_rows):
