@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -1084,6 +1086,48 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
         fresh = infer_test(bag, frozen, corr, c)
         for name in ("nu", "logits", "tau"):
             assert getattr(post, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_infer_test_cache_is_safe_across_threads(monkeypatch, rng):
+    # four threads infer two sizes under two models and two alphas at once, with a cache
+    # too small for all their entries, so they evict each other's: every call still gives
+    # the bytes of the same call on an emptied cache
+    config = cfg_k(3, 2, k_extra=2, beta=1.0, rho=0.1, max_iters=2, seed=11)
+    k = config.k_max
+    models = [AppearanceModel(means=rng.normal(size=(k, 5)),
+                              variances=rng.uniform(0.1, 1.0, size=k),
+                              vocab=config.default_vocab(), config=config) for _ in range(2)]
+    corr = CorrelationMatrix(np.zeros((k, k)))
+    cases = [(ones_bag(n, 5, config, rng, grid_edges(n)), model,
+              dataclasses.replace(config, alpha=alpha))
+             for n in (9, 16) for model in models for alpha in (1.0, 2.5)]
+    monkeypatch.setattr(inference, "_test_cache", {})
+    monkeypatch.setattr(inference, "TEST_CACHE_SIZE", 4)
+    expected = []
+    for bag, model, c in cases:
+        inference._test_cache.clear()
+        expected.append(infer_test(bag, model, corr, c).nu.tobytes())
+    wrong, done = [], []
+
+    def work(offset):
+        for i in range(offset, offset + 60):
+            bag, model, c = cases[i % len(cases)]
+            if infer_test(bag, model, corr, c).nu.tobytes() != expected[i % len(cases)]:
+                wrong.append(i)
+        done.append(offset)
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
