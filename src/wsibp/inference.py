@@ -13,8 +13,8 @@ features as one ``(rows, D)`` block and the neighbours as O(edges) slots.
 The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
 iteration, sum νᵀν (``nu_gram``) at set-up and after each sweep. ``infer_test``
 sweeps a group of one, projects each bag, and keeps what all its bags share in
-``_test_cache``: the start block, the terms per model content and the first stick
-stage per bag size. A sweep's factor steps run in one
+``_test_cache``, one slot each: the start block, the terms of the last model content
+and the first stick stage of the last bag size. A sweep's factor steps run in one
 ``sweep_factors`` call: six ufunc calls per factor on −η into rows bound once, 0-d operands.
 """
 
@@ -46,8 +46,8 @@ GROUP_ROWS = 1024  # instances per packed group; packing every bag at once raise
 _CLIP_LO, _CLIP_HI, _ONE, _ZERO = map(np.array, (-LOGIT_CLIP, LOGIT_CLIP, 1.0, 0.0))
 # the clip ufunc (numpy.core before NumPy 2), which ndarray.clip reaches through Python code
 _clip = (getattr(np, "_core", None) or np.core).umath.clip
-TEST_CACHE_SIZE = 64  # entries infer_test keeps, the least recently used dropped first
-_test_cache: dict = {}  # infer_test's state shared across calls, by key (see infer_test)
+# infer_test's state shared across calls: one (key, value) slot per kind (see infer_test)
+_test_cache = dict.fromkeys(("block", "terms", "sticks"), (None, None))
 
 
 @dataclass
@@ -398,24 +398,10 @@ def fit(bags: list[Bag], config: ModelConfig, vocab: list[str] | None = None) ->
                      correlation=correlation, trace=trace)
 
 
-def _recent(cache: dict, key):
-    """``cache[key]`` moved last in the cache's order, so the least recently used entries
-    come first, or None."""
-    value = cache.pop(key, None)
-    if value is not None:
-        cache[key] = value
-    return value
-
-
-def _keep(cache: dict, key, value, *arrays: np.ndarray):
-    """``value`` kept in ``cache`` under ``key`` with ``arrays``, its arrays, made
-    read-only, the least recently used entries dropped to hold TEST_CACHE_SIZE."""
+def _frozen(*arrays: np.ndarray) -> None:
+    """Mark ``arrays`` read-only, as every array kept in ``_test_cache`` is."""
     for a in arrays:
         a.flags.writeable = False
-    while len(cache) >= TEST_CACHE_SIZE:
-        cache.pop(next(iter(cache)), None)
-    cache[key] = value
-    return value
 
 
 def infer_test(bag: Bag, model: AppearanceModel,
@@ -425,7 +411,8 @@ def infer_test(bag: Bag, model: AppearanceModel,
     The bag is swept as a group of one from the first n columns of a read-only start block
     of a fresh PCG64(seed) (default_rng(seed) without its checks), kept for one (seed, k_max)
     and redrawn only for a larger bag. What every bag of a run shares is taken once and kept
-    read-only in ``_test_cache``: the start block; the logit terms, checked as in ``fit``
+    read-only in ``_test_cache``, one slot per kind holding the last key's value, so a
+    miss overwrites it: the start block; the logit terms, checked as in ``fit``
     (a ConfigError names sigma unless they are finite), per content of the means, variances
     and M and per (sigma, rho), so a model changed in place is a new key; and the first
     stick stage's (tau, cache), per (seed, k_max, alpha, n), as every bag starts from the
@@ -435,17 +422,19 @@ def infer_test(bag: Bag, model: AppearanceModel,
     open_bag = Bag(bag.features, bag.edges, WeakLabels(np.ones(config.k_max)), bag.id)
     validate_dataset([open_bag], config, model.feature_dim)
     cache, seed, k, n = _test_cache, config.seed, config.k_max, bag.n_instances
-    held, block = _recent(cache, "block") or (None, None)
+    held, block = cache["block"]
     if held != (seed, k) or block.shape[1] < n:
         block = start_block(np.random.Generator(np.random.PCG64(seed)), [bag], k)
-        _keep(cache, "block", ((seed, k), block), block)
-    key = ("terms", config.sigma, config.rho, *((a.dtype.str, a.shape, a.tobytes())
+        _frozen(block)
+        cache["block"] = (seed, k), block
+    key = (config.sigma, config.rho, *((a.dtype.str, a.shape, a.tobytes())
            for a in (model.means, model.variances, correlation.m)))
-    terms = _recent(cache, key)
-    if terms is None:
+    held, terms = cache["terms"]
+    if held != key:
         terms = checked_terms(model, correlation, config,
                               f"sigma {config.sigma!r}: the model's logit terms overflow")
-        _keep(cache, key, terms, *terms)
+        _frozen(*terms)
+        cache["terms"] = key, terms
     proj = np.empty((k, n))  # before the group: heap order (CHANGES.md)
     group = init_group([open_bag], config, block[:, :n])
     with np.errstate(over="ignore", invalid="ignore"):  # checked from the extremes
@@ -453,12 +442,14 @@ def infer_test(bag: Bag, model: AppearanceModel,
     if not (-np.inf < proj.min() and proj.max() < np.inf):
         raise ConfigError(f"bag {bag.id!r}: sigma {config.sigma!r}: "
                           "the projection of its features overflows")
-    key = ("sticks", seed, k, config.alpha, n)
-    sticks = _recent(cache, key)
-    if sticks is None:
+    key = (seed, k, config.alpha, n)
+    held, sticks = cache["sticks"]
+    if held != key:
         update_stick(group, config)
         tau, one = group.tau.copy(), StickBoundCache.from_tau(group.tau)
-        sticks = _keep(cache, key, (tau, one), tau, *vars(one).values())
+        _frozen(tau, *vars(one).values())
+        sticks = tau, one
+        cache["sticks"] = key, sticks
     for _ in range(config.max_iters):
         delta = _sweep_bag(group, proj, terms, config, sticks)
         sticks = None

@@ -1026,6 +1026,10 @@ def test_start_cache_is_shared_read_only_and_copied_per_group():
             ours[0, 0] = 0.0  # a group's own copy is writable
 
 
+def empty_test_cache():
+    return dict.fromkeys(inference._test_cache, (None, None))
+
+
 def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
     # every bag starts from the first n columns of one read-only block drawn from a
     # fresh PCG64(seed), drawn again only for a larger bag: the bytes of a draw per bag
@@ -1044,7 +1048,7 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
         return _fn(*args)
 
     monkeypatch.setattr(inference, "init_group", built)
-    monkeypatch.setattr(inference, "_test_cache", {})
+    monkeypatch.setattr(inference, "_test_cache", empty_test_cache())
     cached = [(infer_test(bag, model, corr, config), inference._test_cache["block"][1])
               for bag in bags]
     for bag, start in zip(bags, starts):
@@ -1056,7 +1060,7 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
     assert b9.shape == (k, 9) and b4096.shape == (k, 4096) and b25 is b4096
     assert not b4096.flags.writeable
     for bag, (post, _) in zip(bags, cached):  # the same bytes from an emptied cache
-        inference._test_cache.clear()
+        inference._test_cache.update(empty_test_cache())
         fresh = infer_test(bag, model, corr, config)
         for name in ("nu", "logits", "tau"):
             assert getattr(post, name).tobytes() == getattr(fresh, name).tobytes()
@@ -1082,16 +1086,16 @@ def test_infer_test_start_block_is_one_cached_fresh_draw(monkeypatch, rng):
     for n in (9, 4096, 25, 9):
         kept(by_size[n], model, config)
     for bag, frozen, c, post in runs:
-        inference._test_cache.clear()
+        inference._test_cache.update(empty_test_cache())
         fresh = infer_test(bag, frozen, corr, c)
         for name in ("nu", "logits", "tau"):
             assert getattr(post, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_infer_test_cache_is_safe_across_threads(monkeypatch, rng):
-    # four threads infer two sizes under two models and two alphas at once, with a cache
-    # too small for all their entries, so they evict each other's: every call still gives
-    # the bytes of the same call on an emptied cache
+    # four threads infer two sizes under two models and two alphas at once, so they
+    # overwrite each other's slots: every call still gives the bytes of the same call on
+    # an emptied cache
     config = cfg_k(3, 2, k_extra=2, beta=1.0, rho=0.1, max_iters=2, seed=11)
     k = config.k_max
     models = [AppearanceModel(means=rng.normal(size=(k, 5)),
@@ -1101,11 +1105,10 @@ def test_infer_test_cache_is_safe_across_threads(monkeypatch, rng):
     cases = [(ones_bag(n, 5, config, rng, grid_edges(n)), model,
               dataclasses.replace(config, alpha=alpha))
              for n in (9, 16) for model in models for alpha in (1.0, 2.5)]
-    monkeypatch.setattr(inference, "_test_cache", {})
-    monkeypatch.setattr(inference, "TEST_CACHE_SIZE", 4)
+    monkeypatch.setattr(inference, "_test_cache", empty_test_cache())
     expected = []
     for bag, model, c in cases:
-        inference._test_cache.clear()
+        inference._test_cache.update(empty_test_cache())
         expected.append(infer_test(bag, model, corr, c).nu.tobytes())
     wrong, done = [], []
 
