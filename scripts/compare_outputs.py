@@ -8,9 +8,11 @@ Runs one round of a ``perfbench`` workload with the library in this
 checkout's ``src/`` (the ``pipeline`` workload through the CLI) and takes
 the model means and variances, the correlation matrix M, and every train
 and test tau, nu and logit. It also takes the task outputs: for ``pipeline``
-the parsed ``ann.json`` and ``queries.json``, each ``segs/*.csv`` as typed rows
-and the lines ``eval`` prints; for library workloads the round's quality values.
-``--save`` writes them to an ``.npz``; ``--against`` prints, for each array, the
+the parsed ``ann.json`` and ``queries.json``, each bag's segmentation rows as
+typed rows under ``segs/<bag id>.csv`` (read from ``segs/segmentation.csv``,
+or from the one file per bag that older checkouts write, so a saved file
+compares across that layout change) and the lines ``eval`` prints; for
+library workloads the round's quality values. ``--save`` writes them to an ``.npz``; ``--against`` prints, for each array, the
 relative difference max|a - b| / max|b| against the file and whether its bytes
 match, then a ``bit-identical: yes/no`` line over all arrays, then whether
 each task output is equal as a value and a ``task outputs: equal/differ``
@@ -43,17 +45,25 @@ LIMIT = 1e-9
 TASKS = "task_outputs"  # the .npz entry holding the task outputs as one JSON string
 
 
+def _seg_row(r: dict) -> list:
+    return [int(r["instance"]), int(r["label_index"]), r["label_name"], float(r["score"])]
+
+
 def pipeline_tasks(workdir: str) -> dict:
     """The task files a pipeline round left in ``workdir``, parsed, and the lines
     that each ``eval`` prints for them."""
     d = Path(workdir)
     out = {name: json.loads((d / name).read_text("ascii"))
            for name in ("ann.json", "queries.json")}
-    for name in sorted(os.listdir(d / "segs")):
-        with open(d / "segs" / name, encoding="ascii") as fh:
-            rows = list(csv.DictReader(fh))
-        out[f"segs/{name}"] = [[int(r["instance"]), int(r["label_index"]),
-                                r["label_name"], float(r["score"])] for r in rows]
+    segs = d / "segs"
+    if (segs / "segmentation.csv").exists():  # one file for all bags
+        with open(segs / "segmentation.csv", encoding="ascii") as fh:
+            for r in csv.DictReader(fh):
+                out.setdefault(f"segs/{r['bag']}.csv", []).append(_seg_row(r))
+    else:  # one file per bag, as checkouts before the one-file layout write
+        for name in sorted(os.listdir(segs)):
+            with open(segs / name, encoding="ascii") as fh:
+                out[f"segs/{name}"] = [_seg_row(r) for r in csv.DictReader(fh)]
     for task, pred, truth in (("annotation", "ann.json", "annot_truth.json"),
                               ("query", "queries.json", "query_truth.json"),
                               ("segmentation", "segs", "seg_truth.json")):

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 import typing
@@ -16,7 +15,7 @@ import typing
 import numpy as np
 
 from . import generative, inference, io, metrics, tasks
-from .core import (ConfigError, DatasetError, FormatError, ModelConfig, VocabMismatchError,
+from .core import (ConfigError, FormatError, ModelConfig, VocabMismatchError,
                    WeakLabels, WsibpError)
 
 
@@ -261,15 +260,8 @@ def _cmd_segment(args) -> int:
     model, _ = io.load_model(args.model)
     raster = None if args.raster is None else io.read_raster(args.raster)
     posts = io.load_posteriors(args.posteriors, model.config.k_max)
-    if raster is not None:  # the raster bag first: a raster it rejects writes nothing
-        ids = [bag_id for bag_id, _ in posts]
-        if args.raster_bag not in ids:
-            raise DatasetError(f"--raster-bag {args.raster_bag!r}: no such bag")
-        posts.insert(0, posts.pop(ids.index(args.raster_bag)))
-    for n, (bag_id, post) in enumerate(posts):
-        io.write_segmentation(os.path.join(args.out_dir, f"{bag_id}.csv"),
-                              tasks.segment(post, model.config), model.vocab,
-                              raster=raster if n == 0 else None)
+    segs = [(bag_id, tasks.segment(post, model.config)) for bag_id, post in posts]
+    io.write_segmentation(args.out_dir, segs, model.vocab, raster, args.raster_bag)
     print(f"segmented {len(posts)} bags -> {args.out_dir}")
     return 0
 
@@ -338,7 +330,7 @@ def _eval_query(args, pred: dict, truth: dict) -> None:
 
 
 def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: str) -> None:
-    pred_maps, truth_maps, pixels = {}, {}, {}
+    truth_maps, pixels = {}, {}
     for bid, entry in truth["bags"].items():
         labels = entry.get("labels") if isinstance(entry, dict) else None
         labels = np.array(labels) if isinstance(labels, list) else np.array(None)
@@ -351,9 +343,8 @@ def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: 
         truth_maps[bid] = labels.astype(np.int64)
         if "pixels" in entry:
             pixels[bid] = np.array(entry["pixels"], dtype=np.float64)
-        pred_maps[bid] = io.read_segmentation_labels(os.path.join(pred_dir, f"{bid}.csv"))
-    scores = metrics.segmentation_metrics(
-        pred_maps, truth_maps, pixels if pixels else None)
+    pred_maps = io.read_segmentation(pred_dir, list(truth_maps))
+    scores = metrics.segmentation_metrics(pred_maps, truth_maps, pixels or None)
     print(f"mean IOU: {scores.mean_iou:.4f}")
     print(f"per-pixel accuracy: {scores.per_pixel_accuracy:.4f}")
     print(f"per-class accuracy: {scores.per_class_accuracy:.4f}")

@@ -47,6 +47,7 @@ POSTERIORS_MAGIC = "format: wsibp-posteriors"
 FORMAT_VERSION = 1  # of models
 DATASET_VERSION = 2
 POSTERIORS_VERSION = 2
+SEGMENTATION_FILE = "segmentation.csv"  # in segment's --out-dir
 
 # fixed 20-colour palette for PPM segmentation rasters
 PALETTE = [
@@ -150,9 +151,9 @@ def _count(text: str) -> int:
 
 
 def _name(text: str) -> str:
-    """A bag id, which names a file in a directory and which a ``bag:`` line carries
-    as it is: printable ascii, not empty, ``.`` or ``..``, without ``/``, ``\\`` or
-    ``,`` and without whitespace at either end."""
+    """A bag id, which names a file in a directory (a segmentation raster) and which a
+    ``bag:`` line or a CSV cell carries as it is: printable ascii, not empty, ``.`` or
+    ``..``, without ``/``, ``\\`` or ``,`` and without whitespace at either end."""
     if (text in ("", ".", "..") or "/" in text or "\\" in text or "," in text
             or text != text.strip() or not (text.isascii() and text.isprintable())):
         raise ValueError(f"{text!r} is not a plain file name")
@@ -420,13 +421,13 @@ def _finite(a: np.ndarray) -> bool:
     return bool(-np.inf < a.min(initial=0.0) and a.max(initial=0.0) < np.inf)
 
 
-def _uints(path: str, cells: list[tuple[int, str]], what: str) -> list[int]:
-    """Each ``(line, cell)`` as an int. A cell must be a non-negative integer below 10**18,
+def _uints(path: str, cells: list[tuple[int, str]], what: str) -> np.ndarray:
+    """Each ``(line, cell)`` as an int64. A cell must be a non-negative integer below 10**18,
     so that it fits int64; another is a FormatError at its line: ``what, got <cell>``."""
     for line, cell in cells:
         if not (cell.isdigit() and len(cell) < 19):
             raise FormatError(f"{path}:{line}: {what}, got {cell!r}")
-    return [int(cell) for _, cell in cells]
+    return np.array([int(cell) for _, cell in cells], dtype=np.int64)
 
 
 def read_raster(path: str) -> np.ndarray:
@@ -441,48 +442,54 @@ def read_raster(path: str) -> np.ndarray:
     for line, cells in rows:
         if len(cells) != width:
             raise FormatError(f"{path}:{line}: {len(cells)} cells, the first row has {width}")
-    ids = _uints(path, [(line, cell.strip()) for line, cells in rows for cell in cells],
-                 "expected a non-negative integer instance id")
-    return np.array(ids, dtype=np.int64).reshape(len(rows), width)
+    return _uints(path, [(line, cell.strip()) for line, cells in rows for cell in cells],
+                  "expected a non-negative integer instance id").reshape(len(rows), width)
 
 
-def write_segmentation(path: str, seg: SegmentationMap, vocab: list[str],
-                       raster: np.ndarray | None = None) -> None:
-    """Per-instance label CSV, plus an optional paletted P3 raster image at
-    ``path + ".ppm"``, in the CSV's directory, made if missing. Every raster cell must be
-    an instance id of the bag; that is checked before anything is made."""
+def write_segmentation(out_dir: str, segs: list[tuple[str, SegmentationMap]], vocab: list[str],
+                       raster: np.ndarray | None = None, raster_bag: str | None = None) -> None:
+    """``<out_dir>/segmentation.csv``, in one write: a ``bag,instance,label_index,label_name,
+    score`` row per instance of each bag in turn; with a ``raster`` of bag ``raster_bag``,
+    also that bag's P3 image ``<out_dir>/<raster_bag>.ppm``. Ids that ``load_posteriors``
+    rejects and a raster that does not fit its bag raise before anything is made."""
+    _check_ids([bag_id for bag_id, _ in segs])
     if raster is not None:
-        raster = np.asarray(raster)
+        if (seg := dict(segs).get(raster_bag)) is None:
+            raise DatasetError(f"--raster-bag {raster_bag!r}: no such bag")
         if raster.min() < 0 or raster.max() >= len(seg.labels):
             raise DatasetError(f"raster references an unknown instance id: the bag has "
                                f"{len(seg.labels)} instances")
-    rows = "".join(f"{j},{k},{vocab[k]},{s!r}\n"
+    rows = "".join(f"{bag_id},{j},{k},{vocab[k]},{s!r}\n" for bag_id, seg in segs
                    for j, (k, s) in enumerate(zip(seg.labels.tolist(), seg.scores.tolist())))
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("instance,label_index,label_name,score\n" + rows)
-    if raster is None:
-        return
-    h, w = raster.shape
-    colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
-    with open(path + ".ppm", "wb") as fh:
-        _write_lines(fh, [f"P3\n{w} {h}\n255"]
-                     + [" ".join(colours[i] for i in row) for row in raster.tolist()])
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, SEGMENTATION_FILE), "w", encoding="ascii") as fh:
+        fh.write("bag,instance,label_index,label_name,score\n" + rows)
+    if raster is not None:
+        colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
+        with open(os.path.join(out_dir, f"{raster_bag}.ppm"), "wb") as fh:
+            _write_lines(fh, ["P3\n%d %d\n255" % raster.shape[::-1]]
+                         + [" ".join(colours[i] for i in row) for row in raster.tolist()])
 
 
-def read_segmentation_labels(path: str) -> np.ndarray:
-    """The ``label_index`` column of a ``write_segmentation`` CSV, read in one read; blank
-    lines are skipped and cells may be padded with spaces."""
-    with open(path, encoding="ascii") as fh:
+def read_segmentation(out_dir: str, bag_ids: list[str]) -> dict[str, np.ndarray]:
+    """Each of ``bag_ids``' labels from ``write_segmentation``'s CSV, read in one read; blank
+    lines are skipped and cells may be padded. A bad cell is a FormatError at its line."""
+    path = os.path.join(out_dir, SEGMENTATION_FILE)
+    with open(path, encoding="ascii", errors="replace") as fh:
         header, *rows = fh.read().splitlines() or [""]
     names = [name.strip() for name in header.split(",")]
-    if "label_index" not in names:
-        raise FormatError(f"{path}:1: no label_index column")
-    c = names.index("label_index")
-    cells = [(line, (row.split(",", c + 1) + [""] * c)[c].strip())
-             for line, row in enumerate(rows, 2) if row.strip()]
-    return np.array(_uints(path, cells, "label_index: expected a non-negative integer"),
-                    dtype=np.int64)
+    if missing := [name for name in ("bag", "label_index") if name not in names][:1]:
+        raise FormatError(f"{path}:1: no {missing[0]} column")
+    b, c = names.index("bag"), names.index("label_index")
+    cells: dict[str, list[tuple[int, str]]] = {}
+    for line, row in enumerate(rows, 2):
+        if row.strip():
+            row = row.split(",") + [""] * len(names)
+            cells.setdefault(row[b].strip(), []).append((line, row[c].strip()))
+    if missing := [bag_id for bag_id in bag_ids if bag_id not in cells][:1]:
+        raise FormatError(f"{path}: no rows for bag {missing[0]!r}")
+    why = "label_index: expected a non-negative integer"
+    return {bag_id: _uints(path, cells[bag_id], why) for bag_id in bag_ids}
 
 
 def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],

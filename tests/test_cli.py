@@ -61,10 +61,24 @@ def test_full_pipeline(workspace):
                  "--object", "obj0", "--attrs", "att1", "--out", q]) == 0
     ranking = json.load(open(q))["queries"][0]["ranking"]
     assert len(ranking) == 8
-    segs = str(tmp / "segs")
+    segs = tmp / "segs"
     assert main(["segment", "--posteriors", post, "--model", model,
-                 "--out-dir", segs]) == 0
-    assert len(os.listdir(segs)) == 8
+                 "--out-dir", str(segs)]) == 0
+    assert os.listdir(segs) == ["segmentation.csv"]
+    assert {bag: len(v) for bag, v in _seg_labels(segs).items()} == {
+        b.id: 12 for b in load_dataset(ds).bags}
+
+
+def _seg_labels(segs):
+    """``{bag id: labels}`` from the rows of ``segs/segmentation.csv``, in file order."""
+    lines = (segs / "segmentation.csv").read_text().splitlines()
+    assert lines[0] == "bag,instance,label_index,label_name,score"
+    labels = {}
+    for row in lines[1:]:
+        bag, j, k = row.split(",")[:3]
+        labels.setdefault(bag, []).append(int(k))
+        assert int(j) == len(labels[bag]) - 1
+    return labels
 
 
 def test_fit_threads_bit_identical(workspace, fit_files):
@@ -78,22 +92,17 @@ def test_eval_segmentation_identity(workspace, capsys):
     tmp, ds = workspace
     model = str(tmp / "m.model")
     post = str(tmp / "t.post")
-    segs = str(tmp / "segs")
+    segs = tmp / "segs"
     assert main(["fit", "--data", ds, "--model-out", model] + HYPER) == 0
     assert main(["infer", "--data", ds, "--model", model, "--out", post]) == 0
     assert main(["segment", "--posteriors", post, "--model", model,
-                 "--out-dir", segs]) == 0
+                 "--out-dir", str(segs)]) == 0
     # truth copied from the predictions themselves: all metrics must be 1
-    truth = {"bags": {}}
-    import csv as csv_mod
-    for name in os.listdir(segs):
-        bid = name[:-4]
-        rows = list(csv_mod.DictReader(open(os.path.join(segs, name))))
-        truth["bags"][bid] = {"labels": [int(r["label_index"]) for r in rows]}
+    truth = {"bags": {bid: {"labels": v} for bid, v in _seg_labels(segs).items()}}
     tpath = str(tmp / "truth.json")
     json.dump(truth, open(tpath, "w"))
     capsys.readouterr()
-    assert main(["eval", "--task", "segmentation", "--pred", segs,
+    assert main(["eval", "--task", "segmentation", "--pred", str(segs),
                  "--truth", tpath]) == 0
     out = capsys.readouterr().out
     assert "mean IOU: 1.0000" in out
@@ -195,11 +204,11 @@ def test_transductive_segment(workspace):
     ones = WeakLabels(np.ones(m.config.k_max))
     result = fit(train + [dataclasses.replace(b, labels=ones) for b in test], m.config,
                  vocab=m.vocab)
-    assert sorted(os.listdir(segs)) == sorted(f"{b.id}.csv" for b in test)
-    for bag, p in zip(test, result.posteriors[len(train):]):
-        want = tmp / "want.csv"
-        write_segmentation(str(want), tasks.segment(p, m.config), m.vocab)
-        assert (segs / f"{bag.id}.csv").read_bytes() == want.read_bytes()
+    want = tmp / "want"
+    write_segmentation(str(want), [(b.id, tasks.segment(p, m.config)) for b, p in
+                                   zip(test, result.posteriors[len(train):])], m.vocab)
+    assert os.listdir(segs) == ["segmentation.csv"]
+    assert (segs / "segmentation.csv").read_bytes() == (want / "segmentation.csv").read_bytes()
 
 
 def test_usage_error_exit_1(capsys):
@@ -519,8 +528,8 @@ def raster_run(workspace, capsys):
 def test_segment_raster_writes_the_bag_image(raster_run):
     run, raster, segs = raster_run
     assert run("0,1\n\n2,11\n", "--raster", raster, "--raster-bag", "bag0002")[0] == 0
-    assert sorted(p.name for p in segs.iterdir() if p.suffix == ".ppm") == ["bag0002.csv.ppm"]
-    assert (segs / "bag0002.csv.ppm").read_text().startswith("P3\n2 2\n255\n")
+    assert sorted(p.name for p in segs.iterdir()) == ["bag0002.ppm", "segmentation.csv"]
+    assert (segs / "bag0002.ppm").read_text().startswith("P3\n2 2\n255\n")
 
 
 @pytest.mark.parametrize("flag", ["--raster", "--raster-bag"])
@@ -565,7 +574,7 @@ def test_segment_malformed_raster_names_its_line(raster_run, text, line, why):
 
 @pytest.mark.parametrize("kind", ["manifest", "posteriors"])
 def test_duplicate_bag_id_exit_2(workspace, capsys, kind):
-    # a second bag of the same id would overwrite the first's segment/<id>.csv
+    # a second bag of the same id would merge with the first in segment's one CSV
     tmp, ds = workspace
     model, post = str(tmp / "m.model"), str(tmp / "train.post")
     assert main(["fit", "--data", ds, "--model-out", model,
@@ -668,9 +677,7 @@ def test_eval_segmentation_rejects_bad_labels(inferred, capsys, where, value, wh
     segs = tmp / "segs"
     assert main(["segment", "--posteriors", post, "--model", model,
                  "--out-dir", str(segs)]) == 0
-    labels = {p.stem: [int(line.split(",")[1]) for line in p.read_text().splitlines()[1:]]
-              for p in segs.glob("*.csv")}
-    bags = {b: {"labels": v} for b, v in sorted(labels.items())}
+    bags = {b: {"labels": v} for b, v in _seg_labels(segs).items()}
     if where == "truth":
         if value is None:
             del bags["bag0003"]["labels"]
@@ -681,12 +688,13 @@ def test_eval_segmentation_rejects_bad_labels(inferred, capsys, where, value, wh
     path, line = truth, next(i for i, row in enumerate(text.splitlines(), 1)
                              if row.lstrip().startswith('"bag0003": '))
     if where == "pred":
-        path, line = segs / "bag0003.csv", 6  # the header, then the fifth instance
+        path = segs / "segmentation.csv"
         rows = [r.split(",") for r in path.read_text().splitlines()]
+        line = next(i for i, r in enumerate(rows, 1) if r[:2] == ["bag0003", "4"])
         if value is None:
-            rows[0][1] = "label"
+            rows[0][2] = "label"
         else:
-            rows[line - 1][1] = value
+            rows[line - 1][2] = value
         path.write_text("".join(",".join(r) + "\n" for r in rows))
         line = 1 if value is None else line
     capsys.readouterr()
@@ -700,9 +708,7 @@ def _segment_truth(tmp, model, post):
     segs = tmp / "segs"
     assert main(["segment", "--posteriors", post, "--model", model,
                  "--out-dir", str(segs)]) == 0
-    labels = {p.stem: [int(line.split(",")[1]) for line in p.read_text().splitlines()[1:]]
-              for p in segs.glob("*.csv")}
-    return segs, {b: {"labels": v} for b, v in sorted(labels.items())}
+    return segs, {b: {"labels": v} for b, v in _seg_labels(segs).items()}
 
 
 def test_eval_segmentation_reads_blank_lines_and_padded_cells(inferred, capsys):
@@ -715,12 +721,29 @@ def test_eval_segmentation_reads_blank_lines_and_padded_cells(inferred, capsys):
     capsys.readouterr()
     assert main(args) == 0
     want = capsys.readouterr().out
-    for path in segs.glob("*.csv"):
-        rows = [r.split(",") for r in path.read_text().splitlines()]
-        path.write_text("\n".join(",".join([r[0], f" {r[1]} "] + r[2:]) for r in rows)
-                        + "\n\n")
+    path = segs / "segmentation.csv"
+    rows = [r.split(",") for r in path.read_text().splitlines()]
+    path.write_text("\n\n".join(",".join([f" {r[0]}", r[1], f" {r[2]} "] + r[3:])
+                                for r in rows) + "\n\n")
     assert main(args) == 0
     assert capsys.readouterr().out == want
+
+
+def test_eval_segmentation_needs_rows_for_every_truth_bag(inferred, capsys):
+    # one file holds every bag, so a truth id names no path: '../ds' is a bag without rows
+    tmp, model, post = inferred
+    segs, bags = _segment_truth(tmp, model, post)
+    truth = tmp / "truth.json"
+    truth.write_text(json.dumps({"bags": {**bags, "../ds": {"labels": [0]}}}))
+    (tmp / "ds.csv").write_text("bag,instance,label_index\n../ds,0,0\n")
+    args = ["eval", "--task", "segmentation", "--pred", str(segs), "--truth", str(truth)]
+    capsys.readouterr()
+    assert main(args) == 2
+    csv = segs / "segmentation.csv"
+    assert capsys.readouterr().err == f"error: {csv}: no rows for bag '../ds'\n"
+    csv.write_text(csv.read_text().replace("bag,", "bags,", 1))
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {csv}:1: no bag column\n"
 
 
 def test_eval_segmentation_names_the_line_of_the_bag_key(inferred, capsys):

@@ -32,6 +32,7 @@ from wsibp.io import (
     save_dataset,
     save_model,
     save_posteriors,
+    read_segmentation,
     save_truth,
     write_segmentation,
 )
@@ -506,7 +507,7 @@ class TestPosteriorsRoundTrip:
 
     @pytest.mark.parametrize("bag_id", ["../escaped", "", ".", "..", "a/b", "a\\b"])
     def test_id_that_is_not_a_plain_file_name_names_its_line(self, tmp_path, bag_id):
-        # segment writes <out-dir>/<id>.csv, so an id must name a file in that directory
+        # segment --raster-bag writes <out-dir>/<id>.ppm, so an id must name a file there
         post = BagPosterior(np.ones((2, 2)), np.full((3, 2), 0.5), np.zeros((3, 2)))
         path = str(tmp_path / "p.post")
         save_posteriors(path, [("a", post), ("b", post)], 2)
@@ -568,47 +569,68 @@ def test_posteriors_round_trip_property(tmp_path_factory, data):
 
 class TestWriteSegmentation:
     def test_csv_rows(self, tmp_path):
-        seg = SegmentationMap(labels=np.array([0, 1, 0]),
-                              scores=np.array([0.9, 0.8, 0.7]))
-        path = str(tmp_path / "seg.csv")
-        write_segmentation(path, seg, ["cat", "dog"])
-        lines = open(path).read().strip().split("\n")
-        assert lines[0] == "instance,label_index,label_name,score"
-        assert len(lines) == 4
-        assert lines[1].startswith("0,0,cat,")
+        segs = [("b0", SegmentationMap(labels=np.array([0, 1, 0]),
+                                       scores=np.array([0.9, 0.8, 0.7]))),
+                ("b1", SegmentationMap(labels=np.array([1]), scores=np.array([0.5])))]
+        write_segmentation(str(tmp_path / "out"), segs, ["cat", "dog"])
+        assert os.listdir(tmp_path / "out") == ["segmentation.csv"]
+        lines = (tmp_path / "out" / "segmentation.csv").read_text().strip().split("\n")
+        assert lines[0] == "bag,instance,label_index,label_name,score"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            "b0,0,0,cat", "b0,1,1,dog", "b0,2,0,cat", "b1,0,1,dog"]
+        labels = read_segmentation(str(tmp_path / "out"), ["b1", "b0"])
+        assert list(labels) == ["b1", "b0"]
+        assert labels["b0"].tolist() == [0, 1, 0] and labels["b1"].tolist() == [1]
 
     def test_bytes_match_per_row_writer_over_a_longer_file(self, tmp_path):
         rng = np.random.default_rng(3)
-        seg = SegmentationMap(labels=rng.integers(0, 3, 30), scores=rng.random(30))
+        segs = [(f"b{i}", SegmentationMap(labels=rng.integers(0, 3, n), scores=rng.random(n)))
+                for i, n in enumerate((30, 7))]
         vocab, raster = ["a", "b", "c"], rng.integers(0, 30, (4, 5))
-        path = tmp_path / "seg.csv"
+        path = tmp_path / "segmentation.csv"
         path.write_bytes(b"x" * 5000)  # an older, longer file: none of it may remain
-        (tmp_path / "seg.csv.ppm").write_bytes(b"x" * 5000)
-        write_segmentation(str(path), seg, vocab, raster=raster)
-        rows = "".join(f"{j},{int(k)},{vocab[int(k)]},{float(s)!r}\n"
+        (tmp_path / "b0.ppm").write_bytes(b"x" * 5000)
+        write_segmentation(str(tmp_path), segs, vocab, raster=raster, raster_bag="b0")
+        rows = "".join(f"{bag},{j},{int(k)},{vocab[int(k)]},{float(s)!r}\n" for bag, seg in segs
                        for j, (k, s) in enumerate(zip(seg.labels, seg.scores)))
-        assert path.read_text() == "instance,label_index,label_name,score\n" + rows
-        colour = lambda i: "%d %d %d" % PALETTE[int(seg.labels[i]) % len(PALETTE)]  # noqa: E731
-        assert (tmp_path / "seg.csv.ppm").read_text() == "P3\n5 4\n255\n" + "".join(
+        assert path.read_text() == "bag,instance,label_index,label_name,score\n" + rows
+        labels = segs[0][1].labels
+        colour = lambda i: "%d %d %d" % PALETTE[int(labels[i]) % len(PALETTE)]  # noqa: E731
+        assert (tmp_path / "b0.ppm").read_text() == "P3\n5 4\n255\n" + "".join(
             " ".join(colour(i) for i in row) + "\n" for row in raster)
 
     def test_ppm_raster(self, tmp_path):
-        seg = SegmentationMap(labels=np.array([0, 1]),
-                              scores=np.array([1.0, 1.0]))
-        path = str(tmp_path / "seg.csv")
+        segs = [("b0", SegmentationMap(labels=np.array([0]), scores=np.array([1.0]))),
+                ("b1", SegmentationMap(labels=np.array([0, 1]), scores=np.array([1.0, 1.0])))]
         raster = np.array([[0, 0], [1, 1]])
-        write_segmentation(path, seg, ["a", "b"], raster=raster)
-        ppm = open(path + ".ppm").read().split()
+        write_segmentation(str(tmp_path), segs, ["a", "b"], raster=raster, raster_bag="b1")
+        assert sorted(os.listdir(tmp_path)) == ["b1.ppm", "segmentation.csv"]
+        ppm = (tmp_path / "b1.ppm").read_text().split()
         assert ppm[0] == "P3"
         assert ppm[1:4] == ["2", "2", "255"]
         pixels = [tuple(ppm[4 + 3 * i: 7 + 3 * i]) for i in range(4)]
         assert len(set(pixels)) == 2  # two palette colours for two labels
 
     def test_unknown_instance_in_raster(self, tmp_path):
+        # checked before anything is made, against the raster's own bag
+        segs = [("b0", SegmentationMap(labels=np.array([0]), scores=np.array([1.0]))),
+                ("b1", SegmentationMap(labels=np.array([0, 1]), scores=np.array([1.0, 1.0])))]
+        for raster_bag, raster, why in (
+                ("b0", [[0, 5]], "unknown instance id: the bag has 1 instances"),
+                ("b0", [[0, 1]], "unknown instance id: the bag has 1 instances"),
+                ("b2", [[0]], "--raster-bag 'b2': no such bag")):
+            with pytest.raises(DatasetError, match=re.escape(why)):
+                write_segmentation(str(tmp_path / "out"), segs, ["a"], raster=np.array(raster),
+                                   raster_bag=raster_bag)
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bag_id, why", [
+        ("a,b", "'a,b' is not a plain file name"), ("b0", "duplicate id 'b0'")])
+    def test_ids_the_file_cannot_carry(self, tmp_path, bag_id, why):
         seg = SegmentationMap(labels=np.array([0]), scores=np.array([1.0]))
-        with pytest.raises(Exception, match="instance"):
-            write_segmentation(str(tmp_path / "s.csv"), seg, ["a"],
-                               raster=np.array([[0, 5]]))
+        with pytest.raises(ValueError, match=re.escape(why)):
+            write_segmentation(str(tmp_path / "out"), [("b0", seg), (bag_id, seg)], ["a"])
+        assert not (tmp_path / "out").exists()
 
 
 class TestTruthSidecar:
