@@ -12,9 +12,9 @@ the parsed ``ann.json`` and ``queries.json``, each bag's segmentation rows as
 typed rows under ``segs/<bag id>.csv`` (read from ``segs/segmentation.csv``,
 or from the one file per bag that older checkouts write, so a saved file
 compares across that layout change) and the lines ``eval`` prints; for
-library workloads the round's quality values. ``--save`` writes them to an ``.npz``; ``--against`` prints, for each array, the
-relative difference max|a - b| / max|b| against the file and whether its bytes
-match, then a ``bit-identical: yes/no`` line over all arrays, then whether
+library workloads the round's quality values. ``--save`` writes them to an
+``.npz``; ``--against`` prints, for each array, the relative difference
+max|a - b| / max|b| against the file and whether its bytes match, then a ``bit-identical: yes/no`` line over all arrays, then whether
 each task output is equal as a value and a ``task outputs: equal/differ``
 line. It exits 1 if any relative difference exceeds 1e-9 or a task output
 differs. Run it in two checkouts to compare them: it needs only ``src/``

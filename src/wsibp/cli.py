@@ -266,34 +266,67 @@ def _cmd_segment(args) -> int:
     return 0
 
 
-def _values(entry, keys: str, path: str, what: str) -> list:
-    """``entry[key]`` for each of ``keys``; a missing key is a FormatError naming it and what."""
-    for key in keys.split():
+def _is(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``: ``str``, ``list`` or ``dict``; ``int``, an
+    integer that is not a bool; ``float``, a finite number; ``[kind]``, a list of values of
+    ``kind``; or a tuple of kinds, a list of one value of each, in turn."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and len(value) == len(kind) and all(map(_is, value, kind))
+    if kind is int:
+        return type(value) is int
+    if kind is float:
+        return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _form(kind) -> str:
+    """``kind`` as ``_is`` reads it, written as a JSON value."""
+    if isinstance(kind, (list, tuple)):
+        return "[" + ", ".join(map(_form, kind)) + (", ...]" if isinstance(kind, list) else "]")
+    return {str: "string", int: "int", float: "number", list: "[...]", dict: "{...}"}[kind]
+
+
+def _values(entry, path: str, what: str, **kinds) -> list:
+    """``entry[key]`` for each key of ``kinds``; a missing key, or a value that is not of
+    its kind (``_is``), is a FormatError naming path, what and the key."""
+    for key, kind in kinds.items():
         if not isinstance(entry, dict) or key not in entry:
             raise FormatError(f"{path}: {what} needs a {key!r} key")
-    return [entry[key] for key in keys.split()]
+        if not _is(entry[key], kind):
+            raise FormatError(f"{path}: {what}: {key!r} must be {_form(kind)}")
+    return [entry[key] for key in kinds]
 
 
 def _eval_annotation(args, pred: dict, truth: dict) -> None:
     t_values = [int(v) for v in args.t.split(",") if v.strip()]
     truth_bags = {}
     for bid, v in truth["bags"].items():
-        obj, attrs = _values(v, "object attributes", args.truth, f"bag {bid!r}")
-        truth_bags[bid] = metrics.BagTruth(object=int(obj), attributes=set(attrs))
-    k_objects = int(truth.get("k_objects", 0))
+        obj, attrs = _values(v, args.truth, f"bag {bid!r}", object=int, attributes=[int])
+        truth_bags[bid] = metrics.BagTruth(object=obj, attributes=set(attrs))
+    [k_objects] = _values({"k_objects": 0, **truth}, args.truth, "annotation truth",
+                          k_objects=int)  # 0 when not given
     predictions = {}
     scores_rows, row_ids = [], []
-    for n, entry in enumerate(_values(pred, "bags", args.pred, "annotation prediction")[0]):
-        bid, annotations = _values(entry, "bag annotations", args.pred, f"bag entry {n}")
+    [entries] = _values(pred, args.pred, "annotation prediction", bags=list)
+    for n, entry in enumerate(entries):
+        bid, annotations = _values(entry, args.pred, f"bag entry {n}", bag=str, annotations=list)
         if bid not in truth_bags:
             raise FormatError(f"{args.truth}: no truth for bag {bid!r} of {args.pred}")
         if not annotations:
             raise WsibpError(f"bag {bid!r} has no annotations")
         ann = annotations[0]
-        obj, attrs = _values(ann, "object attributes", args.pred, f"bag {bid!r}")
-        predictions[bid] = (int(obj), [int(k) for k, _ in attrs])
+        obj, attrs = _values(ann, args.pred, f"bag {bid!r}", object=int,
+                             attributes=[(int, float)])
+        predictions[bid] = (obj, [k for k, _ in attrs])
         if "attribute_scores" in ann:
-            scores_rows.append(ann["attribute_scores"])
+            [scores] = _values(ann, args.pred, f"bag {bid!r}", attribute_scores=[float])
+            if scores_rows and len(scores) != len(scores_rows[0]):
+                raise FormatError(f"{args.pred}: bag {bid!r}: 'attribute_scores' has "
+                                  f"{len(scores)} values, bag {row_ids[0]!r} has "
+                                  f"{len(scores_rows[0])}")
+            scores_rows.append(scores)
             row_ids.append(bid)
     for t in t_values:
         print(f"AP@{t}: {metrics.ap_at_t(predictions, truth_bags, t):.4f}")
@@ -317,11 +350,14 @@ def _eval_annotation(args, pred: dict, truth: dict) -> None:
 
 def _eval_query(args, pred: dict, truth: dict) -> None:
     rankings, relevance = {}, {}
-    for n, entry in enumerate(_values(pred, "queries", args.pred, "query prediction")[0]):
-        obj, attrs, ranking = _values(entry, "object attributes ranking", args.pred, f"query {n}")
+    [queries] = _values(pred, args.pred, "query prediction", queries=list)
+    for n, entry in enumerate(queries):
+        obj, attrs, ranking = _values(entry, args.pred, f"query {n}", object=int,
+                                      attributes=[int], ranking=[(str, int, float)])
         rankings[(obj, tuple(attrs))] = [row[0] for row in ranking]
     for n, entry in enumerate(truth["queries"]):
-        obj, attrs, ids = _values(entry, "object attributes relevant", args.truth, f"query {n}")
+        obj, attrs, ids = _values(entry, args.truth, f"query {n}", object=int,
+                                  attributes=[int], relevant=[str])
         relevance[(obj, tuple(attrs))] = set(ids)
     mar, skipped = metrics.mar_query(rankings, relevance)
     print(f"MAR: {mar:.4f}")
@@ -329,21 +365,34 @@ def _eval_query(args, pred: dict, truth: dict) -> None:
         print(f"skipped queries with empty relevance: {len(skipped)}")
 
 
-def _eval_segmentation(pred_dir: str, truth: dict, truth_path: str, truth_text: str) -> None:
+def _bag_fault(path: str, text: str, bid: str, need: str) -> FormatError:
+    """``<path>:<line>: bag '<bid>': need``, at the line of the first ``"<bid>":`` key after
+    ``"bags"`` in the JSON ``text``."""
+    at = re.compile(re.escape(json.dumps(bid)) + r"\s*:").search(text, max(text.find('"bags"'), 0))
+    line = text.count("\n", 0, at.start() if at else 0) + 1
+    return FormatError(f"{path}:{line}: bag {bid!r}: {need}")
+
+
+def _eval_segmentation(args, truth: dict, truth_text: str) -> None:
     truth_maps, pixels = {}, {}
     for bid, entry in truth["bags"].items():
-        labels = entry.get("labels") if isinstance(entry, dict) else None
-        labels = np.array(labels) if isinstance(labels, list) else np.array(None)
-        if labels.size and (labels.dtype.kind != "i" or labels.min() < 0):
-            key = re.compile(re.escape(json.dumps(bid)) + r"\s*:")
-            at = key.search(truth_text, max(truth_text.find('"bags"'), 0))
-            line = truth_text.count("\n", 0, at.start() if at else 0) + 1
-            raise FormatError(f"{truth_path}:{line}: bag {bid!r}: labels must be a list "
-                              "of non-negative integers")
-        truth_maps[bid] = labels.astype(np.int64)
+        entry = entry if isinstance(entry, dict) else {}
+        labels, weights = entry.get("labels"), entry.get("pixels", [1])
+        if not (_is(labels, [int]) and 0 <= min(labels, default=0)
+                and max(labels, default=0) < 2 ** 63):
+            raise _bag_fault(args.truth, truth_text, bid,
+                             "labels must be a list of non-negative integers")
+        if not (_is(weights, [float]) and 0 < min(weights, default=1)
+                and max(weights, default=1) <= 1e150):  # so that no sum overflows
+            raise _bag_fault(args.truth, truth_text, bid,
+                             "pixels must be a list of numbers in (0, 1e150]")
+        truth_maps[bid] = np.array(labels, dtype=np.int64)
         if "pixels" in entry:
-            pixels[bid] = np.array(entry["pixels"], dtype=np.float64)
-    pred_maps = io.read_segmentation(pred_dir, list(truth_maps))
+            pixels[bid] = np.array(weights, dtype=np.float64)
+    if 0 < len(pixels) < len(truth_maps):
+        bid = next(bid for bid in truth_maps if bid not in pixels)
+        raise _bag_fault(args.truth, truth_text, bid, "pixels must be given for all bags or none")
+    pred_maps = io.read_segmentation(args.pred, list(truth_maps))
     scores = metrics.segmentation_metrics(pred_maps, truth_maps, pixels or None)
     print(f"mean IOU: {scores.mean_iou:.4f}")
     print(f"per-pixel accuracy: {scores.per_pixel_accuracy:.4f}")
@@ -358,9 +407,10 @@ def _cmd_eval(args) -> int:
     with open(args.truth, encoding="ascii") as fh:
         truth_text = fh.read()
     truth = json.loads(truth_text)
-    _values(truth, "queries" if args.task == "query" else "bags", args.truth, f"{args.task} truth")
+    key, kind = ("queries", list) if args.task == "query" else ("bags", dict)
+    _values(truth, args.truth, f"{args.task} truth", **{key: kind})
     if args.task == "segmentation":
-        _eval_segmentation(args.pred, truth, args.truth, truth_text)
+        _eval_segmentation(args, truth, truth_text)
         return 0
     with open(args.pred, encoding="ascii") as fh:
         pred = json.load(fh)

@@ -21,6 +21,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass, fields
+from io import BytesIO
 
 import numpy as np
 
@@ -421,13 +422,12 @@ def _finite(a: np.ndarray) -> bool:
     return bool(-np.inf < a.min(initial=0.0) and a.max(initial=0.0) < np.inf)
 
 
-def _uints(path: str, cells: list[tuple[int, str]], what: str) -> np.ndarray:
-    """Each ``(line, cell)`` as an int64. A cell must be a non-negative integer below 10**18,
+def _uint(path: str, line: int, cell: str, what: str) -> int:
+    """A cell of a file's line as an int. It must be a non-negative integer below 10**18,
     so that it fits int64; another is a FormatError at its line: ``what, got <cell>``."""
-    for line, cell in cells:
-        if not (cell.isdigit() and len(cell) < 19):
-            raise FormatError(f"{path}:{line}: {what}, got {cell!r}")
-    return np.array([int(cell) for _, cell in cells], dtype=np.int64)
+    if not (cell.isdigit() and len(cell) < 19):
+        raise FormatError(f"{path}:{line}: {what}, got {cell!r}")
+    return int(cell)
 
 
 def read_raster(path: str) -> np.ndarray:
@@ -442,8 +442,9 @@ def read_raster(path: str) -> np.ndarray:
     for line, cells in rows:
         if len(cells) != width:
             raise FormatError(f"{path}:{line}: {len(cells)} cells, the first row has {width}")
-    return _uints(path, [(line, cell.strip()) for line, cells in rows for cell in cells],
-                  "expected a non-negative integer instance id").reshape(len(rows), width)
+    ids = [_uint(path, line, cell.strip(), "expected a non-negative integer instance id")
+           for line, cells in rows for cell in cells]
+    return np.array(ids, dtype=np.int64).reshape(len(rows), width)
 
 
 def write_segmentation(out_dir: str, segs: list[tuple[str, SegmentationMap]], vocab: list[str],
@@ -459,11 +460,13 @@ def write_segmentation(out_dir: str, segs: list[tuple[str, SegmentationMap]], vo
         if raster.min() < 0 or raster.max() >= len(seg.labels):
             raise DatasetError(f"raster references an unknown instance id: the bag has "
                                f"{len(seg.labels)} instances")
-    rows = "".join(f"{bag_id},{j},{k},{vocab[k]},{s!r}\n" for bag_id, seg in segs
-                   for j, (k, s) in enumerate(zip(seg.labels.tolist(), seg.scores.tolist())))
+    text = bytearray(b"bag,instance,label_index,label_name,score\n")
+    for bag_id, bag in segs:  # a bag at a time: no list or str of all rows is ever held
+        text += "".join(f"{bag_id},{j},{k},{vocab[k]},{s!r}\n" for j, (k, s) in enumerate(
+            zip(bag.labels.tolist(), bag.scores.tolist()))).encode("ascii")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, SEGMENTATION_FILE), "w", encoding="ascii") as fh:
-        fh.write("bag,instance,label_index,label_name,score\n" + rows)
+    with open(os.path.join(out_dir, SEGMENTATION_FILE), "wb") as fh:
+        fh.write(text)
     if raster is not None:
         colours = [" ".join(map(str, PALETTE[k % len(PALETTE)])) for k in seg.labels.tolist()]
         with open(os.path.join(out_dir, f"{raster_bag}.ppm"), "wb") as fh:
@@ -473,23 +476,24 @@ def write_segmentation(out_dir: str, segs: list[tuple[str, SegmentationMap]], vo
 
 def read_segmentation(out_dir: str, bag_ids: list[str]) -> dict[str, np.ndarray]:
     """Each of ``bag_ids``' labels from ``write_segmentation``'s CSV, read in one read; blank
-    lines are skipped and cells may be padded. A bad cell is a FormatError at its line."""
+    lines are skipped and cells may be padded. A bad label cell is a FormatError at its
+    line, and so is a bag of ``bag_ids`` without rows, naming it."""
     path = os.path.join(out_dir, SEGMENTATION_FILE)
-    with open(path, encoding="ascii", errors="replace") as fh:
-        header, *rows = fh.read().splitlines() or [""]
-    names = [name.strip() for name in header.split(",")]
+    with open(path, "rb") as fh:
+        rows = BytesIO(fh.read())  # one read, its lines then taken one at a time
+    names = [name.strip() for name in next(rows, b"").decode("ascii", "replace").split(",")]
     if missing := [name for name in ("bag", "label_index") if name not in names][:1]:
         raise FormatError(f"{path}:1: no {missing[0]} column")
     b, c = names.index("bag"), names.index("label_index")
-    cells: dict[str, list[tuple[int, str]]] = {}
+    labels: dict[str, list[int]] = {}
     for line, row in enumerate(rows, 2):
-        if row.strip():
+        if (row := row.decode("ascii", "replace")).strip():
             row = row.split(",") + [""] * len(names)
-            cells.setdefault(row[b].strip(), []).append((line, row[c].strip()))
-    if missing := [bag_id for bag_id in bag_ids if bag_id not in cells][:1]:
+            labels.setdefault(row[b].strip(), []).append(_uint(
+                path, line, row[c].strip(), "label_index: expected a non-negative integer"))
+    if missing := [bag_id for bag_id in bag_ids if bag_id not in labels][:1]:
         raise FormatError(f"{path}: no rows for bag {missing[0]!r}")
-    why = "label_index: expected a non-negative integer"
-    return {bag_id: _uints(path, cells[bag_id], why) for bag_id in bag_ids}
+    return {bag_id: np.array(labels[bag_id], dtype=np.int64) for bag_id in bag_ids}
 
 
 def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],

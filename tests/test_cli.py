@@ -178,6 +178,57 @@ def test_eval_names_the_file_and_what_is_missing(tmp_path, capsys, task, pred, t
         f"error: {paths[at]}: {why.format(pred=paths['pred'])}\n"
 
 
+_TRUTH = {"k_objects": 2, "bags": {"b0": {"object": 0, "attributes": [2]}}}
+_QTRUTH = {"queries": [_QUERY]}
+
+
+def _ann(**changed):
+    """An annotation prediction of bag b0, with ``changed`` keys of its annotation."""
+    return {"bags": [{"bag": "b0", "annotations": [{**_ANN, **changed}]}]}
+
+
+@pytest.mark.parametrize("task, pred, truth, at, why", [
+    ("annotation", {"bags": [{"bag": ["b0"], "annotations": [_ANN]}]}, _TRUTH, "pred",
+     "bag entry 0: 'bag' must be string"),
+    ("annotation", _ann(attributes=[[[1], 0.5]]), _TRUTH, "pred",
+     "bag 'b0': 'attributes' must be [[int, number], ...]"),
+    ("annotation", _ann(attribute_scores=[{"a": 1}]), _TRUTH, "pred",
+     "bag 'b0': 'attribute_scores' must be [number, ...]"),
+    ("annotation", _ann(object=0.7), _TRUTH, "pred", "bag 'b0': 'object' must be int"),
+    ("annotation", _ann(object=True), _TRUTH, "pred", "bag 'b0': 'object' must be int"),
+    ("annotation", {"bags": [{"bag": "b0", "annotations": 5}]}, _TRUTH, "pred",
+     "bag entry 0: 'annotations' must be [...]"),
+    ("annotation", {"bags": [{"bag": "b0", "annotations": [{**_ANN, "attribute_scores": [1]}]},
+                             {"bag": "b1", "annotations": [{**_ANN, "attribute_scores": []}]}]},
+     {"bags": {"b0": _TRUTH["bags"]["b0"], "b1": _TRUTH["bags"]["b0"]}}, "pred",
+     "bag 'b1': 'attribute_scores' has 0 values, bag 'b0' has 1"),
+    ("annotation", _ann(), {**_TRUTH, "k_objects": [2]}, "truth",
+     "annotation truth: 'k_objects' must be int"),
+    ("annotation", _ann(), {"bags": {"b0": {"object": 0, "attributes": [[2]]}}}, "truth",
+     "bag 'b0': 'attributes' must be [int, ...]"),
+    ("annotation", _ann(), {"bags": {"b0": {"object": 0, "attributes": "23"}}}, "truth",
+     "bag 'b0': 'attributes' must be [int, ...]"),
+    ("annotation", _ann(), {"bags": [_TRUTH["bags"]["b0"]]}, "truth",
+     "annotation truth: 'bags' must be {...}"),
+    ("query", {"queries": [{**_QUERY, "ranking": [[["b0"], 0, 0.9]]}]}, _QTRUTH, "pred",
+     "query 0: 'ranking' must be [[string, int, number], ...]"),
+    ("query", {"queries": [{**_QUERY, "attributes": 2}]}, _QTRUTH, "pred",
+     "query 0: 'attributes' must be [int, ...]"),
+    ("query", {"queries": [_QUERY]}, {"queries": [{**_QUERY, "attributes": 2}]}, "truth",
+     "query 0: 'attributes' must be [int, ...]"),
+    ("query", {"queries": [_QUERY]}, {"queries": [{**_QUERY, "relevant": "b0"}]}, "truth",
+     "query 0: 'relevant' must be [string, ...]"),
+    ("query", {"queries": 3}, _QTRUTH, "pred", "query prediction: 'queries' must be [...]")])
+def test_eval_rejects_a_value_of_the_wrong_type(tmp_path, capsys, task, pred, truth, at, why):
+    # each exits 2 naming the file and the entry, before any line is printed
+    paths = {"pred": tmp_path / "p.json", "truth": tmp_path / "t.json"}
+    paths["pred"].write_text(json.dumps(pred))
+    paths["truth"].write_text(json.dumps(truth))
+    assert main(["eval", "--task", task, "--pred", str(paths["pred"]),
+                 "--truth", str(paths["truth"])]) == 2
+    assert capsys.readouterr() == ("", f"error: {paths[at]}: {why}\n")
+
+
 @pytest.mark.parametrize("t", ["", ",", " , "])
 def test_eval_empty_t_is_a_usage_error(tmp_path, capsys, t):
     # no AP@t line would be printed, so the run would score nothing
@@ -746,6 +797,32 @@ def test_eval_segmentation_needs_rows_for_every_truth_bag(inferred, capsys):
     assert capsys.readouterr().err == f"error: {csv}:1: no bag column\n"
 
 
+@pytest.mark.parametrize("pixels, why", [
+    ({"a": 1}, "pixels must be a list of numbers in (0, 1e150]"),
+    (["a"] * 12, "pixels must be a list of numbers in (0, 1e150]"),
+    ([float("nan")] * 12, "pixels must be a list of numbers in (0, 1e150]"),
+    ([True] * 12, "pixels must be a list of numbers in (0, 1e150]"),
+    ([1e308] * 12, "pixels must be a list of numbers in (0, 1e150]"),
+    (None, "pixels must be given for all bags or none")])
+def test_eval_segmentation_rejects_bad_pixels(inferred, capsys, pixels, why):
+    tmp, model, post = inferred
+    segs, bags = _segment_truth(tmp, model, post)
+    for entry in bags.values():
+        entry["pixels"] = [2] * 12
+    if pixels is None:
+        del bags["bag0003"]["pixels"]
+    else:
+        bags["bag0003"]["pixels"] = pixels
+    truth, text = tmp / "truth.json", json.dumps({"bags": bags}, indent=1)
+    truth.write_text(text)
+    line = next(i for i, row in enumerate(text.splitlines(), 1)
+                if row.lstrip().startswith('"bag0003": '))
+    capsys.readouterr()
+    assert main(["eval", "--task", "segmentation", "--pred", str(segs),
+                 "--truth", str(truth)]) == 2
+    assert capsys.readouterr() == ("", f"error: {truth}:{line}: bag 'bag0003': {why}\n")
+
+
 def test_eval_segmentation_names_the_line_of_the_bag_key(inferred, capsys):
     # the id also appears earlier as a value; the error names the line of its key
     tmp, model, post = inferred
@@ -877,7 +954,12 @@ def test_eval_segmentation_weights_instances_by_pixels(inferred, capsys):
     capsys.readouterr()
     assert main(args) == 0
     assert f"per-pixel accuracy: {(pixels - 1) / pixels:.4f}\n" in capsys.readouterr().out
-    bags["bag0000"]["pixels"][0] = 0
+    bags["bag0000"]["pixels"][0] = 0  # checked as the truth is read, at the bag's line
+    truth.write_text(json.dumps({"bags": bags}))
+    assert main(args) == 2
+    assert capsys.readouterr().err == (f"error: {truth}:1: bag 'bag0000': pixels must be a "
+                                       "list of numbers in (0, 1e150]\n")
+    bags["bag0000"]["pixels"] = [3]  # one count for 12 instances
     truth.write_text(json.dumps({"bags": bags}))
     assert main(args) == 2
     assert capsys.readouterr().err == "error: invalid pixel counts for bag 'bag0000'\n"
