@@ -319,6 +319,8 @@ def _eval_annotation(args, pred: dict, truth: dict) -> None:
         ann = annotations[0]
         obj, attrs = _values(ann, args.pred, f"bag {bid!r}", object=int,
                              attributes=[(int, float)])
+        if bid in predictions:
+            raise FormatError(f"{args.pred}: bag entry {n}: bag {bid!r} is repeated")
         predictions[bid] = (obj, [k for k, _ in attrs])
         if "attribute_scores" in ann:
             [scores] = _values(ann, args.pred, f"bag {bid!r}", attribute_scores=[float])
@@ -354,6 +356,9 @@ def _eval_query(args, pred: dict, truth: dict) -> None:
     for n, entry in enumerate(queries):
         obj, attrs, ranking = _values(entry, args.pred, f"query {n}", object=int,
                                       attributes=[int], ranking=[(str, int, float)])
+        if (obj, tuple(attrs)) in rankings:
+            raise FormatError(f"{args.pred}: query {n}: object {obj} with attributes {attrs} "
+                              "is repeated")
         rankings[(obj, tuple(attrs))] = [row[0] for row in ranking]
     for n, entry in enumerate(truth["queries"]):
         obj, attrs, ids = _values(entry, args.truth, f"query {n}", object=int,
@@ -392,7 +397,15 @@ def _eval_segmentation(args, truth: dict, truth_text: str) -> None:
     if 0 < len(pixels) < len(truth_maps):
         bid = next(bid for bid in truth_maps if bid not in pixels)
         raise _bag_fault(args.truth, truth_text, bid, "pixels must be given for all bags or none")
-    pred_maps = io.read_segmentation(args.pred, list(truth_maps))
+    csv, pred_maps, unknown = io.read_segmentation(args.pred, list(truth_maps))
+    if unknown:
+        raise FormatError(f"{args.truth}: no truth for bag {unknown[0]!r} of {csv}")
+    for bid, labels in truth_maps.items():
+        rows = len(pred_maps[bid])
+        for what, n in (("label", labels.size), ("pixel", pixels[bid].size if pixels else rows)):
+            if n != rows:
+                raise _bag_fault(args.truth, truth_text, bid, f"{n} {what}{'s' * (n != 1)}, "
+                                 f"{csv} has {rows} row{'s' * (rows != 1)}")
     scores = metrics.segmentation_metrics(pred_maps, truth_maps, pixels or None)
     print(f"mean IOU: {scores.mean_iou:.4f}")
     print(f"per-pixel accuracy: {scores.per_pixel_accuracy:.4f}")

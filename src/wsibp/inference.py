@@ -7,15 +7,17 @@ recomputation of the inter-factor correlation matrix. Bags are swept in
 groups (``BagGroup``), so each stage runs once per factor per group. ``init_group``
 builds one in a single step from a start block (``fit`` draws one per group, ``infer_test``
 slices one cached block): ν factor-major, ``(k_max, rows)``, in a buffer with a +0 column
-that ``mrf_messages`` gathers from, and the logits alike; τ = (α, 1) with its stick cache,
-taken once per (α, k_max); each bag's ``BagPosterior`` as views of its rows and τ; the
-features as one ``(rows, D)`` block and the neighbours as O(edges) slots.
-The model's logit terms (``sweep_terms``, ``project``) are taken once per fit
-iteration, sum νᵀν (``nu_gram``) at set-up and after each sweep. ``infer_test``
-sweeps a group of one, projects each bag, and keeps what all its bags share in
-``_test_cache``, one slot each: the start block, the terms of the last model content
-and the first stick stage of the last bag size. A sweep's factor steps run in one
-``sweep_factors`` call: six ufunc calls per factor on −η into rows bound once, 0-d operands.
+that ``mrf_messages`` gathers from (into memory it reuses), and the logits alike; the label
+bits as float 0/1; each factor's (logits, ν, bits) rows, bound once; τ = (α, 1) with its
+stick cache, taken once per (α, k_max); each bag's ``BagPosterior`` as views of its rows
+and τ; the features as one ``(rows, D)`` block and the neighbours as O(edges) slots, from
+one concatenation of the bags' edges. The model's logit terms (``sweep_terms``, with the
+rows of −coupling bound once, and ``project``) are taken once per fit iteration, sum νᵀν
+(``nu_gram``) at set-up and after each sweep. ``infer_test`` sweeps a group of one,
+projects each bag, and keeps what all its bags share in ``_test_cache``, one slot each:
+the start block, the terms of the last model content (a flat key) and the first stick
+stage of the last bag size. A sweep's factor steps run in one ``sweep_factors`` call: six
+ufunc calls per factor on −η, no row taken and nothing cast, 0-d operands.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class BagGroup:
     rows: list[slice]  # per bag, its rows of the group
     counts: np.ndarray  # (M,) instances per bag
     starts: np.ndarray  # (M,) each bag's first row
-    bits: np.ndarray  # (k_max, rows) bool, each row's label bits
+    bits: np.ndarray  # (k_max, rows) float 0/1, each row's label bits
     nbr: np.ndarray  # (wide slots, rows) j-th neighbour of each row, else the index rows
     tail: tuple[np.ndarray, np.ndarray]  # every later slot: (rows, neighbours), rows ascending
     deg: np.ndarray  # (rows,) each row's directed edges
@@ -129,6 +131,7 @@ class BagGroup:
     logits: np.ndarray  # (k_max, rows)
     cache: StickBoundCache  # of tau, (M, k_max) each
     posteriors: list[BagPosterior]  # per bag, views of tau, nu and logits
+    factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # per factor, (logits, nu, bits) rows
 
 
 def start_block(rng: np.random.Generator, bags: list[Bag], k_max: int) -> np.ndarray:
@@ -142,41 +145,45 @@ def start_block(rng: np.random.Generator, bags: list[Bag], k_max: int) -> np.nda
 def init_group(bags: list[Bag], config: ModelConfig, start: np.ndarray) -> BagGroup:
     """Consecutive bags as one group at its starting state: nu = ``start`` ((k_max, rows),
     ``start_block``'s) times the label bit, tau = (alpha, 1) with the shared start cache
-    repeated, and zero logits; each bag's posterior views its rows and tau. Slot j holds
-    each row's j-th neighbour over the directed edges (each as given, then reversed): ``nbr``
-    the slots of a quarter of the rows or more, padded with the index rows, ``tail`` the
-    later slots as one (rows, neighbours) pair in source order (rows ascending, each row's
-    slots in order): at most 4 indices per directed edge, whatever the degrees."""
+    repeated, and zero logits; each bag's posterior views its rows and tau, and each
+    factor's (logits, nu, bits) rows are bound once. Slot j holds each row's j-th neighbour
+    over the directed edges (each as given, then reversed): ``nbr`` the slots of a quarter
+    of the rows or more, padded with the index rows, ``tail`` the later slots as one (rows,
+    neighbours) pair in source order (rows ascending, each row's slots in order): at most
+    4 indices per directed edge, whatever the degrees."""
     ns = [b.n_instances for b in bags]
-    size, k = sum(ns), config.k_max
+    size, k, m = sum(ns), config.k_max, len(bags)
     rows = [slice(a - n, a) for a, n in zip(itertools.accumulate(ns), ns)]
     counts, starts = np.array(ns), np.array([r.start for r in rows])
-    bits = np.repeat(np.array([b.labels.bits for b in bags]).T > 0, counts, axis=1)
+    labels = np.array([b.labels.bits for b in bags], dtype=np.float64)
+    labels += _ZERO  # a -0.0 bit is a 0 bit: +0, so masked rows are +0
+    bits = labels.T.repeat(counts, axis=1)
     # nu's buffer, then logits, after fit's draw or infer_test's projection: other orders
     # left the sweeps' temporaries on the heap top, which glibc trimmed and regrew (CHANGES.md)
     pad, logits = np.empty((k, size + 1)), np.empty((k, size))
     nu = np.multiply(start, bits, out=pad[:, :size])
     pad[:, size] = logits[:] = 0.0
-    tau = np.full((len(bags), k, 2), (config.alpha, 1.0))
+    tau = np.full((m, k, 2), (config.alpha, 1.0))
     one = _start_cache(config.alpha, k)  # every bag's tau is the same
-    cache = StickBoundCache(*(a.repeat(len(bags), axis=0) for a in vars(one).values()))
-    fwd = [b.edges.reshape(-1, 2).T + r.start for b, r in zip(bags, rows)]  # empty may be 1-D
-    src, dst = np.concatenate(fwd + [f[::-1] for f in fwd], axis=1).astype(np.intp, copy=False)
+    cache = StickBoundCache(one.w.repeat(m, axis=0), one.neg_log_terms.repeat(m, axis=0),
+                            one.prior_cumsum.repeat(m, axis=0))
+    # every bag's edges at its rows as a (2, E) pair (an empty list may be 1-D), then reversed
+    ends = np.concatenate([b.edges.reshape(-1, 2) + r.start for b, r in zip(bags, rows)]).T
+    src, dst = np.concatenate((ends, ends[::-1]), axis=1).astype(np.intp, copy=False)
     order = src.argsort(kind="stable")
     src, dst = src[order], dst[order]
     deg = np.bincount(src, minlength=size)  # a row's slot: its place among its edges
     slot = np.arange(src.size) - (deg.cumsum() - deg).repeat(deg)
-    wide = np.count_nonzero(4 * np.bincount(slot) >= size)  # rows per slot never grow
+    wide = np.sort(deg)[3 * size // 4]  # the degree a quarter of the rows reach
     near = slot < wide
     nbr = np.full((wide, size), size)
     nbr[slot[near], src[near]] = dst[near]
     tail = src[~near], dst[~near]
-    x = bags[0].features if len(bags) == 1 else np.concatenate([b.features for b in bags])
-    posteriors = [BagPosterior(tau=t, nu=nu[:, r].T, logits=logits[:, r].T)
-                  for t, r in zip(tau, rows)]
+    x = bags[0].features if m == 1 else np.concatenate([b.features for b in bags])
+    posteriors = [BagPosterior(t, nu[:, r].T, logits[:, r].T) for t, r in zip(tau, rows)]
     return BagGroup(x=x, rows=rows, counts=counts, starts=starts, bits=bits, nbr=nbr, tail=tail,
                     deg=deg, tau=tau, pad=pad, nu=nu, logits=logits, cache=cache,
-                    posteriors=posteriors)
+                    posteriors=posteriors, factors=list(zip(logits, nu, bits)))
 
 
 def _group_bags(bags: list[Bag]):
@@ -241,26 +248,28 @@ def update_stick(group: BagGroup, config: ModelConfig) -> None:
 
 
 def sweep_terms(model: AppearanceModel, correlation: CorrelationMatrix,
-                config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+                config: ModelConfig) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The logit terms fixed while the model is, with G = means @ means.T:
-    ``coupling`` = -(G - diag G) / sigma^2 + rho * M.T (rho = 0 adds zeros) and
-    ``quad`` (k_max,) = (D var_k + G_kk) / (2 sigma^2)."""
+    ``coupling`` = -(G - diag G) / sigma^2 + rho * M.T (rho = 0 adds zeros),
+    ``quad`` (k_max,) = (D var_k + G_kk) / (2 sigma^2) and the rows of -coupling, which
+    ``sweep_factors`` takes, bound once."""
     inv_s2 = 1.0 / config.sigma ** 2
     gram = model.means @ model.means.T
     quad = 0.5 * inv_s2 * (model.feature_dim * model.variances + gram.diagonal())
     coupling = -inv_s2 * gram
     np.fill_diagonal(coupling, 0.0)
     coupling += config.rho * correlation.m.T
-    return coupling, quad
+    return coupling, quad, tuple(np.negative(coupling))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked from the extremes
 def checked_terms(model: AppearanceModel, correlation: CorrelationMatrix, config: ModelConfig,
-                  fault: str) -> tuple[np.ndarray, np.ndarray]:
-    """``sweep_terms``, or a ConfigError ``fault`` unless both are finite: fit's check of its
-    model after each appearance update and ``infer_test``'s of the model it is given."""
+                  fault: str) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """``sweep_terms``, or a ConfigError ``fault`` unless coupling and quad are finite: fit's
+    check of its model after each appearance update and ``infer_test``'s of the model it
+    is given."""
     terms = sweep_terms(model, correlation, config)
-    if not all(-np.inf < t.min() and t.max() < np.inf for t in terms):
+    if not all(-np.inf < t.min() and t.max() < np.inf for t in terms[:2]):
         raise ConfigError(fault)
     return terms
 
@@ -279,55 +288,68 @@ def project(group: BagGroup, model: AppearanceModel, config: ModelConfig,
 def base_logits(group: BagGroup, proj: np.ndarray, quad: np.ndarray,
                 msgs: np.ndarray) -> np.ndarray:
     """Logits of one sweep before the couplings, (k_max, rows), added in place into
-    ``mrf_messages``'s output: messages + each row's stick prior - quad + proj, the
-    prior read from the group's stick cache."""
-    const = group.cache.prior_cumsum - group.cache.neg_log_terms - quad  # (M, k_max)
-    msgs += const.T.repeat(group.counts, axis=1)
+    ``msgs``, ``mrf_messages``'s output: messages + each row's stick prior - quad + proj, the
+    prior read from the group's stick cache, broadcast for a group of one bag."""
+    const = (group.cache.prior_cumsum - group.cache.neg_log_terms - quad).T  # (k_max, M)
+    msgs += const if len(group.rows) == 1 else const.repeat(group.counts, axis=1)
     msgs += proj
     return msgs
 
 
 def mrf_messages(group: BagGroup, config: ModelConfig) -> np.ndarray:
-    """2 beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep: the
-    Potts message beta * sum_j (2 nu_j - 1) but for its -beta * deg, which ``project`` takes.
-    Only factor k writes nu[k], so its start-of-sweep value is what factor k reads.
-    Slot j adds each row's j-th neighbour from ``group.pad`` (a pad reads its +0 column),
-    then one ``np.add.at`` the tail, one index at a time in index order, so every row sums
-    in directed-edge order from zero, as np.bincount does: the first slot's gather seeds
-    the sum, as nu >= +0 and +0 + a == a."""
-    pad, nbr = group.pad, group.nbr
-    acc = pad.take(nbr[0], axis=1) if len(nbr) else np.zeros(group.nu.shape)
-    for d in nbr[1:]:
-        acc += pad.take(d, axis=1)
+    """2 beta * (sum of each row's neighbours' nu), (k_max, rows), for a whole sweep, into
+    ``group.logits`` (returned): the Potts message beta * sum_j (2 nu_j - 1) but for its
+    -beta * deg, which ``project`` takes. Only factor k writes nu[k], so its start-of-sweep
+    value is what factor k reads. Slot j gathers each row's j-th neighbour from ``group.pad``
+    (a pad reads its +0 column), the first into the logits, each later one into one scratch
+    block that is added; then one ``np.add.at`` the tail, one index at a time in index
+    order, so every row sums in directed-edge order from zero, as np.bincount does: the
+    first gather seeds the sum, as nu >= +0 and +0 + a == a. Every index lies in [0, rows],
+    so ``mode="clip"`` clips none (``"raise"`` would buffer ``out``)."""
+    pad, nbr, acc = group.pad, group.nbr, group.logits
+    if len(nbr):
+        pad.take(nbr[0], axis=1, out=acc, mode="clip")
+    else:
+        acc[:] = 0.0
+    if len(nbr) > 1:
+        scratch = np.empty_like(acc)
+        for d in nbr[1:]:
+            acc += pad.take(d, axis=1, out=scratch, mode="clip")
     r, d = group.tail
     if r.size:
         np.add.at(acc, (slice(None), r), pad.take(d, axis=1))
     return np.multiply(acc, 2.0 * config.beta, out=acc)
 
 
-def sweep_factors(group: BagGroup, base: np.ndarray, coupling: np.ndarray) -> None:
+def sweep_factors(group: BagGroup, base: np.ndarray,
+                  neg_coupling: np.ndarray | tuple[np.ndarray, ...]) -> None:
     """Each factor k in ascending order, over all rows: logits[k] = coupling[k] @ nu +
-    base[k] (nu factor-major), then nu[k] = bit / (1 + exp(-clip(logits[k]))), the bit
-    one per row (bool), so masked rows are +0, and each factor sees the freshest others.
-    With resid = x - nu^T @ means, the residual form's resid @ phi_k + nu_k G_kk equals
-    x @ phi_k - sum_{j != k} nu_j G_jk, and rho * (M^T nu)[k] rides in coupling. nu[k]
-    is the work row, and logits[k] keeps the unclipped logit; with |clip| <= LOGIT_CLIP
-    the exponential cannot overflow. The rows of a factor are bound once, by ``zip``.
-    Steps run on -eta (coupling negated, base subtracted): negation is exact and the clip
-    symmetric, so exp sees the same number; logits are negated back once, 0 - x (zeros +0)."""
-    nu = group.nu
+    base[k] (nu factor-major), then nu[k] = bit / (1 + exp(-clip(logits[k]))), the bit 0/1,
+    so masked rows are +0, and each factor sees the freshest others. With resid = x - nu^T
+    @ means, the residual form's resid @ phi_k + nu_k G_kk equals x @ phi_k - sum_{j != k}
+    nu_j G_jk, and rho * (M^T nu)[k] rides in coupling. ``neg_coupling`` is -coupling, whole
+    or as its rows (``sweep_terms``'s third term). ``base`` is copied into the logits (none
+    to copy for ``base_logits``'s output, which is them), whose rows turn from base into
+    the unclipped logit; with nu's and the bits' they are bound once per group (``factors``)
+    and each mat-vec goes into one scratch row. Steps run on -eta (base subtracted):
+    negation is exact and the clip (|clip| <= LOGIT_CLIP: exp cannot overflow) symmetric,
+    so exp sees the same number; logits are negated back once, 0 - x (zeros +0)."""
+    nu, logits = group.nu, group.logits
+    np.copyto(logits, base)
+    mv = np.empty(nu.shape[1])
     matmul, subtract, exp, add, divide = np.matmul, np.subtract, np.exp, np.add, np.divide
-    for c, b, eta, n, bit in zip(np.negative(coupling), base, group.logits, nu, group.bits):
-        matmul(c, nu, eta)
-        subtract(eta, b, eta)
+    for c, (eta, n, bit) in zip(neg_coupling, group.factors):
+        matmul(c, nu, mv)
+        subtract(mv, eta, eta)
         _clip(eta, _CLIP_LO, _CLIP_HI, n)
         exp(n, n)
         add(n, _ONE, n)
         divide(bit, n, n)
-    subtract(_ZERO, group.logits, group.logits)
+    subtract(_ZERO, logits, logits)
 
 
-def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
+def _sweep_bag(group: BagGroup, proj: np.ndarray,
+               terms: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
                config: ModelConfig, sticks: tuple | None = None) -> float:
     """One sweep of a group; returns the mean |delta nu|. ``proj`` (``project``'s) and
     ``terms`` (``sweep_terms``'s) are fixed while the model is. The stick stage runs
@@ -342,10 +364,10 @@ def _sweep_bag(group: BagGroup, proj: np.ndarray, terms: tuple[np.ndarray, np.nd
         group.cache = StickBoundCache.from_tau(group.tau)
     else:
         group.tau[:], group.cache = sticks
-    coupling, quad = terms
+    _, quad, neg_coupling = terms
     base = base_logits(group, proj, quad, mrf_messages(group, config))
     change = group.nu.copy()
-    sweep_factors(group, base, coupling)
+    sweep_factors(group, base, neg_coupling)
     np.subtract(change, group.nu, out=change)
     return sum(np.abs(change, out=change).sum(axis=1).tolist()) / change.size
 
@@ -427,13 +449,14 @@ def infer_test(bag: Bag, model: AppearanceModel,
         block = start_block(np.random.Generator(np.random.PCG64(seed)), [bag], k)
         _frozen(block)
         cache["block"] = (seed, k), block
-    key = (config.sigma, config.rho, *((a.dtype.str, a.shape, a.tobytes())
-           for a in (model.means, model.variances, correlation.m)))
+    means, variances, m = model.means, model.variances, correlation.m
+    key = (config.sigma, config.rho, means.dtype, variances.dtype, m.dtype, means.shape,
+           variances.shape, m.shape, means.tobytes(), variances.tobytes(), m.tobytes())
     held, terms = cache["terms"]
     if held != key:
         terms = checked_terms(model, correlation, config,
                               f"sigma {config.sigma!r}: the model's logit terms overflow")
-        _frozen(*terms)
+        _frozen(*terms[:2], *terms[2])
         cache["terms"] = key, terms
     proj = np.empty((k, n))  # before the group: heap order (CHANGES.md)
     group = init_group([open_bag], config, block[:, :n])

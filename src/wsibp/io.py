@@ -353,7 +353,7 @@ def _check_model(path: str, model: AppearanceModel, m: np.ndarray) -> None:
         ("M diagonal zero", not finite_m or not m.diagonal().any()),
         ("M entries >= 0", not finite_m or m.min(initial=0.0) >= 0),
         ("finite logit terms", not (finite_means and finite_variances and finite_m) or all(
-            map(_finite, sweep_terms(model, CorrelationMatrix(m), model.config)))),
+            map(_finite, sweep_terms(model, CorrelationMatrix(m), model.config)[:2]))),
     ) if not ok]
     if bad:
         raise FormatError(f"{path}: the model needs {', '.join(bad)}")
@@ -474,10 +474,12 @@ def write_segmentation(out_dir: str, segs: list[tuple[str, SegmentationMap]], vo
                          + [" ".join(colours[i] for i in row) for row in raster.tolist()])
 
 
-def read_segmentation(out_dir: str, bag_ids: list[str]) -> dict[str, np.ndarray]:
-    """Each of ``bag_ids``' labels from ``write_segmentation``'s CSV, read in one read; blank
-    lines are skipped and cells may be padded. A bad label cell is a FormatError at its
-    line, and so is a bag of ``bag_ids`` without rows, naming it."""
+def read_segmentation(out_dir: str, bag_ids: list[str]
+                      ) -> tuple[str, dict[str, np.ndarray], list[str]]:
+    """The path of ``write_segmentation``'s CSV, each of ``bag_ids``' labels from it, and
+    the bags it holds beyond ``bag_ids`` in file order, read in one read; blank lines are
+    skipped and cells may be padded. A bad label cell is a FormatError at its line, and so
+    is a bag of ``bag_ids`` without rows, naming it."""
     path = os.path.join(out_dir, SEGMENTATION_FILE)
     with open(path, "rb") as fh:
         rows = BytesIO(fh.read())  # one read, its lines then taken one at a time
@@ -493,7 +495,9 @@ def read_segmentation(out_dir: str, bag_ids: list[str]) -> dict[str, np.ndarray]
                 path, line, row[c].strip(), "label_index: expected a non-negative integer"))
     if missing := [bag_id for bag_id in bag_ids if bag_id not in labels][:1]:
         raise FormatError(f"{path}: no rows for bag {missing[0]!r}")
-    return {bag_id: np.array(labels[bag_id], dtype=np.int64) for bag_id in bag_ids}
+    asked = set(bag_ids)
+    return (path, {bag_id: np.array(labels[bag_id], dtype=np.int64) for bag_id in bag_ids},
+            [bag_id for bag_id in labels if bag_id not in asked])
 
 
 def save_truth(path: str, true_z: list[np.ndarray], true_pi: list[np.ndarray],

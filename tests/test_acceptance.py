@@ -90,11 +90,11 @@ def test_criterion_02_exact_oracle_marginals():
     group.cache = StickBoundCache.from_tau(group.tau)
     post = group.posteriors[0]
     proj = project(group, model, config)
-    coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(2), config)
+    _, quad, neg_coupling = sweep_terms(model, CorrelationMatrix.zeros(2), config)
     for _ in range(500):  # the sweep's own steps, without its stick update
         before = group.nu.copy()
         sweep_factors(group, base_logits(group, proj, quad, mrf_messages(group, config)),
-                      coupling)
+                      neg_coupling)
         if np.abs(group.nu - before).mean() < 1e-13:
             break
 

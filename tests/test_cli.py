@@ -138,6 +138,42 @@ def test_eval_annotation_and_query(workspace, tmp_path, capsys):
     assert "MAR: 1.0000" in capsys.readouterr().out
 
 
+def test_eval_annotation_rejects_a_repeated_bag(tmp_path, capsys):
+    # a bag listed twice would score only its last entry
+    entry = {"bag": "b0", "annotations": [{"object": 0, "attributes": [[2, 0.8]]}]}
+    other = {"bag": "b0", "annotations": [{"object": 1, "attributes": [[2, 0.8]]}]}
+    pred, truth = tmp_path / "p.json", tmp_path / "t.json"
+    truth.write_text(json.dumps({"k_objects": 2,
+                                 "bags": {"b0": {"object": 0, "attributes": [2]}}}))
+    args = ["eval", "--task", "annotation", "--pred", str(pred), "--truth", str(truth),
+            "--t", "1"]
+    pred.write_text(json.dumps({"bags": [entry]}))
+    capsys.readouterr()
+    assert main(args) == 0
+    pred.write_text(json.dumps({"bags": [entry, other]}))
+    assert main(args) == 2
+    assert capsys.readouterr() == ("AP@1: 1.0000\n",
+                                   f"error: {pred}: bag entry 1: bag 'b0' is repeated\n")
+
+
+def test_eval_query_rejects_a_repeated_query(tmp_path, capsys):
+    # two rankings of one (object, attributes) query would score only the last
+    first = {"object": 0, "attributes": [2, 3], "ranking": [["b0", 0, 0.9], ["b1", 0, 0.1]]}
+    second = {**first, "ranking": first["ranking"][::-1]}
+    other = {**first, "attributes": [3]}
+    pred, truth = tmp_path / "p.json", tmp_path / "t.json"
+    truth.write_text(json.dumps({"queries": [{"object": 0, "attributes": a, "relevant": ["b0"]}
+                                             for a in ([2, 3], [3])]}))
+    args = ["eval", "--task", "query", "--pred", str(pred), "--truth", str(truth)]
+    pred.write_text(json.dumps({"queries": [first, other]}))
+    capsys.readouterr()
+    assert main(args) == 0
+    pred.write_text(json.dumps({"queries": [first, other, second]}))
+    assert main(args) == 2
+    assert capsys.readouterr() == ("MAR: 1.0000\n", f"error: {pred}: query 2: object 0 with "
+                                   "attributes [2, 3] is repeated\n")
+
+
 def test_eval_truth_without_task_key_exit_2(workspace, capsys):
     # synth's <out>.truth.json holds the generating assignments, not eval's layouts
     tmp, ds = workspace
@@ -962,4 +998,42 @@ def test_eval_segmentation_weights_instances_by_pixels(inferred, capsys):
     bags["bag0000"]["pixels"] = [3]  # one count for 12 instances
     truth.write_text(json.dumps({"bags": bags}))
     assert main(args) == 2
-    assert capsys.readouterr().err == "error: invalid pixel counts for bag 'bag0000'\n"
+    assert capsys.readouterr().err == (f"error: {truth}:1: bag 'bag0000': 1 pixel, "
+                                       f"{segs / 'segmentation.csv'} has 12 rows\n")
+
+
+@pytest.mark.parametrize("field, count, why", [
+    ("labels", 2, "2 labels, {csv} has 1 row"), ("labels", 0, "0 labels, {csv} has 1 row"),
+    ("pixels", 3, "3 pixels, {csv} has 1 row")])
+def test_eval_segmentation_names_both_files_when_counts_differ(tmp_path, capsys, field, count,
+                                                               why):
+    # a truth bag whose label or pixel count is not its CSV row count: the truth's line
+    # of the bag and the CSV are named, as neither file alone is at fault
+    segs = tmp_path / "segs"
+    write_segmentation(str(segs), [("b0", tasks.SegmentationMap(
+        labels=np.array([0]), scores=np.array([1.0])))], ["a"])
+    entry = {"labels": [0], "pixels": [1.0], field: [1] * count}
+    truth, text = tmp_path / "truth.json", json.dumps({"bags": {"b0": entry}}, indent=1)
+    truth.write_text(text)
+    capsys.readouterr()
+    assert main(["eval", "--task", "segmentation", "--pred", str(segs),
+                 "--truth", str(truth)]) == 2
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if '"b0"' in row)
+    why = why.format(csv=segs / "segmentation.csv")
+    assert capsys.readouterr() == ("", f"error: {truth}:{line}: bag 'b0': {why}\n")
+
+
+def test_eval_segmentation_rejects_rows_of_a_bag_without_truth(tmp_path, capsys):
+    # as annotation rejects a predicted bag that the truth does not name
+    segs = tmp_path / "segs"
+    seg = tasks.SegmentationMap(labels=np.array([0]), scores=np.array([1.0]))
+    write_segmentation(str(segs), [("b0", seg), ("zz", seg), ("zy", seg)], ["a"])
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"bags": {"b0": {"labels": [0]}}}))
+    args = ["eval", "--task", "segmentation", "--pred", str(segs), "--truth", str(truth)]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {truth}: no truth for bag 'zz' of "
+                                   f"{segs / 'segmentation.csv'}\n")
+    truth.write_text(json.dumps({"bags": {b: {"labels": [0]} for b in ("b0", "zz", "zy")}}))
+    assert main(args) == 0

@@ -292,10 +292,10 @@ def logits_at(bag, model, config, tau, nu=None):
     group = new_group([bag], config, tau=tau)
     if nu is not None:
         group.nu[:] = nu.T
-    coupling, quad = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
+    _, quad, neg_coupling = sweep_terms(model, CorrelationMatrix.zeros(config.k_max), config)
     base = base_logits(group, project(group, model, config), quad,
                        np.zeros_like(group.nu))
-    sweep_factors(group, base, coupling)
+    sweep_factors(group, base, neg_coupling)
     return group.logits.T.copy(), group.nu.T.copy()
 
 
@@ -412,11 +412,11 @@ def mrf_at(eta, nu, correlation, edges, config):
     group.nu[:] = nu.T
     model = AppearanceModel(means=np.zeros((k_max, 1)), variances=np.ones(k_max),
                             vocab=config.default_vocab(), config=config)
-    coupling, _ = sweep_terms(model, correlation, config)
+    _, _, neg_coupling = sweep_terms(model, correlation, config)
     msgs = mrf_messages(group, config)
     msgs += project(group, model, config)
     msgs += eta
-    sweep_factors(group, msgs, coupling)
+    sweep_factors(group, msgs, neg_coupling)
     return group.logits.copy()
 
 
@@ -474,6 +474,10 @@ def test_mrf_messages_match_edge_loop(sizes, k_max, beta, seed, data):
 
     expected = np.concatenate([edge_loop_messages(bag, group.nu[:, rows], beta)
                                for bag, rows in zip(bags, group.rows)], axis=1)
+    # every index reads nu or the +0 column, so the gathers' mode="clip" clips none
+    size = group.nu.shape[1]
+    assert all(((a >= 0) & (a <= size)).all() for a in (group.nbr, *group.tail))
+    group.logits[:] = np.nan  # the rows the gathers write into: nothing left may reach the sums
     got = mrf_messages(group, cfg_k(k_max, beta=beta))
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
@@ -618,12 +622,12 @@ def test_sweep_factors_matches_two_call_step(k, sizes, beta, rho, scale, seed):
                             variances=rng.uniform(0.1, 1.0, size=k_max),
                             vocab=config.default_vocab(), config=config)
     m = np.triu(rng.uniform(0, 1, size=(k_max, k_max)), 1)
-    coupling, quad = sweep_terms(model, CorrelationMatrix(m + m.T), config)
+    coupling, quad, neg_coupling = sweep_terms(model, CorrelationMatrix(m + m.T), config)
     tau = rng.uniform(0.2, 5.0, size=(k_max, 2))
     ours, ref = (new_group(bags, config, np.random.default_rng(seed), tau) for _ in range(2))
     base = base_logits(ours, project(ours, model, config), quad, mrf_messages(ours, config))
-    sweep_factors(ours, base, coupling)
-    factor_steps_reference(ref, base, coupling)
+    factor_steps_reference(ref, base, coupling)  # first: base is ours' logits, swept in place
+    sweep_factors(ours, base, neg_coupling)
     assert ours.nu.tobytes() == ref.nu.tobytes()
     assert ours.logits.tobytes() == ref.logits.tobytes()
     assert not ours.nu[0].any()
@@ -741,11 +745,17 @@ class TestFit:
         assert correct / total >= 0.9
 
     def test_posterior_invariants_after_fit(self, small_dataset, small_config):
-        result = fit(small_dataset.bags, small_config)
-        for bag, post in zip(small_dataset.bags, result.posteriors):
+        bags = list(small_dataset.bags)
+        bits = bags[0].labels.bits.copy()
+        assert (bits == 0.0).any()
+        bits[bits == 0.0] = -0.0  # a -0.0 bit is a 0 bit: its rows are +0 as well
+        bags[0] = dataclasses.replace(bags[0], labels=WeakLabels(bits))
+        result = fit(bags, small_config)
+        for bag, post in zip(bags, result.posteriors):
             assert np.all(post.tau > 0)
             assert np.all(post.nu >= 0.0) and np.all(post.nu <= 1.0)
-            assert np.all(post.nu[:, bag.labels.bits == 0.0] == 0.0)
+            masked = post.nu[:, bag.labels.bits == 0.0]
+            assert np.all(masked == 0.0) and not np.signbit(masked).any()  # +0
             pi = np.cumprod(post.tau[:, 0] / post.tau.sum(axis=1))  # E[pi_k]
             assert np.all(np.diff(pi) <= 1e-12)
 

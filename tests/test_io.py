@@ -578,9 +578,13 @@ class TestWriteSegmentation:
         assert lines[0] == "bag,instance,label_index,label_name,score"
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
             "b0,0,0,cat", "b0,1,1,dog", "b0,2,0,cat", "b1,0,1,dog"]
-        labels = read_segmentation(str(tmp_path / "out"), ["b1", "b0"])
+        path, labels, unknown = read_segmentation(str(tmp_path / "out"), ["b1", "b0"])
+        assert path == str(tmp_path / "out" / "segmentation.csv") and unknown == []
         assert list(labels) == ["b1", "b0"]
         assert labels["b0"].tolist() == [0, 1, 0] and labels["b1"].tolist() == [1]
+        # the bags read beyond those asked for, in file order
+        _, some, unknown = read_segmentation(str(tmp_path / "out"), ["b1"])
+        assert list(some) == ["b1"] and unknown == ["b0"]
 
     def test_bytes_match_per_row_writer_over_a_longer_file(self, tmp_path):
         rng = np.random.default_rng(3)
